@@ -321,11 +321,14 @@ class HarnessTelemetry:
         self.fused_runs_saved = 0
         self.case_seconds.clear()
 
-    def record_simulation(self, label: str, result: SimResult) -> None:
+    def record_simulation(
+        self, label: str, committed_uops: int, wall_seconds: float
+    ) -> None:
+        """One simulator invocation that committed ``committed_uops``."""
         self.sim_invocations += 1
-        self.uops_simulated += result.committed_uops
-        self.sim_seconds += result.wall_seconds
-        self.case_seconds.append((label, result.wall_seconds))
+        self.uops_simulated += committed_uops
+        self.sim_seconds += wall_seconds
+        self.case_seconds.append((label, wall_seconds))
 
     def record_resume(self, committed_instrs: int) -> None:
         """A run continued from a checkpoint holding this much progress."""

@@ -46,6 +46,7 @@ __all__ = [
     "get_trace",
     "lookup_cached",
     "lookup_cached_multicore",
+    "record_run",
     "run_case",
     "run_multicore_spec",
     "run_spec",
@@ -92,6 +93,54 @@ def get_threaded_traces(
     return traces
 
 
+def _resume_or_build(key: str, interval: int | None, restore, build):
+    """The simulator a checkpointed run continues with, and its progress.
+
+    With ``interval`` set, walks the recovery ladder for ``key``: the
+    newest valid checkpoint is handed to ``restore(payload)``, which
+    rebuilds the simulator over the trace(s) the caller already holds.
+    A checkpoint taken with a different program fails the identity check
+    (:class:`~repro.pipeline.checkpoint.CheckpointError`); it is evicted
+    like a corrupt rung and the ladder continues with the next older
+    file.  With no usable checkpoint, ``build()`` starts afresh.  Returns
+    ``(simulator, resumed_from)``; ``resumed_from`` is the committed
+    instruction count restored, or None for a fresh start.
+    """
+    while interval:
+        found = ckpt.latest_valid_checkpoint(key)
+        if found is None:
+            break
+        path, payload, meta = found
+        try:
+            sim = restore(payload)
+        except ckpt.CheckpointError:
+            path.unlink(missing_ok=True)
+            continue
+        return sim, int(meta.get("committed_instrs", 0))
+    return build(), None
+
+
+def record_run(
+    item: CaseSpec | FusedGroup,
+    results: list[SimResult],
+    resumed_from: int | None = None,
+) -> None:
+    """Record one pipeline run (and any resume) in :data:`TELEMETRY`.
+
+    A run is one simulator invocation however many results it yields.
+    A fused group's members share one timing run, so one member's
+    committed uops count; a socket's cores each run their own trace, so
+    their committed uops sum.
+    """
+    if isinstance(item, FusedGroup):
+        uops = results[0].committed_uops
+    else:
+        uops = sum(result.committed_uops for result in results)
+    TELEMETRY.record_simulation(item.label(), uops, results[0].wall_seconds)
+    if resumed_from is not None:
+        TELEMETRY.record_resume(resumed_from)
+
+
 def execute_spec(spec: CaseSpec) -> SimResult:
     """Simulate one case unconditionally (no cache consultation).
 
@@ -129,34 +178,26 @@ def execute_spec_checkpointed(
     published, so a crash between finish and publish still recovers.
     """
     trace = get_trace(spec.workload, spec.instructions, spec.seed)
-    resumed_from: int | None = None
-    sim: CoreSimulator | None = None
     key = spec.key()
-    if interval:
-        found = ckpt.latest_valid_checkpoint(key)
-        if found is not None:
-            _path, payload, meta = found
-            sim = CoreSimulator.from_snapshot(payload)
-            resumed_from = int(meta.get("committed_instrs", 0))
-    if sim is None:
-        config = spec.resolved_config()
-        warmup = int(len(trace) * spec.warmup_fraction)
-        sim = CoreSimulator(
+    sim, resumed_from = _resume_or_build(
+        key,
+        interval,
+        lambda payload: CoreSimulator.from_snapshot(payload, trace),
+        lambda: CoreSimulator(
             trace,
-            config,
+            spec.resolved_config(),
             mode=spec.mode,
-            warmup_instructions=warmup,
+            warmup_instructions=int(len(trace) * spec.warmup_fraction),
             seed=spec.simulate_seed,
             collectors=(spec.collector_spec(),),
-        )
+        ),
+    )
     result = sim.run(
         checkpoint_interval=interval,
         checkpoint_key=key if interval else None,
         on_checkpoint=on_checkpoint,
     )
-    TELEMETRY.record_simulation(spec.label(), result)
-    if resumed_from is not None:
-        TELEMETRY.record_resume(resumed_from)
+    record_run(spec, [result], resumed_from)
     invariants.verify_result(result, context=spec.label())
     return result, resumed_from
 
@@ -179,26 +220,20 @@ def execute_fused_checkpointed(
     """
     first = group.specs[0]
     trace = get_trace(first.workload, first.instructions, first.seed)
-    resumed_from: int | None = None
-    sim: CoreSimulator | None = None
     key = group.key()
-    if interval:
-        found = ckpt.latest_valid_checkpoint(key)
-        if found is not None:
-            _path, payload, meta = found
-            sim = CoreSimulator.from_snapshot(payload)
-            resumed_from = int(meta.get("committed_instrs", 0))
-    if sim is None:
-        config = first.resolved_config()
-        warmup = int(len(trace) * first.warmup_fraction)
-        sim = CoreSimulator(
+    sim, resumed_from = _resume_or_build(
+        key,
+        interval,
+        lambda payload: CoreSimulator.from_snapshot(payload, trace),
+        lambda: CoreSimulator(
             trace,
-            config,
+            first.resolved_config(),
             mode=first.mode,
-            warmup_instructions=warmup,
+            warmup_instructions=int(len(trace) * first.warmup_fraction),
             seed=first.simulate_seed,
             collectors=tuple(spec.collector_spec() for spec in group.specs),
-        )
+        ),
+    )
     sim.run(
         checkpoint_interval=interval,
         checkpoint_key=key if interval else None,
@@ -210,9 +245,7 @@ def execute_fused_checkpointed(
             f"fused run produced {len(results)} results for "
             f"{len(group.specs)} members"
         )
-    TELEMETRY.record_simulation(group.label(), results[0])
-    if resumed_from is not None:
-        TELEMETRY.record_resume(resumed_from)
+    record_run(group, results, resumed_from)
     for spec, result in zip(group.specs, results):
         invariants.verify_result(result, context=spec.label())
     return results, resumed_from
@@ -246,20 +279,14 @@ def execute_multicore_checkpointed(
     traces = get_threaded_traces(
         spec.workload, spec.cores, spec.instructions, spec.seed
     )
-    resumed_from: int | None = None
-    sim: MulticoreSimulator | None = None
     key = spec.key()
-    if interval:
-        found = ckpt.latest_valid_checkpoint(key)
-        if found is not None:
-            _path, payload, meta = found
-            sim = MulticoreSimulator.from_snapshot(payload)
-            resumed_from = int(meta.get("committed_instrs", 0))
-    if sim is None:
-        config = spec.resolved_config()
-        sim = MulticoreSimulator(
+    sim, resumed_from = _resume_or_build(
+        key,
+        interval,
+        lambda payload: MulticoreSimulator.from_snapshot(payload, traces),
+        lambda: MulticoreSimulator(
             traces,
-            config,
+            spec.resolved_config(),
             mode=spec.mode,
             seeds=tuple(
                 spec.simulate_seed + core for core in range(spec.cores)
@@ -268,7 +295,8 @@ def execute_multicore_checkpointed(
                 int(len(trace) * spec.warmup_fraction) for trace in traces
             ),
             collectors=(spec.collector_spec(),),
-        )
+        ),
+    )
     multi = sim.run(
         checkpoint_interval=interval,
         checkpoint_key=key if interval else None,
@@ -280,9 +308,7 @@ def execute_multicore_checkpointed(
             f"multicore run produced {len(results)} results for "
             f"{spec.cores} cores"
         )
-    TELEMETRY.record_simulation(spec.label(), results[0])
-    if resumed_from is not None:
-        TELEMETRY.record_resume(resumed_from)
+    record_run(spec, results, resumed_from)
     invariants.verify_per_core_results(results, context=spec.label())
     return results, resumed_from
 

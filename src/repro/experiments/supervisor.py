@@ -52,7 +52,7 @@ from pathlib import Path
 
 from repro.core import invariants
 from repro.experiments import runner
-from repro.experiments.cache import TELEMETRY, CaseSpec, FusedGroup
+from repro.experiments.cache import CaseSpec, FusedGroup
 from repro.pipeline import checkpoint as ckpt
 from repro.pipeline.result import SimResult
 
@@ -909,18 +909,15 @@ def _pool_round(
                 )
                 retry.append((key, spec))
             else:
-                # One record per actual pipeline run: a fused group or a
-                # multi-core engine is a single simulator invocation
-                # however many members/cores ride along (the workers'
-                # telemetry died with the workers).
-                TELEMETRY.record_simulation(
-                    spec.label(),
-                    result[0] if isinstance(result, list) else result,
+                # The workers' telemetry died with the workers: the
+                # parent re-records the run and any resume, one record
+                # per pipeline run (see runner.record_run).
+                runner.record_run(
+                    spec,
+                    result if isinstance(result, list) else [result],
+                    case_resumed,
                 )
                 if case_resumed is not None:
-                    # The worker's telemetry died with the worker; the
-                    # parent re-records the resume, like the simulation.
-                    TELEMETRY.record_resume(case_resumed)
                     outcome.resumes += 1
                     outcome.resumed_instructions += case_resumed
                     if resumed is not None:

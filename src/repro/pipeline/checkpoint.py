@@ -13,6 +13,15 @@ schema, length and checksum before unpickling anything, so a torn or
 bit-flipped file is always detected as :class:`CheckpointError` — never
 silently resumed into wrong data.
 
+The payload holds mutable simulator state only, never the input trace.
+It is a plain pickled envelope (program identities, config, construction
+kwargs) around a separately pickled state blob in which every trace
+:class:`~repro.isa.instructions.Instruction` is stored as a
+``(program, position)`` reference.  The caller supplies the program(s)
+on restore; :func:`unpack_snapshot` compares them with the identities in
+the envelope before the state blob is resolved against them, so a
+checkpoint never resumes into a different trace.
+
 Writes are atomic: payload lands in a same-directory temp file which is
 fsynced and then ``os.replace``d over the final name (the same discipline
 as ``DiskCache.put``), so a crash mid-write leaves either the old
@@ -28,10 +37,16 @@ checksum fails on the way down.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
+import pickle
 import time
+from array import array
 from pathlib import Path
+from typing import Sequence
+
+from repro.isa.instructions import Instruction, Program
 
 __all__ = [
     "CHECKPOINT_SCHEMA",
@@ -42,19 +57,25 @@ __all__ = [
     "checkpoint_interval_default",
     "checkpoint_root",
     "clear_checkpoints",
+    "instruction_refs",
     "latest_valid_checkpoint",
     "list_case_checkpoints",
     "list_checkpoints",
     "load_checkpoint",
     "newest_progress",
+    "pack_snapshot",
+    "program_identity",
     "save_checkpoint",
+    "unpack_snapshot",
 ]
 
 #: Bump whenever the snapshot payload layout changes; older files are
 #: rejected (and evicted by the recovery ladder) instead of misread.
 #: 2: multi-collector snapshots — kwargs carry the collector-spec tuple
 #: and the state holds one collector slot per spec.
-CHECKPOINT_SCHEMA = 2
+#: 3: state-only payloads — the envelope carries program identities
+#: instead of the programs, and trace instructions are references.
+CHECKPOINT_SCHEMA = 3
 
 #: First line of every checkpoint file.
 MAGIC = b"REPRO-CKPT\n"
@@ -92,6 +113,128 @@ def checkpoint_interval_default() -> int | None:
             f"committed instructions, got {raw!r}"
         ) from None
     return value if value > 0 else None
+
+
+# ---------------------------------------------------------------------------
+# Program identity and state payloads
+
+
+def program_identity(program: Program) -> dict:
+    """Cheap content identity of an input trace.
+
+    Name, instruction count, micro-op count, and a SHA-256 over the
+    machine-native ``array('q')`` bytes of every instruction's pc and
+    every micro-op's address (checkpoints are host-local files).  Two
+    traces from different workloads, lengths or seeds differ here.
+    """
+    instrs = program.instructions
+    pcs = array("q", [instr.pc for instr in instrs])
+    addrs = array("q", [uop.addr for instr in instrs for uop in instr.uops])
+    digest = hashlib.sha256(pcs.tobytes())
+    digest.update(addrs.tobytes())
+    return {
+        "name": program.name,
+        "instructions": len(pcs),
+        "uops": len(addrs),
+        "sha256": digest.hexdigest(),
+    }
+
+
+def _check_identity(saved: Sequence[dict], supplied: Sequence[dict]) -> None:
+    """Raise :class:`CheckpointError` unless the supplied programs'
+    identities equal the ones the checkpoint was taken with."""
+    if len(saved) != len(supplied):
+        raise CheckpointError(
+            f"checkpoint was taken with {len(saved)} program(s), "
+            f"{len(supplied)} supplied"
+        )
+    for index, (want, got) in enumerate(zip(saved, supplied)):
+        if want != got:
+            fields = sorted(k for k in want.keys() | got.keys()
+                            if want.get(k) != got.get(k))
+            raise CheckpointError(
+                f"program {index} ({got.get('name')!r}) does not match the "
+                f"checkpoint's trace {want.get('name')!r}: "
+                f"{', '.join(fields)} differ"
+            )
+
+
+def instruction_refs(programs: Sequence[Program]) -> dict[int, tuple]:
+    """``id(instruction) -> (program index, position)`` for every
+    instruction of ``programs``: the references :func:`pack_snapshot`
+    writes in place of the instructions themselves."""
+    refs: dict[int, tuple] = {}
+    for p, program in enumerate(programs):
+        refs.update(
+            (id(instr), (p, i)) for i, instr in enumerate(program.instructions)
+        )
+    return refs
+
+
+class _SnapshotPickler(pickle.Pickler):
+    """Pickles snapshot payloads with trace instructions as references."""
+
+    def __init__(self, file, refs: dict[int, tuple]) -> None:
+        super().__init__(file)
+        self._refs = refs
+
+    def persistent_id(self, obj):
+        if type(obj) is Instruction:
+            ref = self._refs.get(id(obj))
+            if ref is None:
+                raise CheckpointError(
+                    f"state references an instruction at pc {obj.pc:#x} "
+                    "that is not in the simulated program"
+                )
+            return ref
+        return None
+
+
+class _SnapshotUnpickler(pickle.Unpickler):
+    """Resolves :class:`_SnapshotPickler` references against the programs."""
+
+    def __init__(self, file, programs: Sequence[Program]) -> None:
+        super().__init__(file)
+        self._programs = programs
+
+    def persistent_load(self, ref):
+        p, i = ref
+        return self._programs[p].instructions[i]
+
+
+def pack_snapshot(
+    envelope: dict, identities: list[dict], state, refs: dict[int, tuple]
+) -> bytes:
+    """Serialize one snapshot payload.
+
+    ``state`` is pickled in one pass (the memo keeps shared objects such
+    as in-flight micro-ops shared) with each trace instruction written as
+    its ``refs`` entry; the resulting blob and the program ``identities``
+    join the plain-data ``envelope`` (config, construction kwargs).
+    """
+    def dump(obj) -> bytes:
+        buffer = io.BytesIO()
+        _SnapshotPickler(buffer, refs).dump(obj)
+        return buffer.getvalue()
+
+    return dump({**envelope, "programs": identities, "state": dump(state)})
+
+
+def unpack_snapshot(
+    payload: bytes, programs: Sequence[Program]
+) -> tuple[dict, list[dict], object]:
+    """Inverse of :func:`pack_snapshot` against caller-supplied programs.
+
+    Returns ``(envelope, identities, state)``: ``identities`` are the
+    supplied programs' (so a restored simulator need not recompute
+    them).  Raises :class:`CheckpointError` before touching the state
+    blob if any program differs from the one the snapshot was taken with.
+    """
+    envelope = pickle.loads(payload)
+    identities = [program_identity(program) for program in programs]
+    _check_identity(envelope["programs"], identities)
+    state = _SnapshotUnpickler(io.BytesIO(envelope["state"]), programs).load()
+    return envelope, identities, state
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import os
-import pickle
 import time
 from collections import deque
 from pathlib import Path
@@ -31,6 +30,7 @@ from repro.isa.instructions import Program
 from repro.isa.registers import TOTAL_REGS
 from repro.isa.uops import UopClass
 from repro.memory.hierarchy import MemoryHierarchy, legacy_memory_default
+from repro.pipeline import checkpoint as _ckpt
 from repro.pipeline.frontend import Frontend
 from repro.pipeline.inflight import POOL_MUL, InflightUop, UopPool
 from repro.pipeline.replay import ReplayEngine, find_period
@@ -165,6 +165,10 @@ class CoreSimulator:
         if config.memory is None:
             raise ValueError("core configuration needs a memory hierarchy")
         self.program = program
+        #: Checkpoint-only program identity and instruction references,
+        #: computed on the first snapshot (see :meth:`snapshot`).
+        self._program_identity: dict | None = None
+        self._instruction_refs: dict[int, tuple] | None = None
         self.config = config
         self.mode = mode
         self._seed = seed
@@ -498,8 +502,6 @@ class CoreSimulator:
         the hook to interrupt; the supervisor's fault injection uses it
         to die deterministically mid-case).
         """
-        from repro.pipeline import checkpoint as _ckpt
-
         start = time.perf_counter()
         step = self._step_event if self._event else self._step
         frontend = self.frontend
@@ -632,10 +634,10 @@ class CoreSimulator:
         }
 
     def snapshot(self) -> bytes:
-        """Serialize the complete simulation state into one pickle blob.
+        """Serialize the mutable simulation state into one payload.
 
-        Everything lands in a *single* ``pickle.dumps`` call so the pickle
-        memo preserves object identity: an :class:`InflightUop` reachable
+        The state is pickled in a *single* pass so the pickle memo
+        preserves object identity: an :class:`InflightUop` reachable
         from the ROB, a scheduler deque, ``last_writer`` and a dependence
         edge is stored once and restored as one shared object, exactly
         like the live pipeline.  Only taken between cycles (never
@@ -643,15 +645,21 @@ class CoreSimulator:
         free-slot counters, the uop free list — a fresh record is
         field-identical to a recycled one) is deliberately excluded.
 
+        The program is an input, not state: the payload stores its
+        identity, and every trace instruction the state references is
+        written as its position (see
+        :func:`repro.pipeline.checkpoint.pack_snapshot`).
+
         The :data:`_PENDING` sentinel is identity-compared and cannot
         survive pickling; it is tokenized here and re-interned by
         :meth:`_restore_state`.  It must *not* be resolved instead:
         :meth:`_resolve_issue_obs` pops from the ``_nonready`` deques,
         which would diverge from the uninterrupted run.
         """
-        return pickle.dumps(
+        if self._instruction_refs is None:
+            self._instruction_refs = _ckpt.instruction_refs([self.program])
+        return _ckpt.pack_snapshot(
             {
-                "program": self.program,
                 "config": self.config,
                 "kwargs": {
                     "mode": self.mode,
@@ -665,17 +673,25 @@ class CoreSimulator:
                     # run must bring back *all* attached collectors.
                     "collectors": self._collector_specs,
                 },
-                "state": self._state_dict(),
-            }
+            },
+            [self.program_identity()],
+            self._state_dict(),
+            self._instruction_refs,
         )
+
+    def program_identity(self) -> dict:
+        """This simulator's program identity, computed once on demand."""
+        if self._program_identity is None:
+            self._program_identity = _ckpt.program_identity(self.program)
+        return self._program_identity
 
     def _state_dict(self) -> dict:
         """The picklable mutable-state mapping :meth:`snapshot` wraps.
 
         Exposed separately so the multi-core engine can compose per-core
-        states into one engine-level snapshot (one ``pickle.dumps`` for
-        identity preservation) without duplicating program/config/kwargs
-        per core.
+        states into one engine-level snapshot (one pickling pass for
+        identity preservation) without duplicating config/kwargs per
+        core.
         """
         obs_cache = tuple(
             _PENDING_TOKEN if value is _PENDING else value
@@ -752,8 +768,7 @@ class CoreSimulator:
         self.committed_uops = state["committed_uops"]
         self.committed_instrs = state["committed_instrs"]
         self.unsched_remaining = state["unsched_remaining"]
-        # .get(): snapshots from before the multi-core engine lack it.
-        self.barrier_waiting = state.get("barrier_waiting", False)
+        self.barrier_waiting = state["barrier_waiting"]
         self._warmed = state["warmed"]
         self._measure_cycle0 = state["measure_cycle0"]
         self._measure_uops0 = state["measure_uops0"]
@@ -825,28 +840,33 @@ class CoreSimulator:
         self.fu.restore(state["fu"])
 
     @classmethod
-    def from_snapshot(cls, payload: bytes) -> "CoreSimulator":
-        """Rebuild a mid-run simulator from a :meth:`snapshot` blob."""
-        data = pickle.loads(payload)
-        sim = cls(data["program"], data["config"], **data["kwargs"])
-        sim._restore_state(data["state"])
+    def from_snapshot(cls, payload: bytes, program: Program) -> "CoreSimulator":
+        """Rebuild a mid-run simulator from a :meth:`snapshot` blob.
+
+        ``program`` must be the trace the snapshot was taken with; its
+        identity is checked first, and a mismatch raises
+        :class:`repro.pipeline.checkpoint.CheckpointError`.
+        """
+        data, identities, state = _ckpt.unpack_snapshot(payload, [program])
+        sim = cls(program, data["config"], **data["kwargs"])
+        sim._program_identity = identities[0]
+        sim._restore_state(state)
         return sim
 
     @classmethod
-    def resume(cls, path: str | Path) -> "CoreSimulator":
-        """Rebuild a simulator from a checkpoint *file*.
+    def resume(cls, path: str | Path, program: Program) -> "CoreSimulator":
+        """Rebuild a simulator from a checkpoint *file* and its program.
 
         Verifies the checksum before unpickling (see
-        :func:`repro.pipeline.checkpoint.load_checkpoint`) and raises
+        :func:`repro.pipeline.checkpoint.load_checkpoint`) and the
+        program identity before restoring, raising
         :class:`repro.pipeline.checkpoint.CheckpointError` on any defect.
         Continuing the returned simulator with :meth:`run` produces
         results bitwise identical to the uninterrupted run (modulo
         ``wall_seconds``).
         """
-        from repro.pipeline.checkpoint import load_checkpoint
-
-        payload, _meta = load_checkpoint(path)
-        return cls.from_snapshot(payload)
+        payload, _meta = _ckpt.load_checkpoint(path)
+        return cls.from_snapshot(payload, program)
 
     # -- one cycle ---------------------------------------------------------------
 

@@ -41,7 +41,6 @@ Determinism and soundness rules (see DESIGN.md):
 
 from __future__ import annotations
 
-import pickle
 import time
 from pathlib import Path
 from typing import Sequence
@@ -50,6 +49,7 @@ from repro.config.cores import CoreConfig
 from repro.core.wrongpath import WrongPathMode
 from repro.isa.instructions import Instruction, Program
 from repro.memory.hierarchy import SharedMemoryBackend, legacy_memory_default
+from repro.pipeline import checkpoint as _ckpt
 from repro.pipeline.core import _MAX_CYCLES_PER_UOP, CoreSimulator
 from repro.pipeline.result import SimResult
 
@@ -194,6 +194,8 @@ class MulticoreSimulator:
         #: currently parked at the pending barrier.
         self._barrier_wait: dict[int, tuple[int, int]] = {}
         self._done = [False] * n
+        #: Checkpoint-only instruction references, built on first snapshot.
+        self._instruction_refs: dict[int, tuple] | None = None
         # Resolved construction arguments, snapshotted verbatim so a
         # checkpoint restores under the same optimization flags even if
         # the environment changed in between (mirrors CoreSimulator).
@@ -317,8 +319,6 @@ class MulticoreSimulator:
                 ) * interval
                 path = None
                 if checkpoint_key is not None:
-                    from repro.pipeline import checkpoint as _ckpt
-
                     path = _ckpt.checkpoint_path(
                         checkpoint_key, self._total_committed()
                     )
@@ -352,41 +352,56 @@ class MulticoreSimulator:
         }
 
     def snapshot(self) -> bytes:
-        """Serialize the complete engine state into one pickle blob.
+        """Serialize the mutable engine state into one payload.
 
-        One ``pickle.dumps`` call for the same identity-preservation
-        reason as :meth:`CoreSimulator.snapshot`.  The shared L3/DRAM
-        state appears once per core (each hierarchy snapshot includes
-        its shared tail level); the copies are equal at the snapshot
-        instant and restore writes the same data N times — consistent
-        by idempotence.
+        Every core's state is pickled in one pass, for the same
+        identity-preservation reason as :meth:`CoreSimulator.snapshot`.
+        The programs are inputs: the payload holds one identity per core
+        (each computed once, by its core) and writes trace instructions
+        as ``(core, position)`` references.  The shared L3/DRAM state
+        appears once per core (each hierarchy snapshot includes its
+        shared tail level); the copies are equal at the snapshot instant
+        and restore writes the same data N times — consistent by
+        idempotence.
         """
-        return pickle.dumps(
+        if self._instruction_refs is None:
+            self._instruction_refs = _ckpt.instruction_refs(self.programs)
+        return _ckpt.pack_snapshot(
             {
                 "engine": "multicore",
-                "programs": [core.program for core in self.cores],
                 "config": self.config,
                 "kwargs": self._engine_kwargs,
                 "barrier_wait": dict(self._barrier_wait),
-                "states": [core._state_dict() for core in self.cores],
-            }
+            },
+            [core.program_identity() for core in self.cores],
+            [core._state_dict() for core in self.cores],
+            self._instruction_refs,
         )
 
     @classmethod
-    def from_snapshot(cls, payload: bytes) -> "MulticoreSimulator":
-        """Rebuild a mid-run engine from a :meth:`snapshot` blob."""
-        data = pickle.loads(payload)
-        engine = cls(data["programs"], data["config"], **data["kwargs"])
-        for core, state in zip(engine.cores, data["states"]):
+    def from_snapshot(
+        cls, payload: bytes, programs: Sequence[Program]
+    ) -> "MulticoreSimulator":
+        """Rebuild a mid-run engine from a :meth:`snapshot` blob.
+
+        ``programs`` must be the per-core traces the snapshot was taken
+        with, in core order; a count or identity mismatch raises
+        :class:`repro.pipeline.checkpoint.CheckpointError`.
+        """
+        programs = list(programs)
+        data, identities, states = _ckpt.unpack_snapshot(payload, programs)
+        engine = cls(programs, data["config"], **data["kwargs"])
+        for core, identity, state in zip(engine.cores, identities, states):
+            core._program_identity = identity
             core._restore_state(state)
         engine._barrier_wait.clear()
         engine._barrier_wait.update(data["barrier_wait"])
         return engine
 
     @classmethod
-    def resume(cls, path: str | Path) -> "MulticoreSimulator":
+    def resume(
+        cls, path: str | Path, programs: Sequence[Program]
+    ) -> "MulticoreSimulator":
         """Rebuild an engine from a checkpoint *file* (verified first)."""
-        from repro.pipeline.checkpoint import load_checkpoint
-
-        payload, _meta = load_checkpoint(path)
-        return cls.from_snapshot(payload)
+        payload, _meta = _ckpt.load_checkpoint(path)
+        return cls.from_snapshot(payload, programs)

@@ -22,12 +22,14 @@ The contract under test has three layers:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 
 import pytest
 
 from repro.config.presets import broadwell, knights_landing
+from repro.core.multistage import CollectorSpec
 from repro.core.wrongpath import WrongPathMode
 from repro.experiments import parallel, runner, supervisor
 from repro.experiments.cache import TELEMETRY, CaseSpec
@@ -35,6 +37,7 @@ from repro.experiments.parallel import run_cases
 from repro.experiments.runner import clear_cache, lookup_cached
 from repro.pipeline import checkpoint as ckpt
 from repro.pipeline.checkpoint import CheckpointError
+from repro.isa.instructions import Instruction, Program
 from repro.pipeline.core import CoreSimulator
 from repro.workloads.registry import make_trace
 
@@ -114,7 +117,7 @@ def _run_interrupted_then_resumed(
         pass
     files = ckpt.list_case_checkpoints(key)
     assert files, "the interrupted run never wrote a checkpoint"
-    return CoreSimulator.resume(files[-1]).run()
+    return CoreSimulator.resume(files[-1], trace).run()
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +360,142 @@ def test_checkpointing_itself_does_not_perturb_the_run():
 
 
 # ---------------------------------------------------------------------------
+# state-only payloads: the program is supplied on restore, identity-checked
+# ---------------------------------------------------------------------------
+
+
+class _StrictPickler(ckpt._SnapshotPickler):
+    """Refuses to serialize an input trace or any of its instructions."""
+
+    def reducer_override(self, obj):
+        if isinstance(obj, (Instruction, Program)):
+            raise AssertionError(
+                f"snapshot payload serializes a {type(obj).__name__}"
+            )
+        return NotImplemented
+
+
+@pytest.fixture
+def strict_pickler(monkeypatch):
+    monkeypatch.setattr(ckpt, "_SnapshotPickler", _StrictPickler)
+
+
+def test_strict_pickler_catches_a_program(strict_pickler):
+    """The payload checks below are not vacuous: a program anywhere in
+    the envelope or the state trips the strict pickler."""
+    trace = make_trace("mcf", 100, 1)
+    with pytest.raises(AssertionError, match="Program"):
+        ckpt.pack_snapshot({"program": trace}, [], {}, {})
+    with pytest.raises(AssertionError, match="Program"):
+        ckpt.pack_snapshot({}, [], {"program": trace}, {})
+
+
+def test_single_core_payload_holds_no_program(strict_pickler):
+    trace = make_trace("mcf", N, 1)
+    config = broadwell()
+    reference = CoreSimulator(trace, config).run()
+    resumed = _run_interrupted_then_resumed(trace, config, key="strict-one")
+    assert _comparable(resumed) == _comparable(reference)
+
+
+def test_fused_payload_holds_no_program(strict_pickler):
+    trace = make_trace("bwaves", N, 1)
+    config = broadwell()
+    collectors = (
+        CollectorSpec(),
+        CollectorSpec(topdown=True),
+        CollectorSpec(accounting=False),
+    )
+    reference = CoreSimulator(trace, config, collectors=collectors)
+    reference.run()
+    sim = CoreSimulator(trace, config, collectors=collectors)
+
+    def hook(path, instrs):
+        raise _Interrupted
+
+    with pytest.raises(_Interrupted):
+        sim.run(
+            checkpoint_interval=INTERVAL, checkpoint_key="strict-fused",
+            on_checkpoint=hook,
+        )
+    (path,) = ckpt.list_case_checkpoints("strict-fused")
+    resumed = CoreSimulator.resume(path, trace)
+    resumed.run()
+    assert [_comparable(r) for r in resumed.fused_results] == (
+        [_comparable(r) for r in reference.fused_results]
+    )
+
+
+def test_restored_state_references_the_supplied_trace():
+    """In-flight micro-ops resolve to the supplied program's own
+    instruction objects, as in the live pipeline."""
+    trace = make_trace("mcf", N, 1)
+    sim = CoreSimulator(trace, broadwell())
+
+    def hook(path, instrs):
+        if instrs >= 2 * INTERVAL:  # the first snapshot finds an empty ROB
+            raise _Interrupted
+
+    with pytest.raises(_Interrupted):
+        sim.run(
+            checkpoint_interval=INTERVAL, checkpoint_key="refs",
+            on_checkpoint=hook,
+        )
+    newest = ckpt.list_case_checkpoints("refs")[-1]
+    payload, _meta = ckpt.load_checkpoint(newest)
+    restored = CoreSimulator.from_snapshot(payload, trace)
+    owned = {id(instr) for instr in trace.instructions}
+    instrs = [u.instr for u in restored.rob if u.instr is not None]
+    assert instrs, "the checkpoint caught no in-flight instruction"
+    assert all(id(instr) in owned for instr in instrs)
+
+
+def _altered_pc(trace: Program) -> Program:
+    """A copy of ``trace`` (same name and length) with one pc moved."""
+    instrs = list(trace.instructions)
+    instrs[-1] = dataclasses.replace(instrs[-1], pc=instrs[-1].pc + 4)
+    return Program(trace.name, instrs)
+
+
+@pytest.mark.parametrize("other", [
+    pytest.param(lambda trace: make_trace("bwaves", N, 1), id="workload"),
+    pytest.param(lambda trace: make_trace("mcf", N + 100, 1), id="length"),
+    pytest.param(_altered_pc, id="one-pc"),
+])
+def test_resume_into_a_different_program_is_refused(other):
+    trace = make_trace("mcf", N, 1)
+    sim = CoreSimulator(trace, broadwell())
+
+    def hook(path, instrs):
+        raise _Interrupted
+
+    with pytest.raises(_Interrupted):
+        sim.run(
+            checkpoint_interval=INTERVAL, checkpoint_key="mismatch",
+            on_checkpoint=hook,
+        )
+    (path,) = ckpt.list_case_checkpoints("mismatch")
+    payload, _meta = ckpt.load_checkpoint(path)
+    wrong = other(trace)
+    with pytest.raises(CheckpointError, match="does not match"):
+        CoreSimulator.from_snapshot(payload, wrong)
+    with pytest.raises(CheckpointError, match="does not match"):
+        CoreSimulator.resume(path, wrong)
+    # The genuine trace still resumes.
+    assert CoreSimulator.from_snapshot(payload, trace).committed_instrs > 0
+
+
+def test_program_identity_separates_traces():
+    trace = make_trace("mcf", N, 1)
+    identity = ckpt.program_identity(trace)
+    assert identity == ckpt.program_identity(make_trace("mcf", N, 1))
+    assert identity["instructions"] == len(trace)
+    assert identity["uops"] == trace.uop_count
+    assert identity != ckpt.program_identity(make_trace("mcf", N, 2))
+    assert identity != ckpt.program_identity(_altered_pc(trace))
+
+
+# ---------------------------------------------------------------------------
 # runner-level resume
 # ---------------------------------------------------------------------------
 
@@ -406,6 +545,67 @@ def test_execute_spec_without_interval_never_touches_the_store():
     assert ckpt.list_case_checkpoints(spec.key()) == []
     assert TELEMETRY.resume_events == 0
     assert result is not None
+
+
+def _plant(path, key: str, progress: int):
+    """Move checkpoint ``path`` into ``key``'s store at ``progress``."""
+    planted = ckpt.checkpoint_path(key, progress)
+    planted.parent.mkdir(parents=True, exist_ok=True)
+    os.replace(path, planted)
+    return planted
+
+
+def test_mismatching_checkpoint_is_evicted_and_case_restarts_fresh():
+    """A checkpoint of another trace under this case's key (valid file,
+    wrong program) is evicted like a corrupt rung: fresh start, same
+    result as an uninterrupted run."""
+    spec = _spec()
+    clean = runner.execute_spec(spec)
+    other = _spec(seed=2)
+    foreign = _seed_checkpoints(other, count=1)[-1]
+    planted = _plant(foreign, spec.key(), 10**9)
+    TELEMETRY.reset()
+    result, resumed_from = runner.execute_spec_checkpointed(spec, 400)
+    assert resumed_from is None
+    assert TELEMETRY.resume_events == 0
+    assert not planted.exists(), "the mismatching checkpoint was evicted"
+    assert _comparable(result) == _comparable(clean)
+
+
+def test_mismatching_newest_checkpoint_falls_back_to_older_one():
+    spec = _spec()
+    clean = runner.execute_spec(spec)
+    valid = _seed_checkpoints(spec, count=1)[-1]
+    progress = ckpt.newest_progress(spec.key())
+    foreign = _seed_checkpoints(_spec(seed=2), count=2)[-1]
+    planted = _plant(foreign, spec.key(), 10**9)
+    result, resumed_from = runner.execute_spec_checkpointed(spec, 400)
+    assert resumed_from == progress
+    assert not planted.exists()
+    assert valid.exists()
+    assert _comparable(result) == _comparable(clean)
+
+
+def test_schema_2_checkpoint_is_evicted_and_case_restarts_fresh():
+    """A file written under the previous payload layout (schema 2) is
+    rejected by its header and evicted, never misread."""
+    spec = _spec()
+    clean = runner.execute_spec(spec)
+    (path,) = _seed_checkpoints(spec, count=1)
+    blob = path.read_bytes()
+    newline = blob.find(b"\n", len(ckpt.MAGIC))
+    header = json.loads(blob[len(ckpt.MAGIC):newline])
+    header["schema"] = 2
+    path.write_bytes(
+        ckpt.MAGIC + json.dumps(header).encode() + b"\n" + blob[newline + 1:]
+    )
+    TELEMETRY.reset()
+    result, resumed_from = runner.execute_spec_checkpointed(spec, 400)
+    assert resumed_from is None
+    assert TELEMETRY.resume_events == 0
+    assert _comparable(result) == _comparable(clean)
+    for left in ckpt.list_case_checkpoints(spec.key()):
+        ckpt.load_checkpoint(left)  # every survivor is a schema-3 file
 
 
 # ---------------------------------------------------------------------------

@@ -177,6 +177,10 @@ def test_fused_pool_matches_unfused_serial(method):
         specs, jobs=2, use_cache=False, fuse=True, mp_start_method=method
     )
     assert TELEMETRY.sim_invocations == 2, "one pipeline run per timing"
+    # A fused group counts one member's uops: the members share a run.
+    assert TELEMETRY.uops_simulated == (
+        fused[0].committed_uops + fused[4].committed_uops
+    )
     for spec, a, b in zip(specs, unfused, fused):
         assert _comparable(a) == _comparable(b), spec.label()
 
@@ -316,6 +320,7 @@ def test_fused_members_published_under_own_keys():
     specs = _variant_specs()
     first = run_cases(specs, jobs=1, fuse=True)
     assert TELEMETRY.sim_invocations == 1
+    assert TELEMETRY.uops_simulated == first[0].committed_uops
     for spec in specs:
         assert runner.lookup_cached(spec.key()) is not None
     # A fresh session (memo dropped, disk kept) is served without any

@@ -211,7 +211,7 @@ def _interrupted_resumed(trace, config, *, kills=2, **kwargs):
         f"hotpath-{kwargs.get('memory_fast_path')}"
     )
     assert files, "the interrupted run never wrote a checkpoint"
-    return CoreSimulator.resume(files[-1]).run()
+    return CoreSimulator.resume(files[-1], trace).run()
 
 
 @pytest.mark.parametrize("workload", ["mcf", "exchange2"])
@@ -258,7 +258,7 @@ def test_snapshot_restores_across_representations(src_fast, dst_fast):
     data = pickle.loads(payload)
     assert data["kwargs"]["memory_fast_path"] is src_fast
     data["kwargs"]["memory_fast_path"] = dst_fast
-    crossed = CoreSimulator.from_snapshot(pickle.dumps(data)).run()
+    crossed = CoreSimulator.from_snapshot(pickle.dumps(data), trace).run()
     reference = CoreSimulator(
         trace, broadwell(), memory_fast_path=False
     ).run()

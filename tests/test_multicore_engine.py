@@ -106,7 +106,7 @@ def test_one_core_engine_checkpoint_resume_is_identical(tmp_path):
     )
     assert saved, "no checkpoint was ever taken"
     path, _instrs = saved[0]
-    resumed = MulticoreSimulator.resume(path).run()
+    resumed = MulticoreSimulator.resume(path, [trace]).run()
     assert _per_core_comparable(resumed.per_core) == (
         _per_core_comparable(baseline.per_core)
     )
@@ -164,11 +164,138 @@ def test_engine_checkpoint_resume_n_cores(tmp_path):
         on_checkpoint=lambda path, instrs: saved.append(path),
     )
     assert saved
-    resumed = MulticoreSimulator.resume(saved[len(saved) // 2]).run()
+    resumed = MulticoreSimulator.resume(saved[len(saved) // 2], traces).run()
     assert _per_core_comparable(resumed.per_core) == (
         _per_core_comparable(baseline.per_core)
     )
     ckpt.clear_checkpoints("two-core-engine")
+
+
+class _Interrupted(Exception):
+    pass
+
+
+def _socket_checkpoint(traces, config, key: str):
+    """Run a socket to its second checkpoint and die; returns the file."""
+    seen = []
+
+    def hook(path, instrs):
+        seen.append(path)
+        if len(seen) == 2:
+            raise _Interrupted
+
+    with pytest.raises(_Interrupted):
+        MulticoreSimulator(traces, config, seed=11).run(
+            checkpoint_interval=1000, checkpoint_key=key, on_checkpoint=hook,
+        )
+    return seen[-1]
+
+
+def test_four_core_payload_holds_no_program(monkeypatch):
+    """A socket snapshot carries state only: every trace instruction is
+    a reference, and no Program or Instruction is pickled."""
+    from repro.isa.instructions import Instruction, Program
+    from repro.pipeline import checkpoint as ckpt
+
+    class Strict(ckpt._SnapshotPickler):
+        def reducer_override(self, obj):
+            if isinstance(obj, (Instruction, Program)):
+                raise AssertionError(
+                    f"snapshot payload serializes a {type(obj).__name__}"
+                )
+            return NotImplemented
+
+    monkeypatch.setattr(ckpt, "_SnapshotPickler", Strict)
+    config = tiny_core()
+    traces = make_threaded_traces("conv-vgg-2-fwd", 4, 4000, seed=3)
+    baseline = MulticoreSimulator(traces, config, seed=11).run()
+    path = _socket_checkpoint(traces, config, "strict-socket")
+    resumed = MulticoreSimulator.resume(path, traces).run()
+    assert _per_core_comparable(resumed.per_core) == (
+        _per_core_comparable(baseline.per_core)
+    )
+    ckpt.clear_checkpoints("strict-socket")
+
+
+def test_socket_resume_refuses_different_programs():
+    from repro.pipeline import checkpoint as ckpt
+
+    config = tiny_core()
+    traces = make_threaded_traces("conv-vgg-2-fwd", 2, 4000, seed=3)
+    path = _socket_checkpoint(traces, config, "socket-mismatch")
+    others = {
+        "core count": traces + traces[:1],
+        "core order": traces[::-1],
+        "workload": make_threaded_traces(
+            "conv-resnet-2-fwd", 2, 4000, seed=3
+        ),
+        "length": make_threaded_traces("conv-vgg-2-fwd", 2, 5000, seed=3),
+    }
+    for what, wrong in others.items():
+        with pytest.raises(ckpt.CheckpointError):
+            MulticoreSimulator.resume(path, wrong)
+            pytest.fail(f"resumed into programs with a different {what}")
+    assert MulticoreSimulator.resume(path, traces).cores[0].cycle > 0
+    ckpt.clear_checkpoints("socket-mismatch")
+
+
+def test_mismatching_socket_checkpoint_is_evicted():
+    """Runner level: a socket checkpoint taken with other programs under
+    this case's key is evicted; the case restarts fresh and finishes
+    bitwise identical to an uninterrupted run."""
+    from repro.pipeline import checkpoint as ckpt
+
+    spec = CaseSpec(
+        workload="conv-vgg-2-fwd", preset="tiny", instructions=4000,
+        seed=3, cores=2,
+    )
+    clean, _ = runner.execute_multicore_checkpointed(spec, None)
+    other = make_threaded_traces("conv-resnet-2-fwd", 2, 4000, seed=3)
+    foreign = _socket_checkpoint(
+        other, spec.resolved_config(), "socket-foreign"
+    )
+    planted = ckpt.checkpoint_path(spec.key(), 10**9)
+    planted.parent.mkdir(parents=True, exist_ok=True)
+    foreign.replace(planted)
+    TELEMETRY.reset()
+    results, resumed_from = runner.execute_multicore_checkpointed(spec, 1000)
+    assert resumed_from is None
+    assert TELEMETRY.resume_events == 0
+    assert not planted.exists()
+    assert _per_core_comparable(results) == _per_core_comparable(clean)
+    ckpt.clear_checkpoints(spec.key())
+    ckpt.clear_checkpoints("socket-foreign")
+
+
+@pytest.mark.parametrize(
+    "method",
+    [
+        pytest.param(None, id="serial"),
+        pytest.param("fork"),
+        pytest.param("spawn", marks=pytest.mark.slow),
+    ],
+)
+def test_socket_telemetry_counts_every_core(method):
+    """A socket is one simulator invocation carrying the committed uops
+    of all its cores, whether it ran in-process or in a pool worker."""
+    if method and method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"start method {method!r} unavailable here")
+    specs = [
+        CaseSpec(
+            workload="conv-vgg-2-fwd", preset="tiny", instructions=4000,
+            seed=3, cores=cores,
+        )
+        for cores in (2, 3)
+    ]
+    TELEMETRY.reset()
+    sockets = run_multicore_cases(
+        specs, jobs=1 if method is None else 2, use_cache=False,
+        mp_start_method=method,
+    )
+    assert TELEMETRY.sim_invocations == len(specs)
+    assert TELEMETRY.uops_simulated == sum(
+        result.committed_uops for socket in sockets for result in socket
+    )
 
 
 @pytest.mark.parametrize(
