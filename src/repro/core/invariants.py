@@ -280,26 +280,6 @@ def verify_result(result: "SimResult", context: str = "") -> list[Violation]:
     return GUARD.verify(result, context)
 
 
-def verify_per_core_results(
-    per_core, context: str = ""
-) -> list[Violation]:
-    """Enforce the invariants on every core of a multi-core engine run.
-
-    Each core's result must *independently* satisfy the accounting
-    identities: its three stage stacks and its FLOPS stack — including
-    the barrier-wait ``Unsched`` component — sum to that core's own
-    cycle count, never to the socket makespan or a neighbor's cycles.
-    Returns the concatenated violation list (empty = every core healthy);
-    in strict mode the first violating core raises with a ``[coreN]``
-    context.
-    """
-    violations: list[Violation] = []
-    for core, result in enumerate(per_core):
-        label = f"{context}[core{core}]" if context else f"core{core}"
-        violations.extend(GUARD.verify(result, context=label))
-    return violations
-
-
 def set_strict(strict: bool | None) -> None:
     """Set process-wide strictness (``None`` = env-driven default)."""
     GUARD.set_strict(strict)

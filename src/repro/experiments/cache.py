@@ -12,6 +12,8 @@ module gives those cases a durable identity:
   warmup fraction, and the accounting schema version), so the key is a
   content address: equal inputs map to the same key in every process and
   every session.
+* :class:`Job` — the harness's unit of work: one or more cases served by
+  one timing run (a single case, a fused group or an N-core socket).
 * :class:`DiskCache` — a pickle-per-entry store under
   ``results/.cache/`` (override with ``REPRO_CACHE_DIR``), sharded by the
   first two hex digits of the key.  Entries are written atomically and a
@@ -195,9 +197,14 @@ class CaseSpec:
         return f"{self.workload}@{machine}{ideal}{acct}{socket}"
 
     def member_fingerprint(self, core: int) -> dict:
-        """Identity of one core's slice of a multi-core case."""
+        """Identity of one core's slice of this case.
+
+        For ``cores == 1`` it is :meth:`fingerprint`, as the member key is
+        the case key, so single-core cache entries keep their bytes.
+        """
         fp = self.fingerprint()
-        fp["multicore_member"] = core
+        if self.cores > 1:
+            fp["multicore_member"] = core
         return fp
 
     def member_key(self, core: int) -> str:
@@ -215,67 +222,99 @@ class CaseSpec:
         )
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
+    def member_keys(self, key: str) -> list[str]:
+        """Every core's cache key, in core order, given this case's own
+        ``key`` (which a 1-core case's only member key equals, so a warm
+        lookup hashes nothing twice)."""
+        if self.cores == 1:
+            return [key]
+        return [self.member_key(core) for core in range(self.cores)]
+
+    def member_label(self, core: int) -> str:
+        """Label of core ``core``'s result: ``label[coreN]`` for a socket,
+        the case label for a 1-core case."""
+        if self.cores == 1:
+            return self.label()
+        return f"{self.label()}[core{core}]"
+
 
 @dataclass(frozen=True)
-class FusedGroup:
-    """Several cases sharing one timing, executed as one pipeline run.
+class Job:
+    """The harness's one unit of work: every case one timing run serves.
 
-    Built by the scheduler when fusion is on: every member has the same
-    :meth:`CaseSpec.timing_key` and differs only in accounting
-    configuration.  The group duck-types the parts of the ``CaseSpec``
-    surface the supervisor consumes (key/label/fingerprint/instructions/
-    workload), so supervised retries, deadlines and failure reports work
-    on groups unchanged; each member's result is still published under
-    the member's own cache key.
+    A single case is a one-member job.  A fused group is a job with two
+    or more members that share one :meth:`CaseSpec.timing_key` and
+    differ only in accounting configuration: one pipeline run carries
+    every member's collector.  A socket is a one-member job whose case
+    has ``cores > 1``: one engine run yields one result per core.  A job
+    is attempted, checkpointed, timed out and retried as a unit, and
+    yields ``len(specs) * cores`` results, member-major, core-minor;
+    each member's results are published under the member's own keys.
     """
 
     specs: tuple[CaseSpec, ...]
+    #: Each member's :meth:`CaseSpec.key`, in member order.  Computed
+    #: here unless the caller already holds them, so a job hashes each
+    #: member once however often the harness asks for its keys.
+    keys: tuple[str, ...] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if len(self.specs) < 2:
-            raise ValueError("a FusedGroup needs at least two members")
+        if not self.specs:
+            raise ValueError("a Job needs at least one member")
+        if not self.keys:
+            keys = tuple(spec.key() for spec in self.specs)
+            object.__setattr__(self, "keys", keys)
+        if len(self.specs) == 1:
+            return
         if any(spec.cores > 1 for spec in self.specs):
-            # A multi-core case is already one engine run producing every
-            # core's result; fusing it with anything would conflate the
-            # engine's per-core collectors with fused-member collectors.
+            # The multi-core engine returns results for its first
+            # collector only, so a socket cannot carry fused members.
             raise ValueError("multi-core cases cannot be fused")
         timing_keys = {spec.timing_key() for spec in self.specs}
         if len(timing_keys) != 1:
             raise ValueError(
-                "FusedGroup members must share one timing key, "
+                "Job members must share one timing key, "
                 f"got {len(timing_keys)} distinct timings"
             )
 
     @property
-    def workload(self) -> str:
-        return self.specs[0].workload
-
-    @property
-    def instructions(self) -> int | None:
-        return self.specs[0].instructions
+    def cores(self) -> int:
+        return self.specs[0].cores
 
     def key(self) -> str:
-        """Content address of the group (checkpoints live under this).
+        """Content address of the job (its checkpoints live under this).
 
-        Derived from the sorted member keys: any change to the membership
-        or to any member's identity moves the group key, so a checkpoint
-        can never be resumed by a differently-composed group.
+        A one-member job's key is its case key.  A fused job's is derived
+        from the sorted member keys: any change to the membership or to
+        any member's identity moves it, so a checkpoint can never be
+        resumed by a differently-composed job.
         """
-        text = "\n".join(sorted(spec.key() for spec in self.specs))
+        if len(self.keys) == 1:
+            return self.keys[0]
+        text = "\n".join(sorted(self.keys))
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-    def timing_key(self) -> str:
-        return self.specs[0].timing_key()
 
     def label(self) -> str:
         first = self.specs[0].label()
+        if len(self.specs) == 1:
+            return first
         return f"{first} (+{len(self.specs) - 1} fused)"
 
-    def fingerprint(self) -> dict:
-        return {
-            "fused": [spec.fingerprint() for spec in self.specs],
-            "timing": self.specs[0].timing_fingerprint(),
-        }
+    def result_labels(self) -> list[str]:
+        """Invariant-guard context of every result, in result order."""
+        return [
+            spec.member_label(core)
+            for spec in self.specs
+            for core in range(self.cores)
+        ]
+
+    def split(self, results: list) -> list[tuple[CaseSpec, str, list]]:
+        """Each member with its key and its per-core slice of ``results``."""
+        n = self.cores
+        return [
+            (spec, key, results[i * n:(i + 1) * n])
+            for i, (spec, key) in enumerate(zip(self.specs, self.keys))
+        ]
 
 
 @dataclass

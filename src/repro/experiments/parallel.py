@@ -9,8 +9,10 @@ experiment modules declare their full case list to:
    in-flight entry (a Fig. 2 sweep requests each baseline many times);
 2. the cache hierarchy (in-process memo, then the persistent disk cache)
    is consulted per unique key;
-3. remaining misses are dispatched under **supervision**
-   (:mod:`repro.experiments.supervisor`): per-case deadlines, bounded
+3. remaining misses become :class:`~repro.experiments.cache.Job` items
+   (one per case, or one per timing key under fusion) dispatched under
+   **supervision** (:mod:`repro.experiments.supervisor`): per-job
+   deadlines, bounded
    retries, pool rebuild on worker death with serial fallback, and
    persisted :class:`~repro.experiments.supervisor.FailureReport` records
    for cases that never recover.  ``jobs`` argument > ``REPRO_JOBS`` env
@@ -42,7 +44,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from repro.experiments import runner, supervisor
-from repro.experiments.cache import TELEMETRY, CaseSpec, FusedGroup
+from repro.experiments.cache import TELEMETRY, CaseSpec, Job
 from repro.experiments.supervisor import BatchFailure, FailureReport
 from repro.pipeline.result import SimResult
 
@@ -182,7 +184,7 @@ def run_cases(
     checkpoint_interval: int | None = None,
     fuse: bool | None = None,
 ) -> list[SimResult | None]:
-    """Resolve a batch of case specs, in parallel where possible.
+    """Resolve a batch of single-core case specs, in parallel where possible.
 
     Returns one :class:`SimResult` per input spec, in input order.
     Duplicate specs are deduplicated in flight and share one result
@@ -205,12 +207,12 @@ def run_cases(
     **Fused execution** (``fuse``, default from ``$REPRO_FUSE``, on
     unless ``"0"``): cache-missing specs sharing one *timing key* —
     identical trace, machine config, wrong-path mode, warmup and seeds,
-    differing only in accounting configuration — are grouped into
-    :class:`~repro.experiments.cache.FusedGroup` items and executed as a
-    single pipeline run with every requested collector attached.  The
-    batch cost then scales with distinct timings rather than cases; each
-    member's result is bitwise identical to its unfused run and still
-    lands in the disk cache under its own key.
+    differing only in accounting configuration — become one
+    :class:`~repro.experiments.cache.Job` executed as a single pipeline
+    run with every requested collector attached.  The batch cost then
+    scales with distinct timings rather than cases; each member's result
+    is bitwise identical to its unfused run and still lands in the disk
+    cache under its own key.
     """
     spec_list: Sequence[CaseSpec] = list(specs)
     for spec in spec_list:
@@ -219,51 +221,111 @@ def run_cases(
                 f"{spec.label()} is a multi-core case; use "
                 "run_multicore_cases for cores > 1"
             )
-    jobs = resolve_jobs(jobs)
     if fuse is None:
         fuse = fuse_default()
+    per_core = _run_batch(
+        spec_list, fuse=fuse, jobs=jobs, use_cache=use_cache,
+        mp_start_method=mp_start_method, keep_going=keep_going,
+        case_timeout=case_timeout, max_attempts=max_attempts,
+        retry_backoff=retry_backoff, checkpoint_interval=checkpoint_interval,
+    )
+    return [None if results is None else results[0] for results in per_core]
+
+
+def run_multicore_cases(
+    specs: Iterable[CaseSpec],
+    *,
+    jobs: int | None = None,
+    use_cache: bool = True,
+    mp_start_method: str | None = None,
+    keep_going: bool = False,
+    case_timeout: float | None = None,
+    max_attempts: int | None = None,
+    retry_backoff: float | None = None,
+    checkpoint_interval: int | None = None,
+) -> list[list[SimResult] | None]:
+    """Resolve a batch of (possibly multi-core) socket cases.
+
+    Returns one ``list[SimResult]`` per input spec — entry ``i`` of the
+    inner list is core ``i``'s result — in input order, with ``None`` in
+    failed slots under ``keep_going=True``.  A ``cores == 1`` spec is the
+    historical single-core case (same cache key, same plain trace) and
+    comes back as a one-element list.
+
+    Each spec is one job: the whole socket is attempted, timed out and
+    retried as a unit (per-core timings are coupled through the shared
+    L3/DRAM backend, so a subset cannot be recomputed alone), but
+    per-core results land in the cache under their member keys.  A
+    cached socket requires every member key to hit — partial hits rerun
+    the whole engine.  Fusion never applies: the engine runs one
+    collector per core.
+    """
+    return _run_batch(
+        list(specs), fuse=False, jobs=jobs, use_cache=use_cache,
+        mp_start_method=mp_start_method, keep_going=keep_going,
+        case_timeout=case_timeout, max_attempts=max_attempts,
+        retry_backoff=retry_backoff, checkpoint_interval=checkpoint_interval,
+    )
+
+
+def _group_jobs(pending: dict[str, CaseSpec], fuse: bool) -> list[Job]:
+    """One job per distinct timing key when fusing, else one per case."""
+    groups: dict[str, dict[str, CaseSpec]] = {}
+    for key, spec in pending.items():
+        group = spec.timing_key() if fuse else key
+        groups.setdefault(group, {})[key] = spec
+    return [
+        Job(tuple(members.values()), tuple(members))
+        for members in groups.values()
+    ]
+
+
+def _run_batch(
+    spec_list: Sequence[CaseSpec],
+    *,
+    fuse: bool,
+    jobs: int | None,
+    use_cache: bool,
+    mp_start_method: str | None,
+    keep_going: bool,
+    case_timeout: float | None,
+    max_attempts: int | None,
+    retry_backoff: float | None,
+    checkpoint_interval: int | None,
+) -> list[list[SimResult] | None]:
+    """Resolve ``spec_list`` to per-core result lists, in input order.
+
+    Keys are computed once per spec; duplicates collapse onto one entry;
+    cache hits are served; the misses become jobs (fused by timing key
+    when ``fuse``) and run under supervision.  Leaves a
+    :class:`BatchStats` in :data:`LAST_BATCH`.
+    """
+    jobs = resolve_jobs(jobs)
     start = time.perf_counter()
     before = TELEMETRY.counters()
     sims_before = len(TELEMETRY.case_seconds)
 
     keys = [spec.key() for spec in spec_list]
-    results: dict[str, SimResult] = {}
+    results: dict[str, list[SimResult]] = {}
     pending: dict[str, CaseSpec] = {}
     for key, spec in zip(keys, spec_list):
         if key in results or key in pending:
             continue
         if use_cache:
-            cached = runner.lookup_cached(key)
+            cached = runner.lookup_cached(spec, key)
             if cached is not None:
                 results[key] = cached
                 continue
         pending[key] = spec
 
-    # Fusion: group the cache misses by timing key; each multi-member
-    # group becomes one supervised item running all collectors at once.
-    items: list = list(pending.items())
-    fused_groups = 0
-    fused_runs_saved = 0
-    if fuse and len(pending) > 1:
-        by_timing: dict[str, list[tuple[str, CaseSpec]]] = {}
-        for key, spec in pending.items():
-            by_timing.setdefault(spec.timing_key(), []).append((key, spec))
-        items = []
-        for members in by_timing.values():
-            if len(members) == 1:
-                items.append(members[0])
-            else:
-                group = FusedGroup(
-                    specs=tuple(spec for _key, spec in members)
-                )
-                items.append((group.key(), group))
-                fused_groups += 1
-                fused_runs_saved += len(members) - 1
-        if fused_groups:
-            TELEMETRY.record_fusion(fused_groups, fused_runs_saved)
+    items = _group_jobs(pending, fuse)
+    fused_groups = sum(len(job.specs) > 1 for job in items)
+    fused_runs_saved = len(pending) - len(items)
+    if fused_groups:
+        TELEMETRY.record_fusion(fused_groups, fused_runs_saved)
 
     outcome = supervisor.SupervisionOutcome()
-    if pending:
+    if items:
         outcome = supervisor.run_supervised(
             items,
             jobs=jobs,
@@ -301,102 +363,6 @@ def run_cases(
         resumed_instructions=outcome.resumed_instructions,
         fused_groups=fused_groups,
         fused_runs_saved=fused_runs_saved,
-        failure_reports=dict(outcome.failures),
-    )
-    global LAST_BATCH
-    LAST_BATCH = stats
-    if outcome.failures and not keep_going:
-        raise BatchFailure(outcome.failures)
-    return [results.get(key) for key in keys]
-
-
-def run_multicore_cases(
-    specs: Iterable[CaseSpec],
-    *,
-    jobs: int | None = None,
-    use_cache: bool = True,
-    mp_start_method: str | None = None,
-    keep_going: bool = False,
-    case_timeout: float | None = None,
-    max_attempts: int | None = None,
-    retry_backoff: float | None = None,
-    checkpoint_interval: int | None = None,
-) -> list[list[SimResult] | None]:
-    """Resolve a batch of (possibly multi-core) socket cases.
-
-    Returns one ``list[SimResult]`` per input spec — entry ``i`` of the
-    inner list is core ``i``'s result — in input order, with ``None`` in
-    failed slots under ``keep_going=True``.  A ``cores == 1`` spec is the
-    historical single-core case (same cache key, same plain trace) and
-    comes back as a one-element list.
-
-    Each multi-core spec is one supervised item: the whole socket is
-    attempted, timed out and retried as a unit (per-core timings are
-    coupled through the shared L3/DRAM backend, so a subset cannot be
-    recomputed alone), but per-core results land in the cache under their
-    member keys.  A cached socket requires every member key to hit —
-    partial hits rerun the whole engine.  Fusion never applies: the
-    engine already runs every core's collector in one pass.
-    """
-    spec_list: Sequence[CaseSpec] = list(specs)
-    jobs = resolve_jobs(jobs)
-    start = time.perf_counter()
-    before = TELEMETRY.counters()
-    sims_before = len(TELEMETRY.case_seconds)
-
-    keys = [spec.key() for spec in spec_list]
-    results: dict[str, list[SimResult]] = {}
-    pending: dict[str, CaseSpec] = {}
-    for key, spec in zip(keys, spec_list):
-        if key in results or key in pending:
-            continue
-        if use_cache:
-            cached = runner.lookup_cached_multicore(spec)
-            if cached is not None:
-                results[key] = cached
-                continue
-        pending[key] = spec
-
-    outcome = supervisor.SupervisionOutcome()
-    if pending:
-        outcome = supervisor.run_supervised(
-            list(pending.items()),
-            jobs=jobs,
-            mp_start_method=mp_start_method,
-            use_cache=use_cache,
-            case_timeout=case_timeout,
-            max_attempts=max_attempts,
-            retry_backoff=retry_backoff,
-            checkpoint_interval=checkpoint_interval,
-        )
-        for key, result in outcome.results.items():
-            # A cores == 1 spec flows through the single-case worker
-            # branch and comes back bare; normalize to the list shape.
-            results[key] = result if isinstance(result, list) else [result]
-
-    after = TELEMETRY.counters()
-    stats = BatchStats(
-        cases=len(spec_list),
-        unique=len(set(keys)),
-        jobs=jobs,
-        memo_hits=int(after["memo_hits"] - before["memo_hits"]),
-        disk_hits=int(after["disk_hits"] - before["disk_hits"]),
-        simulated=int(
-            after["sim_invocations"] - before["sim_invocations"]
-        ),
-        wall_seconds=time.perf_counter() - start,
-        sim_seconds=after["sim_seconds"] - before["sim_seconds"],
-        uops_simulated=int(
-            after["uops_simulated"] - before["uops_simulated"]
-        ),
-        case_seconds=list(TELEMETRY.case_seconds[sims_before:]),
-        failures=len(outcome.failures),
-        retries=outcome.retries,
-        timeouts=outcome.timeouts,
-        pool_rebuilds=outcome.pool_rebuilds,
-        serial_fallback=outcome.serial_fallback,
-        resumes=outcome.resumes,
-        resumed_instructions=outcome.resumed_instructions,
         failure_reports=dict(outcome.failures),
     )
     global LAST_BATCH

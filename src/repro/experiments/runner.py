@@ -24,34 +24,30 @@ from repro.experiments.cache import (
     DEFAULT_WARMUP_FRACTION,
     TELEMETRY,
     CaseSpec,
-    FusedGroup,
+    Job,
     get_disk_cache,
 )
 from repro.isa.instructions import Program
 from repro.pipeline import checkpoint as ckpt
 from repro.pipeline.core import CoreSimulator
+from repro.pipeline.multicore import MulticoreSimulator
 from repro.pipeline.result import SimResult
 from repro.workloads.registry import get_workload, make_threaded_traces
 
 __all__ = [
     "DEFAULT_WARMUP_FRACTION",
     "CaseSpec",
-    "FusedGroup",
+    "Job",
     "clear_cache",
-    "execute_fused_checkpointed",
-    "execute_multicore_checkpointed",
     "execute_spec",
     "execute_spec_checkpointed",
     "get_threaded_traces",
     "get_trace",
     "lookup_cached",
-    "lookup_cached_multicore",
     "record_run",
     "run_case",
-    "run_multicore_spec",
     "run_spec",
-    "store_multicore_result",
-    "store_result",
+    "store_results",
 ]
 
 _trace_cache: dict[tuple, Program] = {}
@@ -121,22 +117,19 @@ def _resume_or_build(key: str, interval: int | None, restore, build):
 
 
 def record_run(
-    item: CaseSpec | FusedGroup,
+    job: Job,
     results: list[SimResult],
     resumed_from: int | None = None,
 ) -> None:
     """Record one pipeline run (and any resume) in :data:`TELEMETRY`.
 
     A run is one simulator invocation however many results it yields.
-    A fused group's members share one timing run, so one member's
-    committed uops count; a socket's cores each run their own trace, so
-    their committed uops sum.
+    Fused members share one timing run and a socket's cores each run
+    their own trace, so member 0's committed uops, summed over its
+    cores, count.
     """
-    if isinstance(item, FusedGroup):
-        uops = results[0].committed_uops
-    else:
-        uops = sum(result.committed_uops for result in results)
-    TELEMETRY.record_simulation(item.label(), uops, results[0].wall_seconds)
+    uops = sum(result.committed_uops for result in results[: job.cores])
+    TELEMETRY.record_simulation(job.label(), uops, results[0].wall_seconds)
     if resumed_from is not None:
         TELEMETRY.record_resume(resumed_from)
 
@@ -153,183 +146,129 @@ def execute_spec(spec: CaseSpec) -> SimResult:
     snapshots and resumes from the newest valid one left by a previous
     attempt (see :func:`execute_spec_checkpointed`).
     """
-    result, _resumed = execute_spec_checkpointed(
-        spec, ckpt.checkpoint_interval_default()
+    results, _resumed = execute_spec_checkpointed(
+        Job((spec,)), ckpt.checkpoint_interval_default()
     )
-    return result
+    return results[0]
 
 
 def execute_spec_checkpointed(
-    spec: CaseSpec,
-    interval: int | None,
-    on_checkpoint=None,
-) -> tuple[SimResult, int | None]:
-    """Simulate one case with periodic crash-safe checkpoints.
-
-    With ``interval`` set, the case resumes from the newest valid
-    checkpoint under its cache key when one exists (corrupt files are
-    evicted on the way — see
-    :func:`repro.pipeline.checkpoint.latest_valid_checkpoint`) and writes
-    a new checkpoint every ``interval`` committed instructions.  Returns
-    ``(result, resumed_from)`` where ``resumed_from`` is the committed
-    instruction count of the checkpoint the run continued from, or None
-    for an uninterrupted (or checkpoint-free) run.  Checkpoints are *not*
-    deleted here: the supervisor clears them once the result is safely
-    published, so a crash between finish and publish still recovers.
-    """
-    trace = get_trace(spec.workload, spec.instructions, spec.seed)
-    key = spec.key()
-    sim, resumed_from = _resume_or_build(
-        key,
-        interval,
-        lambda payload: CoreSimulator.from_snapshot(payload, trace),
-        lambda: CoreSimulator(
-            trace,
-            spec.resolved_config(),
-            mode=spec.mode,
-            warmup_instructions=int(len(trace) * spec.warmup_fraction),
-            seed=spec.simulate_seed,
-            collectors=(spec.collector_spec(),),
-        ),
-    )
-    result = sim.run(
-        checkpoint_interval=interval,
-        checkpoint_key=key if interval else None,
-        on_checkpoint=on_checkpoint,
-    )
-    record_run(spec, [result], resumed_from)
-    invariants.verify_result(result, context=spec.label())
-    return result, resumed_from
-
-
-def execute_fused_checkpointed(
-    group: FusedGroup,
+    job: Job,
     interval: int | None,
     on_checkpoint=None,
 ) -> tuple[list[SimResult], int | None]:
-    """Simulate one fused timing group: one pipeline run, every member's
-    collector attached, one :class:`SimResult` per member (group order).
+    """Simulate one job as one pipeline run with periodic checkpoints.
 
-    Checkpoints live under the *group* key (derived from the sorted
-    member keys), and a snapshot carries every attached collector, so a
-    resumed fused run restores all members bitwise.  Telemetry counts the
-    group as a single simulator invocation — fusion's entire point is
-    that the batch cost scales with distinct timings, and
-    ``sim_invocations`` must reflect that.  Each member's result passes
-    the invariant guard independently under its own label.
+    A 1-core job runs a :class:`CoreSimulator` over the case's trace with
+    every member's collector attached; an N-core job runs the lockstep
+    :class:`~repro.pipeline.multicore.MulticoreSimulator` over the
+    workload's threaded decomposition (shared L3/DRAM backend).  Returns
+    ``(results, resumed_from)``: ``len(job.specs) * job.cores`` results,
+    member-major, core-minor, each already through the invariant guard
+    under its :meth:`~repro.experiments.cache.Job.result_labels` context.
+
+    With ``interval`` set, the job resumes from the newest valid
+    checkpoint under :meth:`Job.key` (corrupt files are evicted on the
+    way — see :func:`repro.pipeline.checkpoint.latest_valid_checkpoint`)
+    and writes a new checkpoint every ``interval`` committed
+    instructions; a snapshot carries every collector and every core, so
+    a resumed run restores them all bitwise.  ``resumed_from`` is the
+    committed instruction count of the checkpoint the run continued
+    from, or None.  Checkpoints are *not* deleted here: the supervisor
+    clears them once the results are safely published, so a crash
+    between finish and publish still recovers.
     """
-    first = group.specs[0]
-    trace = get_trace(first.workload, first.instructions, first.seed)
-    key = group.key()
-    sim, resumed_from = _resume_or_build(
-        key,
-        interval,
-        lambda payload: CoreSimulator.from_snapshot(payload, trace),
-        lambda: CoreSimulator(
-            trace,
-            first.resolved_config(),
-            mode=first.mode,
-            warmup_instructions=int(len(trace) * first.warmup_fraction),
-            seed=first.simulate_seed,
-            collectors=tuple(spec.collector_spec() for spec in group.specs),
-        ),
-    )
-    sim.run(
-        checkpoint_interval=interval,
-        checkpoint_key=key if interval else None,
-        on_checkpoint=on_checkpoint,
-    )
-    results = list(sim.fused_results)
-    if len(results) != len(group.specs):  # pragma: no cover - defensive
-        raise RuntimeError(
-            f"fused run produced {len(results)} results for "
-            f"{len(group.specs)} members"
+    first = job.specs[0]
+    config = first.resolved_config()
+    collectors = tuple(spec.collector_spec() for spec in job.specs)
+    key = job.key()
+    run_kwargs = {
+        "checkpoint_interval": interval,
+        "checkpoint_key": key if interval else None,
+        "on_checkpoint": on_checkpoint,
+    }
+    if first.cores == 1:
+        trace = get_trace(first.workload, first.instructions, first.seed)
+        sim, resumed_from = _resume_or_build(
+            key,
+            interval,
+            lambda payload: CoreSimulator.from_snapshot(payload, trace),
+            lambda: CoreSimulator(
+                trace,
+                config,
+                mode=first.mode,
+                warmup_instructions=int(len(trace) * first.warmup_fraction),
+                seed=first.simulate_seed,
+                collectors=collectors,
+            ),
         )
-    record_run(group, results, resumed_from)
-    for spec, result in zip(group.specs, results):
-        invariants.verify_result(result, context=spec.label())
+        sim.run(**run_kwargs)
+        results = list(sim.fused_results)
+    else:
+        traces = get_threaded_traces(
+            first.workload, first.cores, first.instructions, first.seed
+        )
+        sim, resumed_from = _resume_or_build(
+            key,
+            interval,
+            lambda payload: MulticoreSimulator.from_snapshot(payload, traces),
+            lambda: MulticoreSimulator(
+                traces,
+                config,
+                mode=first.mode,
+                seeds=tuple(
+                    first.simulate_seed + core for core in range(first.cores)
+                ),
+                warmup_instructions=tuple(
+                    int(len(trace) * first.warmup_fraction)
+                    for trace in traces
+                ),
+                collectors=collectors,
+            ),
+        )
+        results = list(sim.run(**run_kwargs).per_core)
+    record_run(job, results, resumed_from)
+    for label, result in zip(job.result_labels(), results):
+        invariants.verify_result(result, context=label)
     return results, resumed_from
 
 
-def execute_multicore_checkpointed(
-    spec: CaseSpec,
-    interval: int | None,
-    on_checkpoint=None,
-) -> tuple[list[SimResult], int | None]:
-    """Simulate one multi-core case: a cycle-lockstep engine run over a
-    shared L3/DRAM backend, one :class:`SimResult` per core (core order).
+# ``benchmarks/suite/trace.py`` spans these names as case entry points.
+execute_fused_checkpointed = execute_spec_checkpointed  # see trace.py
+execute_multicore_checkpointed = execute_spec_checkpointed  # see trace.py
 
-    Checkpoints live under the socket-level cache key and snapshot the
-    whole engine (every core plus the shared backend), so a resumed run
-    restores all cores bitwise.  Telemetry counts the engine as a single
-    simulator invocation, mirroring fused groups.  Each core's result
-    passes the invariant guard independently under a ``[coreN]`` label.
+
+def lookup_cached(spec: CaseSpec, key: str) -> list[SimResult] | None:
+    """Memo -> disk lookup for every core of one case, or None.
+
+    ``key`` is ``spec.key()``, which the caller already holds.  Every
+    :meth:`~CaseSpec.member_key` must hit: the engine cannot resimulate a
+    subset of cores (their timing is coupled through the shared backend),
+    so a partial hit is a miss and the whole socket reruns.
     """
-    from repro.pipeline.multicore import MulticoreSimulator
-
-    if spec.cores == 1:
-        # A 1-core socket IS the historical single-core case (same cache
-        # key, same plain trace); routing it through the threaded
-        # decomposition would publish a different program's result under
-        # that key.
-        result, resumed = execute_spec_checkpointed(
-            spec, interval, on_checkpoint
-        )
-        return [result], resumed
-    traces = get_threaded_traces(
-        spec.workload, spec.cores, spec.instructions, spec.seed
-    )
-    key = spec.key()
-    sim, resumed_from = _resume_or_build(
-        key,
-        interval,
-        lambda payload: MulticoreSimulator.from_snapshot(payload, traces),
-        lambda: MulticoreSimulator(
-            traces,
-            spec.resolved_config(),
-            mode=spec.mode,
-            seeds=tuple(
-                spec.simulate_seed + core for core in range(spec.cores)
-            ),
-            warmup_instructions=tuple(
-                int(len(trace) * spec.warmup_fraction) for trace in traces
-            ),
-            collectors=(spec.collector_spec(),),
-        ),
-    )
-    multi = sim.run(
-        checkpoint_interval=interval,
-        checkpoint_key=key if interval else None,
-        on_checkpoint=on_checkpoint,
-    )
-    results = list(multi.per_core)
-    if len(results) != spec.cores:  # pragma: no cover - defensive
-        raise RuntimeError(
-            f"multicore run produced {len(results)} results for "
-            f"{spec.cores} cores"
-        )
-    record_run(spec, results, resumed_from)
-    invariants.verify_per_core_results(results, context=spec.label())
-    return results, resumed_from
+    results = []
+    for member_key in spec.member_keys(key):
+        cached = _result_cache.get(member_key)
+        if cached is not None:
+            TELEMETRY.memo_hits += 1
+        else:
+            cached = get_disk_cache().get(member_key)
+            if cached is None:
+                TELEMETRY.disk_misses += 1
+                return None
+            TELEMETRY.disk_hits += 1
+            _result_cache[member_key] = cached
+        results.append(cached)
+    return results
 
 
-def lookup_cached(key: str) -> SimResult | None:
-    """Memo -> disk lookup for one case key (updating hit counters)."""
-    cached = _result_cache.get(key)
-    if cached is not None:
-        TELEMETRY.memo_hits += 1
-        return cached
-    result = get_disk_cache().get(key)
-    if result is not None:
-        TELEMETRY.disk_hits += 1
-        _result_cache[key] = result
-        return result
-    TELEMETRY.disk_misses += 1
-    return None
+def store_results(
+    spec: CaseSpec, key: str, results: list[SimResult]
+) -> None:
+    """Publish one case's per-core results to the memo and the disk cache.
 
-
-def store_result(key: str, spec: CaseSpec, result: SimResult) -> None:
-    """Publish a freshly simulated result to the memo and the disk cache.
+    ``key`` is ``spec.key()``; each core's result lands under its
+    :meth:`~CaseSpec.member_key`.
 
     The invariant guard gates the persistent store: in strict mode a
     violating result raises before anything is published; in non-strict
@@ -337,61 +276,16 @@ def store_result(key: str, spec: CaseSpec, result: SimResult) -> None:
     is never written to the disk cache, so a wrong counter cannot poison
     later sessions.
     """
-    violations = invariants.verify_result(result, context=spec.label())
-    _result_cache[key] = result
-    if violations:
-        return
-    get_disk_cache().put(key, spec.fingerprint(), result)
-
-
-def lookup_cached_multicore(spec: CaseSpec) -> list[SimResult] | None:
-    """Cache lookup for every core of a multi-core case, or None.
-
-    All member keys must hit — the engine cannot resimulate a subset of
-    cores (their timing is coupled through the shared backend), so a
-    partial hit is treated as a miss and the whole socket reruns.
-    """
-    if spec.cores == 1:
-        cached = lookup_cached(spec.key())
-        return None if cached is None else [cached]
-    results = []
-    for core in range(spec.cores):
-        cached = lookup_cached(spec.member_key(core))
-        if cached is None:
-            return None
-        results.append(cached)
-    return results
-
-
-def store_multicore_result(
-    spec: CaseSpec, per_core: list[SimResult]
-) -> None:
-    """Publish each core's result under its member key (invariant-gated,
-    same policy as :func:`store_result`)."""
-    for core, result in enumerate(per_core):
-        key = spec.member_key(core)
+    member_keys = spec.member_keys(key)
+    for core, (member_key, result) in enumerate(zip(member_keys, results)):
         violations = invariants.verify_result(
-            result, context=f"{spec.label()}[core{core}]"
+            result, context=spec.member_label(core)
         )
-        _result_cache[key] = result
+        _result_cache[member_key] = result
         if not violations:
-            get_disk_cache().put(key, spec.member_fingerprint(core), result)
-
-
-def run_multicore_spec(
-    spec: CaseSpec, *, use_cache: bool = True
-) -> list[SimResult]:
-    """Resolve one multi-core case through the cache hierarchy."""
-    if use_cache:
-        cached = lookup_cached_multicore(spec)
-        if cached is not None:
-            return cached
-    per_core, _resumed = execute_multicore_checkpointed(
-        spec, ckpt.checkpoint_interval_default()
-    )
-    if use_cache:
-        store_multicore_result(spec, per_core)
-    return per_core
+            get_disk_cache().put(
+                member_key, spec.member_fingerprint(core), result
+            )
 
 
 def run_spec(spec: CaseSpec, *, use_cache: bool = True) -> SimResult:
@@ -399,11 +293,11 @@ def run_spec(spec: CaseSpec, *, use_cache: bool = True) -> SimResult:
     if not use_cache:
         return execute_spec(spec)
     key = spec.key()
-    cached = lookup_cached(key)
+    cached = lookup_cached(spec, key)
     if cached is not None:
-        return cached
+        return cached[0]
     result = execute_spec(spec)
-    store_result(key, spec, result)
+    store_results(spec, key, [result])
     return result
 
 

@@ -38,6 +38,7 @@ process, hang, or return corrupted payloads for their first N attempts.
 
 from __future__ import annotations
 
+import gc
 import json
 import multiprocessing
 import os
@@ -52,16 +53,9 @@ from pathlib import Path
 
 from repro.core import invariants
 from repro.experiments import runner
-from repro.experiments.cache import CaseSpec, FusedGroup
+from repro.experiments.cache import CaseSpec, Job
 from repro.pipeline import checkpoint as ckpt
 from repro.pipeline.result import SimResult
-
-#: One supervised unit of work: a single case or a fused timing group.
-#: Groups duck-type the CaseSpec surface the supervisor reads (key/label/
-#: fingerprint/instructions/workload), so deadlines, retries and fault
-#: matching treat them uniformly; only payload validation and publishing
-#: fan back out to the members.
-CaseItem = "CaseSpec | FusedGroup"
 
 #: Environment variable: one deadline (seconds) for every case.
 ENV_CASE_TIMEOUT = "REPRO_CASE_TIMEOUT"
@@ -209,7 +203,8 @@ class FailureReport:
 class SupervisionOutcome:
     """What :func:`run_supervised` resolved and what it gave up on."""
 
-    results: dict[str, SimResult] = field(default_factory=dict)
+    #: Each published member's key -> its per-core results.
+    results: dict[str, list[SimResult]] = field(default_factory=dict)
     failures: dict[str, FailureReport] = field(default_factory=dict)
     retries: int = 0
     timeouts: int = 0
@@ -416,23 +411,17 @@ def get_fault_plan() -> dict | None:
     return _validate_plan(plan, ENV_FAULT_PLAN)
 
 
-def _fault_for(plan: dict | None, spec, attempt: int) -> dict | None:
-    """The fault entry that applies to this (case, attempt), if any.
+def _fault_for(plan: dict | None, job: Job, attempt: int) -> dict | None:
+    """The fault entry that applies to this (job, attempt), if any.
 
-    A fused group matches through its own label/key *or* through any
-    member's, so a plan targeting ``mcf@tiny`` still fires when that case
-    rides inside a fused run.
+    A job matches through its own label/key *or* through any member's,
+    so a plan targeting ``mcf@tiny`` still fires when that case rides
+    inside a fused run.
     """
     if not plan:
         return None
-    if isinstance(spec, FusedGroup):
-        labels = {spec.label()}
-        labels.update(member.label() for member in spec.specs)
-        keys = [spec.key()]
-        keys.extend(member.key() for member in spec.specs)
-    else:
-        labels = {spec.label()}
-        keys = [spec.key()]
+    labels = {job.label()} | {spec.label() for spec in job.specs}
+    keys = {job.key(), *job.keys}
     for matcher, fault in plan.items():
         if matcher == "*" or matcher in labels or (
             len(matcher) >= 8
@@ -446,23 +435,17 @@ def _fault_for(plan: dict | None, spec, attempt: int) -> dict | None:
 def _corrupt_payload(payload: dict, style: str):
     """Damage a result payload the way a buggy worker or transport would.
 
-    A fused payload is damaged in its first member — one bad member must
-    poison the whole group (the group retries as a unit).
+    The first result is damaged: one bad member or core must poison the
+    whole job (it retries as a unit).
     """
     if style == "garbage":
         return b"\x00not a result payload\x00"
-    damaged = dict(payload)
-    for group_key in ("fused", "cores"):
-        if group_key in damaged:
-            members = [dict(m) for m in damaged[group_key]]
-            members[0] = _corrupt_payload(members[0], style)
-            damaged[group_key] = members
-            return damaged
+    members = [dict(member) for member in payload["members"]]
     if style == "schema":
-        damaged["schema"] = -999
+        members[0]["schema"] = -999
     else:  # "cycles": breaks every stack-total identity
-        damaged["cycles"] = int(damaged["cycles"]) * 2 + 9973
-    return damaged
+        members[0]["cycles"] = int(members[0]["cycles"]) * 2 + 9973
+    return {**payload, "members": members}
 
 
 def _trigger_fault(fault: dict, *, in_pool: bool) -> None:
@@ -496,7 +479,7 @@ def _truncate_newest_checkpoint(key: str) -> None:
 
 
 def _supervised_worker(
-    spec,
+    job: Job,
     attempt: int,
     plan: dict | None,
     in_pool: bool = True,
@@ -506,22 +489,18 @@ def _supervised_worker(
 
     Runs in a pool worker (the plan travels as an argument so spawn
     children see it too) or in-process for the serial path.  Ships the
-    result as a ``to_dict`` payload either way, so both paths exercise
+    job's results as ``{"members": [payload, ...]}``, one ``to_dict``
+    payload per result, member-major, core-minor, so both paths exercise
     the same schema-versioned round trip; a resumed run notes its
     starting progress under the ``"_resumed_from"`` key, which the
-    parent pops before schema validation.  A :class:`FusedGroup` runs as
-    one fused simulation and ships ``{"fused": [payload, ...]}`` with one
-    member payload per spec, in group order; a multi-core case
-    (``spec.cores > 1``) runs as one lockstep engine and ships
-    ``{"cores": [payload, ...]}`` with one payload per core, in core
-    order.
+    parent pops before validation.
     """
-    fault = _fault_for(plan, spec, attempt)
+    fault = _fault_for(plan, job, attempt)
     on_checkpoint = None
     if fault is not None:
         kind = fault.get("kind")
         if kind == "truncate_checkpoint":
-            _truncate_newest_checkpoint(spec.key())
+            _truncate_newest_checkpoint(job.key())
         elif kind == "sigkill_mid_case":
             if not checkpoint_interval:
                 # No checkpoint will ever land: die immediately so the
@@ -544,21 +523,10 @@ def _supervised_worker(
                     )
         else:
             _trigger_fault(fault, in_pool=in_pool)
-    if isinstance(spec, FusedGroup):
-        results, resumed = runner.execute_fused_checkpointed(
-            spec, checkpoint_interval, on_checkpoint
-        )
-        payload: dict = {"fused": [r.to_dict() for r in results]}
-    elif getattr(spec, "cores", 1) > 1:
-        results, resumed = runner.execute_multicore_checkpointed(
-            spec, checkpoint_interval, on_checkpoint
-        )
-        payload = {"cores": [r.to_dict() for r in results]}
-    else:
-        result, resumed = runner.execute_spec_checkpointed(
-            spec, checkpoint_interval, on_checkpoint
-        )
-        payload = result.to_dict()
+    results, resumed = runner.execute_spec_checkpointed(
+        job, checkpoint_interval, on_checkpoint
+    )
+    payload: dict = {"members": [result.to_dict() for result in results]}
     if resumed is not None:
         payload["_resumed_from"] = resumed
     if fault is not None and fault.get("kind") == "corrupt":
@@ -598,13 +566,13 @@ def resolve_case_timeout(explicit: float | None = None) -> float | None:
     return None
 
 
-def case_deadline(spec, override: float | None = None) -> float:
+def case_deadline(spec: CaseSpec, override: float | None = None) -> float:
     """Seconds this case may run: override, else scaled from its size.
 
-    A fused group gets the same scaled deadline as any of its members:
-    every member shares one timing, and the attached collectors cost
-    O(1) per cycle, so the group's wall clock is one member's — that is
-    the entire point of fusion.
+    A job gets its first member's deadline: fused members share one
+    timing, and the attached collectors cost O(1) per cycle, so the
+    job's wall clock is one member's — that is the entire point of
+    fusion.
     """
     if override is not None:
         return override
@@ -651,104 +619,39 @@ def _call_with_deadline(fn, deadline: float | None):
 # the supervisor
 
 
-def validate_payload(payload, spec: CaseSpec) -> SimResult:
-    """Decode and guard a worker payload (shared by pool and serial paths).
+def validate_payload(payload, job: Job) -> list[SimResult]:
+    """Decode and guard a worker payload: one result per member and core.
 
-    Raises :class:`CorruptPayload` when the payload cannot be decoded and
-    :class:`repro.core.invariants.InvariantViolation` when the decoded
+    Every result is decoded and invariant-checked independently under
+    its own context (the member's label, ``label[coreN]`` for a socket's
+    cores): one broken result fails the whole job, which retries as a
+    unit.  Raises :class:`CorruptPayload` when the payload cannot be
+    decoded or holds the wrong number of results, and
+    :class:`repro.core.invariants.InvariantViolation` when a decoded
     result breaks the accounting identities in strict mode.
     """
-    if not isinstance(payload, dict):
+    members = payload.get("members") if isinstance(payload, dict) else None
+    if not isinstance(members, list):
         raise CorruptPayload(
             f"worker returned {type(payload).__name__}, not a result payload"
         )
-    try:
-        result = SimResult.from_dict(payload)
-    except Exception as exc:
-        raise CorruptPayload(f"undecodable result payload: {exc}") from exc
-    invariants.verify_result(result, context=spec.label())
-    return result
-
-
-def validate_group_payload(
-    payload, group: FusedGroup
-) -> list[SimResult]:
-    """Decode and guard a fused-run payload: one result per member.
-
-    Every member result is decoded and invariant-checked independently
-    under its own label — one broken collector's stack fails the whole
-    group (it retries as a unit), exactly as a lone bad case would fail
-    itself.
-    """
-    if not isinstance(payload, dict) or not isinstance(
-        payload.get("fused"), list
-    ):
+    labels = job.result_labels()
+    if len(members) != len(labels):
         raise CorruptPayload(
-            f"worker returned {type(payload).__name__}, not a fused "
-            "result payload"
-        )
-    members = payload["fused"]
-    if len(members) != len(group.specs):
-        raise CorruptPayload(
-            f"fused payload has {len(members)} member results for "
-            f"{len(group.specs)} specs"
-        )
-    return [
-        validate_payload(member, spec)
-        for spec, member in zip(group.specs, members)
-    ]
-
-
-def validate_multicore_payload(
-    payload, spec: CaseSpec
-) -> list[SimResult]:
-    """Decode and guard a multi-core payload: one result per core.
-
-    Each core's result is decoded and invariant-checked independently
-    under a ``[coreN]`` context — one core's broken accounting fails the
-    whole socket (the engine retries as a unit; per-core timings are
-    coupled through the shared backend and cannot be recomputed alone).
-    """
-    if not isinstance(payload, dict) or not isinstance(
-        payload.get("cores"), list
-    ):
-        raise CorruptPayload(
-            f"worker returned {type(payload).__name__}, not a multi-core "
-            "result payload"
-        )
-    members = payload["cores"]
-    if len(members) != spec.cores:
-        raise CorruptPayload(
-            f"multi-core payload has {len(members)} core results for "
-            f"{spec.cores} cores"
+            f"payload has {len(members)} results for {len(labels)} "
+            f"expected by {job.label()}"
         )
     results = []
-    for core, member in enumerate(members):
-        if not isinstance(member, dict):
-            raise CorruptPayload(
-                f"core {core} payload is {type(member).__name__}, not a "
-                "result payload"
-            )
+    for label, member in zip(labels, members):
         try:
             result = SimResult.from_dict(member)
         except Exception as exc:
             raise CorruptPayload(
-                f"undecodable core {core} payload: {exc}"
+                f"undecodable result payload for {label}: {exc}"
             ) from exc
-        invariants.verify_result(
-            result, context=f"{spec.label()}[core{core}]"
-        )
+        invariants.verify_result(result, context=label)
         results.append(result)
     return results
-
-
-def _validate(payload, spec):
-    """Route a payload to case, group or multi-core validation."""
-    if isinstance(spec, FusedGroup):
-        return validate_group_payload(payload, spec)
-    if getattr(spec, "cores", 1) > 1:
-        return validate_multicore_payload(payload, spec)
-    return validate_payload(payload, spec)
 
 
 def _format_error(exc: BaseException) -> str:
@@ -757,70 +660,21 @@ def _format_error(exc: BaseException) -> str:
     return "".join(lines).strip()[:2000]
 
 
-def _record(
-    attempts: dict[str, list[Attempt]],
-    key: str,
-    classification: str,
-    error: str,
-    started: float,
-    executor: str,
-) -> None:
-    history = attempts[key]
-    history.append(
-        Attempt(
-            attempt=len(history),
-            classification=classification,
-            error=error,
-            elapsed_seconds=time.perf_counter() - started,
-            executor=executor,
-        )
-    )
-
-
-def _publish(
-    outcome: SupervisionOutcome,
-    key: str,
-    spec,
-    result,
-    use_cache: bool,
-) -> None:
-    """Publish a validated result (or, for a group, every member's).
-
-    A fused group's members each land in the cache and the outcome under
-    their *own* case key — a fused batch populates exactly the same cache
-    entries an unfused one would.  The group's checkpoints (stored under
-    the group key) are cleared only after every member is published.
-    """
-    if isinstance(spec, FusedGroup):
-        for member, member_result in zip(spec.specs, result):
-            member_key = member.key()
-            if use_cache:
-                runner.store_result(member_key, member, member_result)
-            outcome.results[member_key] = member_result
-            discard_failure(member_key)
-        ckpt.clear_checkpoints(key)
-        return
-    if getattr(spec, "cores", 1) > 1:
-        # Per-core results land in the cache under their member keys; the
-        # outcome maps the socket key to the whole per-core list.
-        if use_cache:
-            runner.store_multicore_result(spec, result)
-        outcome.results[key] = result
-        discard_failure(key)
-        ckpt.clear_checkpoints(key)
-        return
-    if use_cache:
-        runner.store_result(key, spec, result)
-    outcome.results[key] = result
-    discard_failure(key)
-    # Only after the result is safely published do the case's checkpoints
-    # become dead weight; clearing earlier would lose the recovery point
-    # for a crash between finish and publish.
-    ckpt.clear_checkpoints(key)
+def _classify(exc: Exception, deadline: float) -> tuple[str, str]:
+    """Failure classification and error text for one failed attempt."""
+    if isinstance(exc, (FutureTimeout, TimeoutError)):
+        return "timeout", f"no result within the {deadline:.1f}s deadline"
+    if isinstance(exc, BrokenProcessPool):
+        return "crash", f"worker pool broke: {exc}"
+    if isinstance(exc, invariants.InvariantViolation):
+        return "invariant", _format_error(exc)
+    if isinstance(exc, CorruptPayload):
+        return "corrupt-payload", _format_error(exc)
+    return "crash", _format_error(exc)
 
 
 def _pop_resumed(payload) -> int | None:
-    """Extract a worker's resume marker before schema validation."""
+    """Extract a worker's resume marker before validation."""
     if isinstance(payload, dict):
         resumed = payload.pop("_resumed_from", None)
         if resumed is not None:
@@ -828,181 +682,164 @@ def _pop_resumed(payload) -> int | None:
     return None
 
 
-def _pool_round(
-    pending: list,
-    *,
-    jobs: int,
-    mp_start_method: str | None,
-    plan: dict | None,
-    attempts: dict[str, list[Attempt]],
-    outcome: SupervisionOutcome,
-    timeout_override: float | None,
-    use_cache: bool,
-    checkpoint_interval: int | None = None,
-    resumed: dict[str, int] | None = None,
-) -> tuple[list[tuple[str, CaseSpec]], bool]:
-    """One pool pass over ``pending``; returns (retry list, pool broke)."""
-    context = None
-    if mp_start_method is not None:
-        context = multiprocessing.get_context(mp_start_method)
-    pool = ProcessPoolExecutor(
-        max_workers=min(jobs, len(pending)), mp_context=context
-    )
-    retry: list = []
-    broke = False
-    try:
-        submitted = [
-            (
-                key,
-                spec,
-                pool.submit(
-                    _supervised_worker, spec, len(attempts[key]), plan,
-                    True, checkpoint_interval,
-                ),
-            )
-            for key, spec in pending
-        ]
-        # Deterministic collection: submission order, not completion order.
-        for key, spec, future in submitted:
-            started = time.perf_counter()
-            deadline = case_deadline(spec, timeout_override)
-            try:
-                payload = future.result(timeout=deadline)
-                case_resumed = _pop_resumed(payload)
-                result = _validate(payload, spec)
-            except (FutureTimeout, TimeoutError):
-                future.cancel()
-                outcome.timeouts += 1
-                _record(
-                    attempts, key, "timeout",
-                    f"no result within the {deadline:.1f}s deadline",
-                    started, "pool",
-                )
-                retry.append((key, spec))
-            except BrokenProcessPool as exc:
-                # A worker died hard.  Every uncollected future of this
-                # pool is about to raise the same thing; record and retry
-                # them all in a rebuilt pool (or serially, if this keeps
-                # happening).
-                broke = True
-                _record(
-                    attempts, key, "crash",
-                    f"worker pool broke: {exc}", started, "pool",
-                )
-                retry.append((key, spec))
-            except invariants.InvariantViolation as exc:
-                _record(
-                    attempts, key, "invariant", _format_error(exc),
-                    started, "pool",
-                )
-                retry.append((key, spec))
-            except CorruptPayload as exc:
-                _record(
-                    attempts, key, "corrupt-payload", _format_error(exc),
-                    started, "pool",
-                )
-                retry.append((key, spec))
-            except Exception as exc:  # worker raised: a crash
-                _record(
-                    attempts, key, "crash", _format_error(exc),
-                    started, "pool",
-                )
-                retry.append((key, spec))
-            else:
-                # The workers' telemetry died with the workers: the
-                # parent re-records the run and any resume, one record
-                # per pipeline run (see runner.record_run).
-                runner.record_run(
-                    spec,
-                    result if isinstance(result, list) else [result],
-                    case_resumed,
-                )
-                if case_resumed is not None:
-                    outcome.resumes += 1
-                    outcome.resumed_instructions += case_resumed
-                    if resumed is not None:
-                        resumed[key] = case_resumed
-                _publish(outcome, key, spec, result, use_cache)
-    except KeyboardInterrupt:
-        # Ctrl-C: cancel everything still queued and reap the pool so no
-        # orphan workers keep simulating a batch nobody will collect.
-        pool.shutdown(wait=False, cancel_futures=True)
-        raise
-    pool.shutdown(wait=False, cancel_futures=True)
-    return retry, broke
+@dataclass
+class _Supervision:
+    """State one :func:`run_supervised` call threads through its rounds."""
 
+    plan: dict | None
+    outcome: SupervisionOutcome
+    use_cache: bool
+    timeout_override: float | None
+    checkpoint_interval: int | None
+    attempts: dict[str, list[Attempt]]
+    #: Job key -> the committed progress its latest resume started from.
+    resumed: dict[str, int] = field(default_factory=dict)
 
-def _serial_round(
-    pending: list,
-    *,
-    plan: dict | None,
-    attempts: dict[str, list[Attempt]],
-    outcome: SupervisionOutcome,
-    timeout_override: float | None,
-    use_cache: bool,
-    checkpoint_interval: int | None = None,
-    resumed: dict[str, int] | None = None,
-) -> list[tuple[str, CaseSpec]]:
-    """One in-process pass over ``pending``; returns the retry list.
+    def collect(
+        self, key: str, job: Job, fetch, executor: str
+    ) -> type[Exception] | None:
+        """Fetch one attempt's payload, then publish it or record why not.
 
-    ``execute_spec_checkpointed`` records telemetry in-process, so
-    unlike the pool path nothing is re-recorded here.
-    """
-    retry: list = []
-    for key, spec in pending:
+        ``fetch(deadline)`` returns the worker payload: a pool future's
+        result or an in-process call.  Returns the type of the attempt's
+        exception, or None once the job's results are published.  (Not
+        the exception itself: its traceback would keep the failed
+        simulation's frames alive.)
+        """
         started = time.perf_counter()
-        deadline = case_deadline(spec, timeout_override)
-        attempt_no = len(attempts[key])
+        deadline = case_deadline(job.specs[0], self.timeout_override)
         try:
-            payload = _call_with_deadline(
-                lambda s=spec, a=attempt_no: _supervised_worker(
-                    s, a, plan, in_pool=False,
-                    checkpoint_interval=checkpoint_interval,
-                ),
-                deadline,
-            )
-            case_resumed = _pop_resumed(payload)
-            result = _validate(payload, spec)
-        except (FutureTimeout, TimeoutError):
-            outcome.timeouts += 1
-            _record(
-                attempts, key, "timeout",
-                f"no result within the {deadline:.1f}s deadline",
-                started, "serial",
-            )
-            retry.append((key, spec))
-        except invariants.InvariantViolation as exc:
-            _record(
-                attempts, key, "invariant", _format_error(exc),
-                started, "serial",
-            )
-            retry.append((key, spec))
-        except CorruptPayload as exc:
-            _record(
-                attempts, key, "corrupt-payload", _format_error(exc),
-                started, "serial",
-            )
-            retry.append((key, spec))
-        except KeyboardInterrupt:
-            raise
+            payload = fetch(deadline)
+            resumed = _pop_resumed(payload)
+            results = validate_payload(payload, job)
         except Exception as exc:
-            _record(
-                attempts, key, "crash", _format_error(exc),
-                started, "serial",
+            classification, error = _classify(exc, deadline)
+            if classification == "timeout":
+                self.outcome.timeouts += 1
+            history = self.attempts[key]
+            history.append(
+                Attempt(
+                    attempt=len(history),
+                    classification=classification,
+                    error=error,
+                    elapsed_seconds=time.perf_counter() - started,
+                    executor=executor,
+                )
             )
-            retry.append((key, spec))
-        else:
-            if case_resumed is not None:
-                outcome.resumes += 1
-                outcome.resumed_instructions += case_resumed
-                if resumed is not None:
-                    resumed[key] = case_resumed
-            _publish(outcome, key, spec, result, use_cache)
-    return retry
+            return type(exc)
+        if executor == "pool":
+            # The workers' telemetry died with the workers: the parent
+            # re-records the run and any resume, one record per pipeline
+            # run (see runner.record_run).
+            runner.record_run(job, results, resumed)
+        if resumed is not None:
+            self.outcome.resumes += 1
+            self.outcome.resumed_instructions += resumed
+            self.resumed[key] = resumed
+        self._publish(key, job, results)
+        return None
+
+    def _publish(self, key: str, job: Job, results: list[SimResult]) -> None:
+        """Publish every member's results under the member's own key.
+
+        A fused job populates exactly the cache entries its unfused
+        members would.  The job's checkpoints (under the job key) are
+        cleared only after every member is published: clearing earlier
+        would lose the recovery point for a crash between finish and
+        publish.
+        """
+        for spec, member_key, per_core in job.split(results):
+            if self.use_cache:
+                runner.store_results(spec, member_key, per_core)
+            self.outcome.results[member_key] = per_core
+            discard_failure(member_key)
+        ckpt.clear_checkpoints(key)
+
+    def pool_round(
+        self, pending: list[tuple[str, Job]], jobs: int,
+        mp_start_method: str | None,
+    ) -> tuple[list[tuple[str, Job]], bool]:
+        """One pool pass over ``pending``; returns (retry list, pool broke)."""
+        context = None
+        if mp_start_method is not None:
+            context = multiprocessing.get_context(mp_start_method)
+        # A forked worker inherits the parent's uncollected garbage, which
+        # can hold an earlier round's executor.  Collecting it in the
+        # worker would run that executor's weakref callback, which takes a
+        # lock a parent thread may have held at fork time: the worker
+        # hangs.  ``gc.freeze`` keeps every inherited object out of the
+        # worker's collections.
+        pool = ProcessPoolExecutor(
+            max_workers=min(jobs, len(pending)), mp_context=context,
+            initializer=gc.freeze,
+        )
+        retry: list = []
+        broke = False
+        try:
+            submitted = [
+                (
+                    key,
+                    job,
+                    pool.submit(
+                        _supervised_worker, job, len(self.attempts[key]),
+                        self.plan, True, self.checkpoint_interval,
+                    ),
+                )
+                for key, job in pending
+            ]
+            # Deterministic collection: submission order, not completion
+            # order.
+            for key, job, future in submitted:
+                failure = self.collect(
+                    key, job,
+                    lambda deadline, f=future: f.result(timeout=deadline),
+                    "pool",
+                )
+                if failure is not None:
+                    future.cancel()
+                    # If a worker died hard, every uncollected future of
+                    # this pool raises BrokenProcessPool too; all of them
+                    # retry in a rebuilt pool (or serially, if this keeps
+                    # happening).
+                    broke = broke or issubclass(failure, BrokenProcessPool)
+                    retry.append((key, job))
+        except KeyboardInterrupt:
+            # Ctrl-C: cancel everything still queued and reap the pool so
+            # no orphan workers keep simulating a batch nobody will
+            # collect.
+            pool.shutdown(wait=False, cancel_futures=True)
+            raise
+        pool.shutdown(wait=False, cancel_futures=True)
+        return retry, broke
+
+    def serial_round(
+        self, pending: list[tuple[str, Job]]
+    ) -> list[tuple[str, Job]]:
+        """One in-process pass over ``pending``; returns the retry list.
+
+        The executor records telemetry in-process, so unlike the pool
+        path nothing is re-recorded here.
+        """
+        retry: list = []
+        for key, job in pending:
+            attempt_no = len(self.attempts[key])
+
+            def fetch(deadline, job=job, attempt_no=attempt_no):
+                return _call_with_deadline(
+                    lambda: _supervised_worker(
+                        job, attempt_no, self.plan, in_pool=False,
+                        checkpoint_interval=self.checkpoint_interval,
+                    ),
+                    deadline,
+                )
+
+            if self.collect(key, job, fetch, "serial") is not None:
+                retry.append((key, job))
+        return retry
 
 
 def run_supervised(
-    items: list,
+    items: list[Job],
     *,
     jobs: int,
     mp_start_method: str | None = None,
@@ -1012,41 +849,43 @@ def run_supervised(
     retry_backoff: float | None = None,
     checkpoint_interval: int | None = None,
 ) -> SupervisionOutcome:
-    """Resolve ``(key, spec)`` cases under supervision.
+    """Resolve :class:`~repro.experiments.cache.Job` items under supervision.
 
-    Returns a :class:`SupervisionOutcome` with one result or one
-    persisted :class:`FailureReport` per input key — never an exception
-    for an individual case failure (``KeyboardInterrupt`` excepted).
-
-    An item's spec may be a :class:`FusedGroup`: the group is attempted,
-    timed out and retried as one unit under its group key, but its
-    members' results are published under their own case keys, and a
-    given-up group persists one failure report per member (each member's
-    key is what a later targeted rerun would look up).
+    Returns a :class:`SupervisionOutcome` mapping each published member's
+    key to its per-core results, and each given-up member's key to a
+    persisted :class:`FailureReport` — never an exception for an
+    individual job failure (``KeyboardInterrupt`` excepted).  A job is
+    attempted, timed out and retried as one unit under its job key; a
+    given-up job persists one report per member (each member's key is
+    what a later targeted rerun would look up).
 
     With checkpointing active (``checkpoint_interval=`` argument, else
-    ``$REPRO_CHECKPOINT_INTERVAL``), a retried case resumes from the
+    ``$REPRO_CHECKPOINT_INTERVAL``), a retried job resumes from the
     newest valid checkpoint its dead predecessor left behind instead of
-    starting over; checkpoints are cleared once the case's result is
-    published, and a case given up on records its preserved progress in
-    its :class:`FailureReport`.
+    starting over; checkpoints are cleared once the job's results are
+    published, and a job given up on records its preserved progress in
+    its members' :class:`FailureReport`.
     """
     plan = get_fault_plan()
     if max_attempts is None:
         max_attempts = DEFAULT_MAX_ATTEMPTS
     if max_attempts < 1:
         raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
-    timeout_override = resolve_case_timeout(case_timeout)
     backoff = DEFAULT_BACKOFF if retry_backoff is None else retry_backoff
     if checkpoint_interval is None:
         checkpoint_interval = ckpt.checkpoint_interval_default()
-
-    outcome = SupervisionOutcome()
-    attempts: dict[str, list[Attempt]] = {key: [] for key, _ in items}
-    resumed: dict[str, int] = {}
-    pending = list(items)
+    pending = [(job.key(), job) for job in items]
+    state = _Supervision(
+        plan=plan,
+        outcome=SupervisionOutcome(),
+        use_cache=use_cache,
+        timeout_override=resolve_case_timeout(case_timeout),
+        checkpoint_interval=checkpoint_interval,
+        attempts={key: [] for key, _ in pending},
+    )
+    outcome = state.outcome
     pool_breaks = 0
-    prefer_serial = jobs <= 1 or len(items) == 1
+    prefer_serial = jobs <= 1 or len(pending) == 1
     round_no = 0
     while pending:
         if round_no and backoff > 0:
@@ -1055,46 +894,33 @@ def run_supervised(
         if prefer_serial or degraded:
             if degraded and not prefer_serial:
                 outcome.serial_fallback = True
-            retry = _serial_round(
-                pending, plan=plan, attempts=attempts, outcome=outcome,
-                timeout_override=timeout_override, use_cache=use_cache,
-                checkpoint_interval=checkpoint_interval, resumed=resumed,
-            )
+            retry = state.serial_round(pending)
         else:
-            retry, broke = _pool_round(
-                pending, jobs=jobs, mp_start_method=mp_start_method,
-                plan=plan, attempts=attempts, outcome=outcome,
-                timeout_override=timeout_override, use_cache=use_cache,
-                checkpoint_interval=checkpoint_interval, resumed=resumed,
-            )
+            retry, broke = state.pool_round(pending, jobs, mp_start_method)
             if broke:
                 pool_breaks += 1
                 if pool_breaks < POOL_BREAK_LIMIT:
                     outcome.pool_rebuilds += 1
-        next_pending: list = []
-        for key, spec in retry:
-            if len(attempts[key]) >= max_attempts:
-                # How far checkpoints provably got this case: the last
-                # observed resume, else the newest surviving file.
-                progress = resumed.get(key, ckpt.newest_progress(key))
-                members = (
-                    spec.specs if isinstance(spec, FusedGroup) else (spec,)
-                )
-                for member in members:
-                    member_key = member.key() if member is not spec else key
-                    report = FailureReport(
-                        key=member_key,
-                        label=member.label(),
-                        classification=attempts[key][-1].classification,
-                        attempts=list(attempts[key]),
-                        spec=member.fingerprint(),
-                        resumed_from=progress,
-                    )
-                    outcome.failures[member_key] = report
-                    save_failure(report)
-            else:
-                next_pending.append((key, spec))
+        pending = []
+        for key, job in retry:
+            history = state.attempts[key]
+            if len(history) < max_attempts:
+                pending.append((key, job))
                 outcome.retries += 1
-        pending = next_pending
+                continue
+            # How far checkpoints provably got this job: the last
+            # observed resume, else the newest surviving file.
+            progress = state.resumed.get(key, ckpt.newest_progress(key))
+            for spec, member_key in zip(job.specs, job.keys):
+                report = FailureReport(
+                    key=member_key,
+                    label=spec.label(),
+                    classification=history[-1].classification,
+                    attempts=list(history),
+                    spec=spec.fingerprint(),
+                    resumed_from=progress,
+                )
+                outcome.failures[report.key] = report
+                save_failure(report)
         round_no += 1
     return outcome

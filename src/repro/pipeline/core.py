@@ -317,8 +317,6 @@ class CoreSimulator:
             else legacy_issue_scan
         )
         self._event = not self._legacy_scan
-        self._issue = self._issue_scan if self._legacy_scan else \
-            self._issue_select
         self._ready: list[tuple[int, InflightUop]] = []
         self._nonready: deque[tuple[int, InflightUop]] = deque()
         self._nonready_vfp: deque[tuple[int, InflightUop]] = deque()
@@ -896,7 +894,7 @@ class CoreSimulator:
 
         self._writeback(cycle)
         self._commit(cycle, obs)
-        self._issue(cycle, obs)
+        self._issue_scan(cycle, obs)
         self._dispatch(cycle, obs)
         if obs is not None:
             # Sample the frontend condition before this cycle's fetch can
@@ -2010,7 +2008,8 @@ class CoreSimulator:
         """Legacy issue stage: full reservation-station scan.
 
         Kept behind ``legacy_issue_scan=True`` / REPRO_LEGACY_ISSUE_SCAN=1
-        as the differential reference for :meth:`_issue_select`.
+        as the differential reference for the event-driven issue phase of
+        :meth:`_step_event`.
         """
         # Note: unpipelined-unit releases coincide with their micro-op's
         # completion, so the writeback dirty flag already covers them.
@@ -2209,167 +2208,6 @@ class CoreSimulator:
                 return uop
             entries.popleft()
         return None
-
-    def _issue_select(
-        self, cycle: int, obs: CycleObservation | None
-    ) -> None:
-        """Event-driven issue stage: walk only ready entries.
-
-        Wakeups (writeback, store-conflict resolution) and dispatch push
-        candidates into ``_ready``; select sorts it by seq (cheap — the
-        list is nearly sorted) and walks it greedily, which reproduces the
-        legacy scan's issue decisions and, crucially, its floating-point
-        accumulation order: the issued micro-ops form the same
-        seq-ordered sequence the full scan issued.  Observation fields
-        for non-ready work come from :meth:`_oldest_live` over the
-        incrementally-maintained ``_nonready`` queues instead of a scan.
-        """
-        if self._rs_quiet and not self._rs_dirty:
-            # Nothing changed since a select that issued nothing: the
-            # result is identical.  Fill the observation from the cache.
-            if obs is not None:
-                (
-                    obs.first_nonready_producer,
-                    obs.structural_stall,
-                    obs.vfp_in_rs,
-                    obs.oldest_vfp_producer,
-                    obs.vfp_structural,
-                ) = self._resolve_issue_obs()
-                obs.rs_empty = not self._has_correct_waiting
-            return
-        fu = self.fu
-        machine_lanes = self.config.vector_lanes
-        pending_stores = self.pending_stores
-        free, issue_free, unpipelined = fu.begin_issue(cycle)
-
-        n_issue = 0
-        n_issue_wrong = 0
-        structural = False
-        vfp_structural = False
-        vu_non_vfp = False
-        flops_issued = 0.0
-        n_vfp = 0
-        non_fma_loss = 0.0
-        masked = 0.0
-
-        ready = self._ready
-        if ready:
-            ready.sort()
-            keep: list[tuple[int, InflightUop]] = []
-            keep_append = keep.append
-            parked = self._parked
-            rs_count = self._rs_count
-            rs_correct = self._rs_correct
-            rs_vfp = self._rs_vfp
-            execute = self._execute
-            reserve_mul = fu._reserve_mul
-            for entry in ready:
-                seq, uop = entry
-                if uop.seq != seq or uop.squashed:
-                    continue  # stale: issued+recycled, or squashed
-                static = uop.uop
-                forward_store: InflightUop | None = None
-                if uop.is_load and not uop.wrong_path:
-                    store = pending_stores.get(static.addr)
-                    if (
-                        store is not None
-                        and store.seq < seq
-                        and not store.squashed
-                    ):
-                        if store.done:
-                            forward_store = store
-                        else:
-                            # Address conflict: park on the older store
-                            # (structural 'Other' stall).  The store's
-                            # writeback — or a younger store taking over
-                            # the forwarding slot — re-queues the load.
-                            structural = True
-                            uop.parked = True
-                            parked += 1
-                            if store.waiters is None:
-                                store.waiters = [entry]
-                            else:
-                                store.waiters.append(entry)
-                            continue
-                pool = uop.pool
-                if issue_free > 0 and free[pool] > 0:
-                    latency = execute(uop, cycle, forward_store)
-                    issue_free -= 1
-                    free[pool] -= 1
-                    if pool == POOL_MUL and unpipelined[static.uclass]:
-                        reserve_mul(cycle, latency)
-                    rs_count -= 1
-                    if uop.wrong_path:
-                        n_issue_wrong += 1
-                    else:
-                        n_issue += 1
-                        rs_correct -= 1
-                        ops = uop.ops
-                        if ops:
-                            rs_vfp -= 1
-                            lanes = static.lanes
-                            if lanes > machine_lanes:
-                                lanes = machine_lanes
-                            flops_issued += ops * lanes
-                            n_vfp += 1
-                            non_fma_loss += (2 - ops) * lanes
-                            masked += machine_lanes - lanes
-                        elif uop.is_vu_nonvfp:
-                            vu_non_vfp = True
-                    continue  # issued: leaves the reservation stations
-                structural = True
-                if not uop.wrong_path and uop.ops:
-                    vfp_structural = True
-                keep_append(entry)
-            self._ready = keep
-            self._parked = parked
-            self._rs_count = rs_count
-            self._rs_correct = rs_correct
-            self._rs_vfp = rs_vfp
-        if self._parked:
-            # Parked loads are ready-but-blocked entries the legacy scan
-            # saw as a persistent conflict: structural every cycle.
-            structural = True
-        fu._issue_free = issue_free
-
-        correct_waiting = self._rs_correct
-        vfp_in_rs = self._rs_vfp > 0
-        first_nonready = self._oldest_live(self._nonready)
-        oldest_vfp_nonready = self._oldest_live(self._nonready_vfp)
-        first_producer = (
-            first_nonready.first_unfinished_producer()
-            if first_nonready is not None
-            else None
-        )
-        oldest_vfp_producer = (
-            oldest_vfp_nonready.first_unfinished_producer()
-            if oldest_vfp_nonready is not None
-            else None
-        )
-        self._rs_dirty = False
-        self._rs_quiet = n_issue + n_issue_wrong == 0
-        self._has_correct_waiting = correct_waiting > 0
-        self._issue_obs_cache = (
-            first_producer,
-            structural,
-            vfp_in_rs,
-            oldest_vfp_producer,
-            vfp_structural,
-        )
-        if obs is not None:
-            obs.n_issue = n_issue
-            obs.n_issue_wrong = n_issue_wrong
-            obs.rs_empty = correct_waiting == 0
-            obs.structural_stall = structural
-            obs.first_nonready_producer = first_producer
-            obs.flops_issued = flops_issued
-            obs.n_vfp_issued = n_vfp
-            obs.non_fma_loss_lanes = non_fma_loss
-            obs.masked_lanes = masked
-            obs.vfp_in_rs = vfp_in_rs
-            obs.vu_used_by_non_vfp = vu_non_vfp
-            obs.vfp_structural = vfp_structural
-            obs.oldest_vfp_producer = oldest_vfp_producer
 
     def _execute(
         self,

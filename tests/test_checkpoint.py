@@ -32,7 +32,7 @@ from repro.config.presets import broadwell, knights_landing
 from repro.core.multistage import CollectorSpec
 from repro.core.wrongpath import WrongPathMode
 from repro.experiments import parallel, runner, supervisor
-from repro.experiments.cache import TELEMETRY, CaseSpec
+from repro.experiments.cache import TELEMETRY, CaseSpec, Job
 from repro.experiments.parallel import run_cases
 from repro.experiments.runner import clear_cache, lookup_cached
 from repro.pipeline import checkpoint as ckpt
@@ -517,7 +517,7 @@ def _seed_checkpoints(spec: CaseSpec, *, count: int = 1,
             raise _StopSeeding
 
     with pytest.raises(_StopSeeding):
-        runner.execute_spec_checkpointed(spec, interval, hook)
+        runner.execute_spec_checkpointed(Job((spec,)), interval, hook)
     files = ckpt.list_case_checkpoints(spec.key())
     assert len(files) >= count
     return files
@@ -531,7 +531,9 @@ def test_execute_spec_checkpointed_resumes_from_disk():
 
     _seed_checkpoints(spec, count=1)
     TELEMETRY.reset()
-    result, resumed_from = runner.execute_spec_checkpointed(spec, 400)
+    (result,), resumed_from = runner.execute_spec_checkpointed(
+        Job((spec,)), 400
+    )
     assert resumed_from is not None and resumed_from >= 400
     assert _comparable(result) == _comparable(clean)
     assert TELEMETRY.resume_events == 1
@@ -540,7 +542,9 @@ def test_execute_spec_checkpointed_resumes_from_disk():
 
 def test_execute_spec_without_interval_never_touches_the_store():
     spec = _spec()
-    result, resumed_from = runner.execute_spec_checkpointed(spec, None)
+    (result,), resumed_from = runner.execute_spec_checkpointed(
+        Job((spec,)), None
+    )
     assert resumed_from is None
     assert ckpt.list_case_checkpoints(spec.key()) == []
     assert TELEMETRY.resume_events == 0
@@ -565,7 +569,9 @@ def test_mismatching_checkpoint_is_evicted_and_case_restarts_fresh():
     foreign = _seed_checkpoints(other, count=1)[-1]
     planted = _plant(foreign, spec.key(), 10**9)
     TELEMETRY.reset()
-    result, resumed_from = runner.execute_spec_checkpointed(spec, 400)
+    (result,), resumed_from = runner.execute_spec_checkpointed(
+        Job((spec,)), 400
+    )
     assert resumed_from is None
     assert TELEMETRY.resume_events == 0
     assert not planted.exists(), "the mismatching checkpoint was evicted"
@@ -579,7 +585,9 @@ def test_mismatching_newest_checkpoint_falls_back_to_older_one():
     progress = ckpt.newest_progress(spec.key())
     foreign = _seed_checkpoints(_spec(seed=2), count=2)[-1]
     planted = _plant(foreign, spec.key(), 10**9)
-    result, resumed_from = runner.execute_spec_checkpointed(spec, 400)
+    (result,), resumed_from = runner.execute_spec_checkpointed(
+        Job((spec,)), 400
+    )
     assert resumed_from == progress
     assert not planted.exists()
     assert valid.exists()
@@ -600,7 +608,9 @@ def test_schema_2_checkpoint_is_evicted_and_case_restarts_fresh():
         ckpt.MAGIC + json.dumps(header).encode() + b"\n" + blob[newline + 1:]
     )
     TELEMETRY.reset()
-    result, resumed_from = runner.execute_spec_checkpointed(spec, 400)
+    (result,), resumed_from = runner.execute_spec_checkpointed(
+        Job((spec,)), 400
+    )
     assert resumed_from is None
     assert TELEMETRY.resume_events == 0
     assert _comparable(result) == _comparable(clean)
@@ -886,7 +896,7 @@ def test_keyboard_interrupt_serial_preserves_published_work():
             [done, interrupted], jobs=1, retry_backoff=0,
             checkpoint_interval=INTERVAL,
         )
-    assert lookup_cached(done.key()) is not None, (
+    assert lookup_cached(done, done.key()) is not None, (
         "work published before Ctrl-C survives it"
     )
     assert ckpt.list_case_checkpoints(done.key()) == [], (
@@ -914,7 +924,7 @@ def test_keyboard_interrupt_pool_cancels_and_preserves_published_work():
     # Deterministic collection order: the healthy case was published
     # before the interrupted case's future re-raised Ctrl-C, and the
     # pool was shut down with its pending futures cancelled.
-    assert lookup_cached(done.key()) is not None
+    assert lookup_cached(done, done.key()) is not None
     assert ckpt.list_case_checkpoints(done.key()) == []
     _assert_no_orphan_files()
     supervisor.fault_plan = None

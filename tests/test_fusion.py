@@ -18,7 +18,7 @@ guarantees pinned here:
   (warm reruns need zero simulator invocations), and the pre-existing
   cache keys of default-accounting cases are unchanged;
 * the batch summary line and telemetry report fused groups / runs saved;
-* ``FusedGroup`` construction rejects malformed memberships.
+* ``Job`` construction rejects malformed memberships.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import pytest
 from repro.config.idealize import PERFECT_DCACHE
 from repro.core.wrongpath import WrongPathMode
 from repro.experiments import runner, supervisor
-from repro.experiments.cache import TELEMETRY, CaseSpec, FusedGroup
+from repro.experiments.cache import TELEMETRY, CaseSpec, Job
 from repro.experiments.parallel import run_cases
 from repro.pipeline import checkpoint as ckpt
 
@@ -256,8 +256,8 @@ class _Interrupted(Exception):
 
 
 def test_fused_checkpoint_resume_restores_all_collectors():
-    group = FusedGroup(specs=tuple(_variant_specs()))
-    clean, resumed_from = runner.execute_fused_checkpointed(group, None)
+    group = Job(tuple(_variant_specs()))
+    clean, resumed_from = runner.execute_spec_checkpointed(group, None)
     assert resumed_from is None
 
     ckpt.clear_checkpoints(group.key())
@@ -266,11 +266,11 @@ def test_fused_checkpoint_resume_restores_all_collectors():
         raise _Interrupted
 
     with pytest.raises(_Interrupted):
-        runner.execute_fused_checkpointed(group, 600, on_checkpoint=hook)
+        runner.execute_spec_checkpointed(group, 600, on_checkpoint=hook)
     assert ckpt.list_case_checkpoints(group.key()), (
         "the interrupted fused run never wrote a checkpoint"
     )
-    recovered, resumed_from = runner.execute_fused_checkpointed(group, 600)
+    recovered, resumed_from = runner.execute_spec_checkpointed(group, 600)
     assert resumed_from is not None and resumed_from > 0
     assert len(recovered) == len(group.specs)
     for spec, a, b in zip(group.specs, clean, recovered):
@@ -281,10 +281,10 @@ def test_fused_checkpoint_resume_restores_all_collectors():
 def test_fused_checkpoint_lives_under_group_key():
     """A fused checkpoint must never be resumable by a member alone (or
     vice versa): the group key is derived from all member keys."""
-    group = FusedGroup(specs=tuple(_variant_specs()))
+    group = Job(tuple(_variant_specs()))
     member_keys = {spec.key() for spec in group.specs}
     assert group.key() not in member_keys
-    smaller = FusedGroup(specs=group.specs[:2])
+    smaller = Job(group.specs[:2])
     assert smaller.key() != group.key()
 
 
@@ -322,7 +322,7 @@ def test_fused_members_published_under_own_keys():
     assert TELEMETRY.sim_invocations == 1
     assert TELEMETRY.uops_simulated == first[0].committed_uops
     for spec in specs:
-        assert runner.lookup_cached(spec.key()) is not None
+        assert runner.lookup_cached(spec, spec.key()) is not None
     # A fresh session (memo dropped, disk kept) is served without any
     # simulation — fused or otherwise.
     runner.clear_cache(disk=False)
@@ -363,23 +363,13 @@ def test_summary_line_reports_fusion():
 
 def test_fused_group_rejects_malformed_membership():
     specs = _variant_specs()
-    with pytest.raises(ValueError, match="at least two"):
-        FusedGroup(specs=(specs[0],))
+    with pytest.raises(ValueError, match="at least one"):
+        Job(())
     other = CaseSpec(workload="chase", preset="tiny", instructions=N)
     with pytest.raises(ValueError, match="timing key"):
-        FusedGroup(specs=(specs[0], other))
-
-
-def test_group_payload_validation_catches_member_damage():
-    group = FusedGroup(specs=tuple(_variant_specs()[:2]))
-    results, _ = runner.execute_fused_checkpointed(group, None)
-    payload = {"fused": [r.to_dict() for r in results]}
-    decoded = supervisor.validate_group_payload(payload, group)
-    for a, b in zip(results, decoded):
-        assert a.to_dict() == b.to_dict()
-    with pytest.raises(Exception):
-        supervisor.validate_group_payload({"fused": payload["fused"][:1]}, group)
-    damaged = {"fused": [dict(payload["fused"][0]), payload["fused"][1]]}
-    damaged["fused"][0]["cycles"] = -1
-    with pytest.raises(Exception):
-        supervisor.validate_group_payload(damaged, group)
+        Job((specs[0], other))
+    socket = CaseSpec(workload="mcf", preset="tiny", instructions=N, cores=2)
+    with pytest.raises(ValueError, match="cannot be fused"):
+        Job((socket, socket))
+    assert Job((specs[0],)).key() == specs[0].key()
+    assert Job((specs[0],)).label() == specs[0].label()

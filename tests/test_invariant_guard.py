@@ -20,7 +20,7 @@ from repro.experiments.flops_study import figure5_case
 from repro.experiments.idealization import table1_rows
 from repro.experiments.multicore import simulate_socket
 from repro.experiments.parallel import run_cases
-from repro.experiments.runner import clear_cache, execute_spec, store_result
+from repro.experiments.runner import clear_cache, execute_spec, store_results
 
 N = 2500
 
@@ -98,7 +98,7 @@ def test_store_result_rejects_corrupt_result_strict():
     spec = _spec()
     bad = _corrupted(spec)
     with pytest.raises(InvariantViolation) as excinfo:
-        store_result(spec.key(), spec, bad)
+        store_results(spec, spec.key(), [bad])
     assert "mcf@tiny" in str(excinfo.value)
     assert get_disk_cache().get(spec.key()) is None, (
         "a violating result must never reach the disk cache"
@@ -110,7 +110,7 @@ def test_store_result_non_strict_warns_but_never_disk_caches():
     bad = _corrupted(spec)
     invariants.set_strict(False)
     with pytest.warns(RuntimeWarning):
-        store_result(spec.key(), spec, bad)
+        store_results(spec, spec.key(), [bad])
     assert invariants.GUARD.warnings, "the violation is recorded"
     assert get_disk_cache().get(spec.key()) is None, (
         "non-strict mode still refuses to persist a violating result"

@@ -34,7 +34,7 @@ from repro.core import invariants
 from repro.core.components import Component
 from repro.core.wrongpath import WrongPathMode
 from repro.experiments import runner
-from repro.experiments.cache import TELEMETRY, CaseSpec
+from repro.experiments.cache import TELEMETRY, CaseSpec, Job
 from repro.experiments.multicore import simulate_socket
 from repro.experiments.parallel import run_cases, run_multicore_cases
 from repro.isa import decoder as asm
@@ -249,7 +249,7 @@ def test_mismatching_socket_checkpoint_is_evicted():
         workload="conv-vgg-2-fwd", preset="tiny", instructions=4000,
         seed=3, cores=2,
     )
-    clean, _ = runner.execute_multicore_checkpointed(spec, None)
+    clean, _ = runner.execute_spec_checkpointed(Job((spec,)), None)
     other = make_threaded_traces("conv-resnet-2-fwd", 2, 4000, seed=3)
     foreign = _socket_checkpoint(
         other, spec.resolved_config(), "socket-foreign"
@@ -258,7 +258,9 @@ def test_mismatching_socket_checkpoint_is_evicted():
     planted.parent.mkdir(parents=True, exist_ok=True)
     foreign.replace(planted)
     TELEMETRY.reset()
-    results, resumed_from = runner.execute_multicore_checkpointed(spec, 1000)
+    results, resumed_from = runner.execute_spec_checkpointed(
+        Job((spec,)), 1000
+    )
     assert resumed_from is None
     assert TELEMETRY.resume_events == 0
     assert not planted.exists()
@@ -463,9 +465,8 @@ def test_contended_cycles_monotonic_in_core_count():
             ), f"core {core} sped up going {smaller} -> {larger} cores"
     # Per-core stacks always sum to per-core cycles (invariant guard)...
     for cores in (2, 4):
-        assert not invariants.verify_per_core_results(
-            per_count[cores], context=f"contended-x{cores}"
-        )
+        for result in per_count[cores]:
+            assert not invariants.check_result(result)
     # ...and the whole slowdown lands in the memory + Unsched components
     # (the work per core is identical, so base/ALU/branch terms cannot
     # move).
@@ -503,9 +504,8 @@ def test_unsched_absorbs_injected_imbalance():
     light_unsched = light.report.commit.get(Component.UNSCHED)
     heavy_unsched = heavy.report.commit.get(Component.UNSCHED)
     assert light_unsched > heavy_unsched > 0
-    assert not invariants.verify_per_core_results(
-        result.per_core, context="imbalance"
-    )
+    for core_result in result.per_core:
+        assert not invariants.check_result(core_result)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import pytest
 
 from repro.config.idealize import PERFECT_DCACHE
 from repro.experiments import runner
-from repro.experiments.cache import TELEMETRY, CaseSpec, get_disk_cache
+from repro.experiments.cache import TELEMETRY, CaseSpec, Job, get_disk_cache
 from repro.experiments.error import figure2_errors
 from repro.experiments.parallel import resolve_jobs, run_cases
 
@@ -140,6 +140,38 @@ def test_case_key_is_stable_and_discriminating():
 
     explicit = CaseSpec(workload="mcf", config=tiny_core(), instructions=N)
     assert a.key() == explicit.key()
+
+
+def test_cache_and_checkpoint_keys_are_pinned():
+    """Literal keys: a warm cache (and any checkpoint on disk) from an
+    older checkout stays addressable only while these never move."""
+    mcf = CaseSpec(workload="mcf", preset="tiny")
+    topdown = CaseSpec(workload="mcf", preset="tiny", topdown=True)
+    noacc = CaseSpec(workload="mcf", preset="tiny", accounting=False)
+    assert mcf.key() == (
+        "ae3e12f51247640dfbdace2ac5af33466003ae10bfd026620cea24353125444b"
+    )
+    assert topdown.key() == (
+        "14a3c75433dd57e632149ac5b35f77a94025979d84982fb2c149883383be167d"
+    )
+    assert noacc.key() == (
+        "8a4482e7a440ee9a77e0e02f46fc05c02391dd1a4ba1966415a6771a80170b37"
+    )
+    socket = CaseSpec(workload="exchange2", preset="tiny", cores=2)
+    assert socket.key() == (
+        "6b5279e355341c19e85ea97a093dbcd7b9b534e72eeb0af870cf97cd474afe7d"
+    )
+    assert socket.member_key(0) == (
+        "c71aefdb7885d609bc447c9faa5d492d12d8d15f1d0bcc008446324e8359ad43"
+    )
+    assert socket.member_key(1) == (
+        "5bd79d47533ff42e6ceef1e7885365fb7f45c86f371c2191dd41e4952a27998c"
+    )
+    assert Job((mcf, topdown)).key() == (
+        "3efb6bedb7fe300e49fb72c0e0d3421df8d58181321236e3d3bbfc9f61f8a68e"
+    )
+    assert Job((mcf,)).key() == mcf.key()
+    assert Job((socket,)).key() == socket.key()
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,9 @@ import os
 
 import pytest
 
-from repro.experiments import parallel, supervisor
-from repro.experiments.cache import TELEMETRY, CaseSpec
-from repro.experiments.parallel import run_cases
+from repro.experiments import parallel, runner, supervisor
+from repro.experiments.cache import TELEMETRY, CaseSpec, Job, get_disk_cache
+from repro.experiments.parallel import run_cases, run_multicore_cases
 from repro.experiments.runner import clear_cache
 from repro.experiments.supervisor import (
     BatchFailure,
@@ -283,6 +283,64 @@ def test_corrupt_schema_payload_is_rejected():
     result, = run_cases([_spec()], jobs=1, retry_backoff=0)
     assert result is not None, "retry after the one corrupted attempt"
     assert parallel.LAST_BATCH.retries >= 1
+
+
+def _shape_specs(shape: str) -> list[CaseSpec]:
+    """The cases of a single-case, fused-pair or 2-core-socket job."""
+    if shape == "socket":
+        return [CaseSpec(workload="exchange2", preset="tiny",
+                         instructions=N, cores=2)]
+    specs = [_spec()]
+    if shape == "fused":
+        specs.append(CaseSpec(workload="mcf", preset="tiny",
+                              instructions=N, topdown=True))
+    return specs
+
+
+SHAPES = ("case", "fused", "socket")
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_validate_payload_checks_result_count(shape):
+    job = Job(tuple(_shape_specs(shape)))
+    results, _ = runner.execute_spec_checkpointed(job, None)
+    assert len(results) == {"case": 1, "fused": 2, "socket": 2}[shape]
+    members = [result.to_dict() for result in results]
+    decoded = supervisor.validate_payload({"members": members}, job)
+    assert [result.to_dict() for result in decoded] == members
+    for wrong in (members[:-1], members + members[:1]):
+        with pytest.raises(supervisor.CorruptPayload):
+            supervisor.validate_payload({"members": wrong}, job)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize(
+    "style, classification",
+    [
+        ("schema", "corrupt-payload"),
+        ("garbage", "corrupt-payload"),
+        ("cycles", "invariant"),
+    ],
+)
+def test_corrupt_payload_classified_for_every_shape(
+    shape, style, classification
+):
+    specs = _shape_specs(shape)
+    supervisor.fault_plan = {"*": {"kind": "corrupt", "style": style,
+                                   "times": 99}}
+    run = run_multicore_cases if shape == "socket" else run_cases
+    results = run(
+        specs, jobs=1, keep_going=True, max_attempts=1, retry_backoff=0
+    )
+    assert results == [None] * len(specs)
+    stats = parallel.LAST_BATCH
+    assert stats.fused_groups == (shape == "fused")
+    for spec in specs:
+        assert stats.failure_reports[spec.key()].classification == (
+            classification
+        )
+        for core in range(spec.cores):
+            assert get_disk_cache().get(spec.member_key(core)) is None
 
 
 # ---------------------------------------------------------------------------
