@@ -83,11 +83,23 @@ class Program:
     ``Program`` is the unit handed to the simulator.  It is immutable in
     spirit: simulations never mutate it, so one instance can back many runs
     (baseline and idealized configurations share the trace, as in the paper's
-    methodology).
+    methodology).  Trace analyses every simulation needs (the micro-op
+    count, the replay period) are memoized on the instance, so a program
+    must not be mutated after its first simulation; :meth:`extend` is the
+    one mutator and drops the memos.
     """
 
     name: str
     instructions: list[Instruction] = field(default_factory=list)
+    #: Memo of :attr:`uop_count` (None until first read).
+    _uop_count: int | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    #: Memo of :func:`repro.pipeline.replay.find_period` (False until
+    #: first computed; None is a valid "aperiodic" result).
+    _period: tuple[int, int] | None | bool = field(
+        default=False, init=False, repr=False, compare=False
+    )
 
     def __len__(self) -> int:
         return len(self.instructions)
@@ -100,11 +112,15 @@ class Program:
 
     def extend(self, instrs: Iterable[Instruction]) -> None:
         self.instructions.extend(instrs)
+        self._uop_count = None
+        self._period = False
 
     @property
     def uop_count(self) -> int:
         """Total micro-ops in the trace."""
-        return sum(len(i.uops) for i in self.instructions)
+        if self._uop_count is None:
+            self._uop_count = sum(len(i.uops) for i in self.instructions)
+        return self._uop_count
 
     @property
     def branch_count(self) -> int:

@@ -245,9 +245,15 @@ class CoreSimulator:
             else config.accounting_width
         )
         self._uniform_width = len(widths) <= 1
-        self.collectors: list[MultiStageCollector | None] = []
+        # Accountants attach where measurement starts: at construction
+        # without warmup (or with a warmup the trace never completes),
+        # otherwise at the warmup boundary (``_end_warmup``) — warmup
+        # cycles are never measured, so nothing observes them.
+        self.collectors: list[MultiStageCollector | None] = [None] * len(specs)
         self.collector: MultiStageCollector | FanoutCollector | None = None
-        self._build_collectors()
+        self._acc_epoch = 0
+        if not 0 < warmup_instructions <= len(program):
+            self._build_collectors()
         #: One SimResult per attached collector, filled by ``_finalize``.
         self.fused_results: list[SimResult] = []
         self.fu = FunctionalUnitPool(config)
@@ -279,7 +285,7 @@ class CoreSimulator:
         self._spec_mode = mode is WrongPathMode.SPECULATIVE
         # Warmup emulates the paper's fast-forward: caches, TLBs and the
         # branch predictor train during the first ``warmup_instructions``
-        # macro instructions, then the stack counters restart.
+        # macro instructions, then the accountants attach.
         self.warmup_instructions = warmup_instructions
         self._warmed = warmup_instructions == 0
         self._measure_cycle0 = 0
@@ -425,7 +431,7 @@ class CoreSimulator:
         if (
             (self._replay_enabled or self._memory_fast)
             and self._event
-            and (self._batch or self.collector is None)
+            and (self._batch or not self._accounting)
         ):
             region = find_period(program)
             if region is not None:
@@ -826,12 +832,7 @@ class CoreSimulator:
             # Conversely the checkpoint was taken with no engine; reset
             # this simulator's engine to its idle state (it attempts
             # recording afresh after the restore).
-            self._replay = ReplayEngine(
-                self,
-                self._replay._region_start,
-                self._replay._period,
-            )
-            self._replay_rec = False
+            self._replay.rearm()
         self.hierarchy.restore(state["hierarchy"])
         self.predictor.restore(state["predictor"])
         self.frontend.restore(state["frontend"])
@@ -915,8 +916,8 @@ class CoreSimulator:
     def _build_collectors(self) -> None:
         """(Re)build every attached collector from its spec.
 
-        Called at construction and again at the warmup boundary, so all
-        attached collectors restart measurement together.
+        Called where measurement starts — at construction or at the warmup
+        boundary — so all attached collectors measure the same cycles.
         """
         config = self.config
         collectors: list[MultiStageCollector | None] = []
@@ -953,18 +954,21 @@ class CoreSimulator:
             self.collector = FanoutCollector(real)
         # Invalidate every memoized accounting program: they hold direct
         # references into the previous collector's stacks.
-        self._acc_epoch = getattr(self, "_acc_epoch", 0) + 1
+        self._acc_epoch += 1
 
     def _end_warmup(self) -> None:
-        """Restart measurement with warm caches/TLBs/predictor state."""
-        # The warmup-crossing cycle may sit in a pending batch; it belongs
-        # to the warmup collectors, so flush before the swap.
+        """Start measurement with warm caches/TLBs/predictor state."""
+        # Nothing observes warmup, so the batch is empty — unless a
+        # checkpoint from a build that accounted warmup was restored;
+        # its pending batch belongs to the discarded warmup collectors.
         self._flush_batch()
         self._warmed = True
         self._measure_cycle0 = self.cycle
         self._measure_uops0 = self.committed_uops
         if self._accounting:
             self._build_collectors()
+        if self._replay is not None:
+            self._replay.rearm()
 
     # -- signature-batched accounting (event mode) --------------------------------
 
@@ -985,31 +989,36 @@ class CoreSimulator:
         if k:
             self._bat_k = 0
             self._bat_sig = None
-            buf = self._bat_cur
-            prog = buf.delta
-            if prog is None or buf.delta_epoch != self._acc_epoch:
-                collector = self.collector
-                prog = False
-                if type(collector) is MultiStageCollector:
-                    prog = collector.repeat_program(buf.obs)
-                buf.delta = prog
-                buf.delta_epoch = self._acc_epoch
-            if prog is False:
-                self.collector.observe_repeat(buf.obs, k)
-                return
-            entries, norms, flops_stack, flops_val = prog
-            if (
-                norms[0].carry == 0.0
-                and norms[1].carry == 0.0
-                and norms[2].carry == 0.0
-            ):
-                fk = float(k)
-                for counters, comp, amt in entries:
-                    counters[comp] = counters.get(comp, 0.0) + amt * fk
-                if flops_stack is not None:
-                    flops_stack.flops += flops_val * fk
-            else:
-                self.collector.observe_repeat(buf.obs, k)
+            self._apply_batch(self._bat_cur, k)
+
+    def _apply_batch(self, buf: _ObsBuffer, k: int) -> None:
+        """Account ``k`` cycles of ``buf``'s observation (see
+        :meth:`_flush_batch`); the replay engine feeds skipped periods
+        through here too."""
+        prog = buf.delta
+        if prog is None or buf.delta_epoch != self._acc_epoch:
+            collector = self.collector
+            prog = False
+            if type(collector) is MultiStageCollector:
+                prog = collector.repeat_program(buf.obs)
+            buf.delta = prog
+            buf.delta_epoch = self._acc_epoch
+        if prog is False:
+            self.collector.observe_repeat(buf.obs, k)
+            return
+        entries, norms, flops_stack, flops_val = prog
+        if (
+            norms[0].carry == 0.0
+            and norms[1].carry == 0.0
+            and norms[2].carry == 0.0
+        ):
+            fk = float(k)
+            for counters, comp, amt in entries:
+                counters[comp] = counters.get(comp, 0.0) + amt * fk
+            if flops_stack is not None:
+                flops_stack.flops += flops_val * fk
+        else:
+            self.collector.observe_repeat(buf.obs, k)
 
     def _retain(
         self,

@@ -27,13 +27,22 @@ The engine works in three phases:
 
 3. **Jump**: with period ``P = t1 - t0`` cycles and ``Δ`` instructions,
    skip ``k = (trace_len - idx) // Δ`` whole periods at once — feed the
-   recorded observation runs ``k`` times through the proven-equivalent
-   ``observe_repeat`` bulk path (reproducing the exact flush/merge pattern
-   a cycle-by-cycle run would produce), advance every integer counter by
+   recorded observation runs ``k`` times through the simulator's batch
+   flush (the memoized repeat programs, or the proven-equivalent
+   ``observe_repeat`` bulk path; the exact flush/merge pattern a
+   cycle-by-cycle run would produce), advance every integer counter by
    ``k`` times its per-period delta, and shift the time-valued and
    seq-valued state forward.  Windows whose float accumulators
    (DRAM queue delay, MSHR waits) advanced are rejected: those cannot be
    bulk-replayed with bitwise-exact arithmetic.
+
+Replay also runs through warmup, where no accountant is attached and
+the recorded runs are empty.  A warmup jump stops short of the warmup
+boundary — the boundary must be crossed by a commit inside a stepped
+cycle, because a replayed step returns before the simulator's warmup
+check — and the boundary itself aborts any recording and rearms the
+engine (:meth:`ReplayEngine.rearm`), so the measured region replays
+exactly as if the engine had first armed there.
 
 Results are bitwise identical to the cycle-by-cycle run by construction;
 ``tests/test_replay.py`` verifies this differentially.  Escape hatches
@@ -68,7 +77,8 @@ _BACKOFF_MAX = 65536
 
 
 def find_period(program) -> tuple[int, int] | None:
-    """Instruction-level periodicity of the trace tail.
+    """Instruction-level periodicity of the trace tail, memoized on the
+    program (:meth:`Program.extend` drops the memo).
 
     Returns ``(region_start, L)`` such that ``instructions[i + L] ==
     instructions[i]`` for every ``i >= region_start`` (up to the end of
@@ -83,7 +93,14 @@ def find_period(program) -> tuple[int, int] | None:
     traces fail the base-lag scan or the suffix check within one loop
     body's worth of comparisons.
     """
-    instrs = program.instructions
+    found = program._period
+    if found is False:
+        found = program._period = _scan_period(program.instructions)
+    return found
+
+
+def _scan_period(instrs) -> tuple[int, int] | None:
+    """The uncached analysis behind :func:`find_period`."""
     n = len(instrs)
     if n < _MIN_TRACE:
         return None
@@ -259,7 +276,7 @@ class ReplayEngine:
             ):
                 self._abort(cycle)
             return 0
-        if self._disabled or cycle < self._next_attempt or not sim._warmed:
+        if self._disabled or cycle < self._next_attempt:
             return 0
         idx = frontend._idx
         if idx < self._region_start:
@@ -272,6 +289,20 @@ class ReplayEngine:
             return 0
         self._begin(cycle, idx)
         return 0
+
+    def rearm(self) -> None:
+        """Drop any recording and return to the constructor state.
+
+        Called at the warmup boundary — accountants attach there, so a
+        recording begun during warmup holds no observation runs — and on
+        restoring a checkpoint that carries no engine state.
+        """
+        self._recording = False
+        self._sim._replay_rec = False
+        self._recycle_runs()
+        self._disabled = False
+        self._next_attempt = 0
+        self._backoff = _BACKOFF_INITIAL
 
     def note_cycle(self, sig: object, k: int, merged: bool) -> None:
         """Record one signature-batching event (``k`` cycles).
@@ -386,6 +417,12 @@ class ReplayEngine:
         d_cycles = cycle - self._t0
         d_idx = idx - self._idx0
         k = (frontend._count - idx) // d_idx
+        if not sim._warmed:
+            # Stop short of the warmup boundary (see the module docstring).
+            k = min(
+                k,
+                (sim.warmup_instructions - 1 - sim.committed_instrs) // d_idx,
+            )
         if k <= 0:
             self._abort(cycle)
             return 0
@@ -501,13 +538,14 @@ class ReplayEngine:
         (state periodicity makes behaviour periodic, and signatures are
         shift-invariant), so it equals the recorded stream repeated ``k``
         times, seeded with — and leaving behind — the simulator's pending
-        batch.
+        batch.  Each flush goes through the simulator's own batch
+        delivery, so recorded buffers memoize their repeat programs just
+        like the simulator's retained ones.
         """
         sim = self._sim
-        collector = sim.collector
-        if collector is None or not self._runs:
+        if sim.collector is None or not self._runs:
             return
-        observe_repeat = collector.observe_repeat
+        apply_batch = sim._apply_batch
         sig_p = sim._bat_sig
         k_p = sim._bat_k
         buf_p = sim._bat_cur
@@ -517,7 +555,7 @@ class ReplayEngine:
                     k_p += run[1]
                 else:
                     if k_p:
-                        observe_repeat(buf_p.obs, k_p)
+                        apply_batch(buf_p, k_p)
                     sig_p = run[0]
                     k_p = run[1]
                     buf_p = run[2]
@@ -542,6 +580,9 @@ class ReplayEngine:
     def _copy_buffer(self, src):
         buf = self._spares.pop() if self._spares else src.__class__()
         _copy_obs(src, buf)
+        # Equal contents compile to the same repeat program.
+        buf.delta = src.delta
+        buf.delta_epoch = src.delta_epoch
         return buf
 
     def _recycle_runs(self) -> None:

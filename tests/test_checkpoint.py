@@ -331,6 +331,42 @@ def test_resume_from_inside_warmup_region():
     assert _comparable(resumed) == _comparable(reference)
 
 
+@pytest.mark.parametrize("workload,preset", [
+    ("exchange2", knights_landing),
+    ("mcf", broadwell),
+])
+def test_mid_warmup_checkpoint_holds_no_collector(workload, preset):
+    """Accountants attach at the warmup boundary, so a checkpoint taken
+    before it carries none; the resumed run attaches them when it crosses
+    the boundary and finishes bitwise identical to the uninterrupted run.
+    Replay jumps during warmup stop short of the boundary, so even the
+    loop trace is still in warmup at its first checkpoint."""
+    trace = make_trace(workload, N, 1)
+    config = preset()
+    reference = CoreSimulator(
+        trace, config, warmup_instructions=1500
+    ).run()
+    sim = CoreSimulator(trace, config, warmup_instructions=1500)
+
+    def hook(path, instrs):
+        raise _Interrupted
+
+    key = f"warmup-{workload}"
+    with pytest.raises(_Interrupted):
+        sim.run(checkpoint_interval=INTERVAL, checkpoint_key=key,
+                on_checkpoint=hook)
+    (path,) = ckpt.list_case_checkpoints(key)
+    payload, _meta = ckpt.load_checkpoint(path)
+    _data, _ids, state = ckpt.unpack_snapshot(payload, [trace])
+    assert not state["warmed"]
+    assert state["collectors"] == [None]
+    resumed = CoreSimulator.from_snapshot(payload, trace)
+    assert resumed.collector is None
+    result = resumed.run()
+    assert resumed._warmed and resumed.collector is not None
+    assert _comparable(result) == _comparable(reference)
+
+
 @pytest.mark.parametrize("kwargs,key", [
     ({"topdown": True}, "variant-topdown"),
     ({"accounting": False}, "variant-noacct"),

@@ -3,9 +3,16 @@
 import pytest
 
 from repro.core.components import Component
+from repro.core.multistage import (
+    CollectorSpec,
+    FanoutCollector,
+    MultiStageCollector,
+)
 from repro.isa import decoder as asm
-from repro.pipeline.core import simulate
+from repro.pipeline.core import CoreSimulator, simulate
+from repro.pipeline.multicore import MulticoreSimulator
 from repro.workloads.base import DATA_BASE, TraceBuilder
+from repro.workloads.registry import make_trace
 
 from tests.conftest import load_loop, serial_chain, straightline_alu
 
@@ -132,3 +139,62 @@ def test_empty_residue_drains(tiny):
     result = simulate(b.program(), tiny)
     assert result.committed_uops == 2
     assert result.cycles > 0
+
+
+# ---------------------------------------------------------------------------
+# accountants attach where measurement starts
+# ---------------------------------------------------------------------------
+
+
+def _timing_and_stacks(result) -> dict:
+    """A result without host time and skip-engine telemetry."""
+    payload = result.to_dict()
+    for key in ("wall_seconds", "ff_windows", "ff_cycles_skipped",
+                "replay_windows", "replay_cycles_skipped"):
+        payload.pop(key)
+    return payload
+
+
+@pytest.mark.parametrize("specs,attached", [
+    ((CollectorSpec(),), MultiStageCollector),
+    ((CollectorSpec(), CollectorSpec(topdown=True)), FanoutCollector),
+    ((CollectorSpec(accounting=False),), type(None)),
+])
+def test_accountants_attach_at_the_warmup_boundary(knl, specs, attached):
+    """Warmup cycles are never measured, so no accountant observes them:
+    single, fused and accounting-off runs all attach at the boundary."""
+    trace = make_trace("exchange2", 2_000, 1)
+    sim = CoreSimulator(trace, knl, warmup_instructions=600,
+                        collectors=specs)
+    assert sim.collector is None
+    assert sim.collectors == [None] * len(specs)
+    while not sim._warmed:
+        assert sim.collector is None
+        sim.step_cycle()
+    assert type(sim.collector) is attached
+    assert [c is None for c in sim.collectors] == [
+        not s.accounting for s in specs
+    ]
+
+
+def test_every_socket_core_attaches_at_the_boundary(knl):
+    traces = [make_trace("exchange2", 1_000, seed) for seed in (1, 2)]
+    multi = MulticoreSimulator(traces, knl, warmup_instructions=300)
+    assert all(core.collector is None for core in multi.cores)
+    result = multi.run()
+    assert all(core.collector is not None for core in multi.cores)
+    assert all(r.report is not None for r in result.per_core)
+
+
+@pytest.mark.parametrize("workload", ["exchange2", "gemm-train-1760-knl"])
+def test_warmup_longer_than_the_trace_accounts_the_whole_run(knl, workload):
+    """A warmup the trace never completes keeps the accountants attached
+    from the first cycle: the run measures everything, exactly like a run
+    without warmup."""
+    trace = make_trace(workload, 2_000, 1)
+    sim = CoreSimulator(trace, knl, warmup_instructions=len(trace) + 1)
+    assert type(sim.collector) is MultiStageCollector
+    endless = sim.run()
+    assert not sim._warmed
+    whole = simulate(trace, knl)
+    assert _timing_and_stacks(endless) == _timing_and_stacks(whole)

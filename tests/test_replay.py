@@ -24,6 +24,7 @@ from repro.branch.predictors import (
 )
 from repro.config.presets import broadwell, knights_landing
 from repro.core.wrongpath import WrongPathMode
+from repro.isa.instructions import Program
 from repro.memory.cache import Cache
 from repro.memory.dram import DramModel
 from repro.memory.mshr import MshrFile
@@ -35,7 +36,7 @@ from repro.pipeline.core import (
     replay_default,
     simulate,
 )
-from repro.pipeline.replay import find_period
+from repro.pipeline.replay import ReplayEngine, find_period
 from repro.pipeline.resources import FunctionalUnitPool
 from repro.pipeline.result import SimResult
 from repro.workloads.registry import make_trace
@@ -140,6 +141,69 @@ def test_simulate_wrapper_passes_replay_through():
 
 
 # ---------------------------------------------------------------------------
+# replay inside warmup
+# ---------------------------------------------------------------------------
+
+#: Loop traces long enough for replay to engage on KNL.
+_WARMUP_TRACES = {"exchange2": 4_000, "spin": 4_000,
+                  "gemm-train-1760-knl": 8_000}
+
+
+def _warmup_counts(trace) -> list[int]:
+    """Warmup at 10/30/50% of the trace, plus one count that ends in the
+    middle of a replay period."""
+    n = len(trace)
+    start, period = find_period(trace)
+    mid_period = start + (n // 2 // period) * period + period // 2
+    assert (mid_period - start) % period
+    return [n // 10, 3 * n // 10, n // 2, mid_period]
+
+
+def _spy_jumps(monkeypatch) -> list[tuple[bool, int, int]]:
+    """Record ``(warmed before, committed_instrs after, warmup)`` per jump."""
+    jumps = []
+    jump = ReplayEngine._jump
+
+    def spy(self, cycle, k, d_cycles, d_idx):
+        sim = self._sim
+        warmed = sim._warmed
+        skipped = jump(self, cycle, k, d_cycles, d_idx)
+        jumps.append((warmed, sim.committed_instrs, sim.warmup_instructions))
+        return skipped
+
+    monkeypatch.setattr(ReplayEngine, "_jump", spy)
+    return jumps
+
+
+@pytest.mark.parametrize("workload", sorted(_WARMUP_TRACES))
+def test_replay_through_warmup_is_bitwise_identical(workload, monkeypatch):
+    """Replay may jump during warmup but must never jump across the
+    boundary; the result equals the cycle-by-cycle reference (no replay,
+    no fast-forward, dict-backed memory walk) at every warmup count."""
+    trace = make_trace(workload, _WARMUP_TRACES[workload], 1)
+    config = knights_landing()
+    jumps = _spy_jumps(monkeypatch)
+    early = 0
+    for warmup in _warmup_counts(trace):
+        jumps.clear()
+        replayed = CoreSimulator(
+            trace, config, warmup_instructions=warmup
+        ).run()
+        reference = CoreSimulator(
+            trace, config, warmup_instructions=warmup, replay=False,
+            fast_forward=False, memory_fast_path=False,
+        ).run()
+        assert _comparable(replayed) == _comparable(reference), warmup
+        assert jumps, "replay never engaged"
+        for warmed, committed, limit in jumps:
+            if not warmed:
+                assert committed < limit, "a warmup jump crossed the boundary"
+                early += 1
+    if workload != "gemm-train-1760-knl":
+        assert early, "replay never jumped before the warmup boundary"
+
+
+# ---------------------------------------------------------------------------
 # trace period analysis
 # ---------------------------------------------------------------------------
 
@@ -177,6 +241,56 @@ def test_find_period_rejects_short_traces():
     from repro.workloads.micro import spin_like
 
     assert find_period(spin_like(30)) is None  # < _MIN_TRACE instructions
+
+
+def test_trace_analyses_run_once_per_program(monkeypatch):
+    """The micro-op count and the replay period are memoized on the
+    program across simulations, and ``extend()`` drops both memos."""
+    from repro.pipeline import replay as replay_mod
+
+    scans = []
+    scan = replay_mod._scan_period
+
+    def counting_scan(instrs):
+        scans.append(len(instrs))
+        return scan(instrs)
+
+    monkeypatch.setattr(replay_mod, "_scan_period", counting_scan)
+    base = make_trace("spin", 2_000, 1)
+    trace = Program(base.name, list(base.instructions))
+    n = len(trace)
+    first = simulate(trace, broadwell())
+    assert scans == [n]
+    assert trace._uop_count == base.uop_count
+    # Poison the memo: a recount would overwrite it.
+    trace._uop_count = poisoned = base.uop_count + 1
+    second = simulate(trace, broadwell())
+    assert scans == [n]
+    assert trace._uop_count == poisoned
+    assert _comparable(first) == _comparable(second)
+
+    tail = base.instructions[:11]
+    trace.extend(tail)
+    assert trace.uop_count == base.uop_count + sum(len(i.uops) for i in tail)
+    simulate(trace, broadwell())
+    assert scans == [n, n + 11]
+
+
+@pytest.mark.parametrize("mode", [WrongPathMode.SPECULATIVE,
+                                  WrongPathMode.SIMPLE])
+def test_non_batching_accounting_never_arms_replay(mode):
+    """Replay needs signature batching to record accounting; SPECULATIVE
+    and SIMPLE observe every cycle, so accounting runs in those modes
+    never arm it — even while no accountant is attached yet (warmup)."""
+    trace = make_trace("spin", 2_000, 1)
+    sim = CoreSimulator(trace, broadwell(), mode=mode,
+                        warmup_instructions=500)
+    assert sim.collector is None
+    assert sim._replay is None
+    sim.run()
+    assert sim.replay_windows == 0
+    blind = CoreSimulator(trace, broadwell(), mode=mode, accounting=False)
+    assert blind._replay is not None
 
 
 # ---------------------------------------------------------------------------
