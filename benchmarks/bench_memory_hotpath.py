@@ -1,16 +1,15 @@
 """Memory fast path: fast-vs-legacy throughput ratios and pinned floors.
 
 The allocation-free memory hot path (flat array-backed cache/TLB sets,
-interned hit results, stall-streak elision and silent replay arming —
-all gated together behind ``REPRO_LEGACY_MEMORY`` /
-``memory_fast_path``) is proven bitwise-identical to the legacy walk by
-``tests/test_memory_hotpath.py``; this bench pins down that it is also
-*fast*, two ways:
+interned hit results) and the skip engines it runs with are proven
+bitwise-identical to the per-cycle reference (``reference=True``: the
+dict-backed walk, no fast-forward, no replay) by
+``tests/test_memory_hotpath.py``; this bench pins down that the
+production path is also *fast*, two ways:
 
-* **fast_vs_legacy** — same host, same moment: the production fast path
-  against the dict-backed legacy oracle, both with the skip engines off
-  (``fast_forward=False, replay=False``), best-of-``REPEATS``
-  interleaved.  Host-drift-immune, enforced by
+* **fast_vs_legacy** — same host, same moment: the production path
+  (``fast``) against the ``reference=True`` run (``legacy``),
+  best-of-``REPEATS`` interleaved.  Host-drift-immune, enforced by
   :data:`FAST_VS_LEGACY_FLOORS` without slack.
 * **active_uops_per_second vs the PR 8 pins** — the committed
   ``results/BENCH_simulator_speed.json`` ``ff_off`` throughputs from
@@ -21,8 +20,8 @@ Where the floors landed, honestly: the ≥2x target holds (with 3x+
 margin) on the designated memory-bound trace (``chase``, a DRAM-latency
 pointer chase — the workload whose active cycles the memory walk
 dominated) and on the two loop traces (``exchange2``/``spin``, which the
-fast path's silent replay arming accelerates ~5x with the engines
-nominally off — far above their 1.1x requirement).  ``mcf`` and
+production path's replay engine accelerates ~5x — far above their
+1.1x requirement).  ``mcf`` and
 ``bwaves`` gain 1.3–1.6x: their active-cycle profiles are dominated by
 wrong-path micro-op churn under branch mispredicts (mcf: ~52k
 synthesized wrong-path uops per 8k committed) and by dispatch/issue
@@ -58,9 +57,9 @@ CONFIGS = (("bdw", broadwell), ("knl", knights_landing))
 #: PR 8 ``ff_off`` throughput pins: the ``uops_per_second`` of the
 #: committed ``results/BENCH_simulator_speed.json`` as of commit 314aa5c
 #: (fused multi-accountant execution — the last state of the simulator
-#: before the memory fast path).  ``active_uops_per_second`` keeps the
-#: same kwargs (``fast_forward=False, replay=False``), so these are the
-#: denominators for the fast path's speedup floors.
+#: before the memory fast path).  ``active_uops_per_second`` is the
+#: production path's throughput (the kwargs pinned then ran the same
+#: path), so these are the denominators for its speedup floors.
 PR8_ACTIVE_BASELINE = {
     ("chase", "bdw"): 7_002,
     ("chase", "knl"): 8_814,
@@ -102,13 +101,11 @@ SLACK = 0.25
 
 REPEATS = 5
 
-#: The two timed variants: identical kwargs except the representation
-#: gate.  Skip engines off so the legacy cell is the true every-cycle
-#: reference (the fast cell still elides provably-dead cycles — that is
-#: part of the optimization under test, gated by the same flag).
+#: The two timed variants: (name, reference).  ``legacy`` is the true
+#: every-cycle reference; ``fast`` is the production path.
 _VARIANTS = (
-    ("fast", True),
-    ("legacy", False),
+    ("fast", False),
+    ("legacy", True),
 )
 
 
@@ -118,12 +115,9 @@ def _time_cell(workload: str, instructions: int, config_fn) -> dict:
     ratio the floors are built from."""
     best: dict[str, tuple] = {}
     for _ in range(REPEATS):
-        for name, fast in _VARIANTS:
+        for name, reference in _VARIANTS:
             trace = make_trace(workload, instructions, 1)
-            sim = CoreSimulator(
-                trace, config_fn(), memory_fast_path=fast,
-                fast_forward=False, replay=False,
-            )
+            sim = CoreSimulator(trace, config_fn(), reference=reference)
             start = time.perf_counter()
             result = sim.run()
             wall = time.perf_counter() - start
@@ -141,13 +135,12 @@ def _time_cell(workload: str, instructions: int, config_fn) -> dict:
 
 
 def _committed_floor(baseline: dict | None, workload: str, cfg: str) -> int:
+    """Floor from the committed JSON (0 only when there is none); a
+    missing cell raises, so a renamed cell cannot disable its floor."""
     if baseline is None:
         return 0
-    try:
-        cell = baseline["workloads"][workload]["configs"][cfg]
-        return int(cell["fast"]["uops_per_second"] * SLACK)
-    except (KeyError, TypeError):
-        return 0
+    cell = baseline["workloads"][workload]["configs"][cfg]
+    return int(cell["fast"]["uops_per_second"] * SLACK)
 
 
 def test_memory_hotpath_speed(reporter):

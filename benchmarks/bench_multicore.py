@@ -26,12 +26,11 @@ reports the contended picture alongside:
 Replay is disarmed in every cell: the workloads are periodic, so the
 steady-state replay engine would legally skip most of the 1-core run
 (it is unsound under sharing and auto-disarmed for N > 1), turning the
-ratio into replay-vs-no-replay instead of engine-vs-solo.  With the
-memory fast path, ``replay=False`` still arms the recorder for silent
-skipping, so the solo cells null the engine object outright — the same
-disarm the multi-core engine applies to its member cores — keeping
-both cells on the identical stepping path.  Fast-forward stays on
-everywhere; it is sound for any N.
+ratio into replay-vs-no-replay instead of engine-vs-solo.  The solo
+cells null the engine object — the same disarm the multi-core engine
+applies to its member cores — keeping both cells on the identical
+stepping path.  Fast-forward stays on everywhere; it is sound for any
+N.
 
 The measured cells land in ``results/BENCH_multicore.json`` (uploaded
 as a CI artifact) next to the committed reference numbers.
@@ -105,7 +104,7 @@ def _solo(trace, config, *, seed):
     step the same code path or the ratio compares recorder overhead,
     not engine overhead.
     """
-    sim = CoreSimulator(trace, config, seed=seed, replay=False)
+    sim = CoreSimulator(trace, config, seed=seed)
     sim._replay = None
     sim._replay_rec = False
     return sim
@@ -131,7 +130,7 @@ def _floor_cells() -> dict:
     w_eng, r_eng = _best(
         lambda: MulticoreSimulator(
             traces, config,
-            seeds=tuple(7 + i for i in range(CORES)), replay=False,
+            seeds=tuple(7 + i for i in range(CORES)),
         )
     )
     solo_rate = r_solo.committed_uops / w_solo
@@ -171,7 +170,7 @@ def _contended_cells() -> dict:
     )
     w_solo, r_solo = _best(lambda: _solo(solo_trace, config, seed=7))
     w_eng, r_eng = _best(
-        lambda: MulticoreSimulator(traces, config, seed=7, replay=False)
+        lambda: MulticoreSimulator(traces, config, seed=7)
     )
     solo_rate = r_solo.committed_uops / w_solo
     engine_rate = r_eng.committed_uops / w_eng

@@ -4,9 +4,10 @@ Not a paper figure — a harness health metric, useful when sizing traces
 and for catching simulator performance regressions.  The matrix covers
 memory-bound traces (where the quiescent-cycle fast-forward engine does
 its work) and compute-bound loop traces (where the periodic steady-state
-replay engine does its work and fast-forward must not regress), each on
-the Broadwell and Knights Landing presets with fast-forward off, on, and
-on-plus-replay.
+replay engine does its work), each on the Broadwell and Knights Landing
+presets, timing two variants: ``production`` (the default path, both
+skip engines armed) and ``legacy`` (``reference=True``: the per-cycle
+reference with the dict-backed memory walk and no skip engines).
 
 Timing is plain ``time.perf_counter`` over full simulations (min of
 several repeats) — no pytest-benchmark fixture — so the CI perf-smoke
@@ -16,16 +17,15 @@ writes ``results/BENCH_runner_scaling.json``; the committed copy doubles
 as the throughput baseline the floor assertions are derived from
 (replacing the old magic ``> 5_000`` constant).
 
-Each (workload, config) cell also reports ``active_uops_per_second``:
-the throughput of the fast-forward-off run.  Since the memory fast path
-landed, that run is no longer strictly cycle-by-cycle — the fast path
-elides provably-dead stall cycles and silently arms the replay engine
-even with the skip engines nominally off — so every cell additionally
-times a ``legacy`` variant (``memory_fast_path=False``, both engines
-off), which *is* the true every-cycle reference and the denominator for
-the engine-speedup assertions below.  The PR 3 scheduler floors keep
-their original ``ff_off`` definition: the kwargs are unchanged, only
-the implementation behind them got faster.
+Each (workload, config) cell also reports ``active_uops_per_second``,
+the quantity the full-scan scheduler floors below are pinned to.  It
+was the throughput of a fast-forward-off run; since the memory fast path
+landed, that run armed the same skip machinery as the fast-forward-on
+and replay-on runs, so the three historical cells (``ff_off``,
+``ff_on``, ``replay_on``) all timed the production path.  They are one
+``production`` timing now, and every floor keeps its value and its
+denominator.  ``legacy`` is the every-cycle reference and the
+denominator of the engine-speedup assertions below.
 """
 
 from __future__ import annotations
@@ -117,16 +117,18 @@ SLACK = 0.25
 REPEATS = 5
 
 
-#: The timed variants per (workload, config) cell:
-#: (name, fast_forward, replay, memory_fast_path).  ``legacy`` is the
-#: every-cycle reference — dict-backed memory walk, no elision, no
-#: engines — that the engine-speedup assertions divide by.
+#: The timed variants per (workload, config) cell: (name, reference).
+#: ``legacy`` is the every-cycle reference — dict-backed memory walk, no
+#: skip engines — that the engine-speedup assertions divide by.
 _VARIANTS = (
-    ("legacy", False, False, False),
-    ("ff_off", False, False, True),
-    ("ff_on", True, False, True),
-    ("replay_on", True, True, True),
+    ("legacy", True),
+    ("production", False),
 )
+
+#: Name of the production cell in committed baselines written before it
+#: replaced the ``ff_off``/``ff_on``/``replay_on`` trio (all three timed
+#: the production path; the floors read ``ff_on``).
+_HISTORICAL_PRODUCTION = "ff_on"
 
 
 def _time_cells(workload: str, instructions: int, config_fn) -> dict:
@@ -139,11 +141,9 @@ def _time_cells(workload: str, instructions: int, config_fn) -> dict:
     """
     best: dict[str, tuple] = {}
     for _ in range(REPEATS):
-        for name, fast_forward, replay, memory_fast in _VARIANTS:
+        for name, reference in _VARIANTS:
             trace = make_trace(workload, instructions, 1)
-            sim = CoreSimulator(trace, config_fn(),
-                                fast_forward=fast_forward, replay=replay,
-                                memory_fast_path=memory_fast)
+            sim = CoreSimulator(trace, config_fn(), reference=reference)
             start = time.perf_counter()
             result = sim.run()
             wall = time.perf_counter() - start
@@ -164,35 +164,30 @@ def _time_cells(workload: str, instructions: int, config_fn) -> dict:
     return cells
 
 
+def _baseline_cell(baseline: dict, workload: str, cfg: str) -> dict:
+    """One committed cell; a missing one raises, so a renamed cell can
+    never silently disable its floor."""
+    return baseline["workloads"][workload]["configs"][cfg]
+
+
 def _baseline_floor(baseline: dict | None, workload: str, cfg: str) -> int:
-    """Throughput floor for one cell, derived from the committed JSON."""
+    """Throughput floor for one cell, derived from the committed JSON
+    (0 only when there is no committed JSON at all)."""
     if baseline is None:
         return 0
-    try:
-        cell = baseline["workloads"][workload]["configs"][cfg]
-        return int(cell["ff_on"]["uops_per_second"] * SLACK)
-    except (KeyError, TypeError):
-        return 0
+    cell = _baseline_cell(baseline, workload, cfg)
+    production = cell.get("production") or cell[_HISTORICAL_PRODUCTION]
+    return int(production["uops_per_second"] * SLACK)
 
 
 def _active_baseline_floor(
     baseline: dict | None, workload: str, cfg: str
 ) -> int:
-    """Active-throughput floor from the committed JSON (with slack).
-
-    Older baselines predate the metric; fall back to the ``ff_off``
-    throughput, which is the same quantity under its original name.
-    """
+    """Active-throughput floor from the committed JSON (with slack)."""
     if baseline is None:
         return 0
-    try:
-        cell = baseline["workloads"][workload]["configs"][cfg]
-        active = cell.get(
-            "active_uops_per_second", cell["ff_off"]["uops_per_second"]
-        )
-        return int(active * SLACK)
-    except (KeyError, TypeError):
-        return 0
+    cell = _baseline_cell(baseline, workload, cfg)
+    return int(cell["active_uops_per_second"] * SLACK)
 
 
 def test_simulator_speed(reporter):
@@ -206,47 +201,33 @@ def test_simulator_speed(reporter):
         for cfg_name, cfg_fn in CONFIGS:
             timed = _time_cells(workload, instructions, cfg_fn)
             legacy = timed["legacy"]
-            off = timed["ff_off"]
-            on = timed["ff_on"]
-            replay_on = timed["replay_on"]
-            # Engine speedups versus the every-cycle legacy reference
-            # (the fast path elides stall streaks even with the engines
-            # off, so on-vs-off ratios no longer isolate the engines).
-            ff_speedup = (
-                round(legacy["wall_seconds"] / on["wall_seconds"], 2)
-                if on["wall_seconds"] > 0 else None
+            production = timed["production"]
+            # Both skip engines' speedup versus the every-cycle reference.
+            speedup = (
+                round(legacy["wall_seconds"] / production["wall_seconds"], 2)
+                if production["wall_seconds"] > 0 else None
             )
-            replay_speedup = (
-                round(legacy["wall_seconds"] / replay_on["wall_seconds"], 2)
-                if replay_on["wall_seconds"] > 0 else None
-            )
-            # Active throughput: the fast_forward=False run's uops/s —
-            # same kwargs as every earlier baseline, now accelerated by
-            # the memory fast path (see bench_memory_hotpath for the
-            # fast-vs-legacy split of that gain).
-            active = off["uops_per_second"]
+            active = production["uops_per_second"]
             pr3 = PR3_ACTIVE_BASELINE.get((workload, cfg_name))
             scheduler_speedup = round(active / pr3, 2) if pr3 else None
             configs[cfg_name] = {
-                "legacy": legacy, "ff_off": off, "ff_on": on,
-                "replay_on": replay_on,
-                "ff_speedup_vs_legacy": ff_speedup,
-                "replay_speedup_vs_legacy": replay_speedup,
+                "legacy": legacy,
+                "production": production,
+                "speedup_vs_legacy": speedup,
                 "active_uops_per_second": active,
                 "scheduler_speedup_vs_pr3": scheduler_speedup,
             }
             reporter.emit(
                 f"{workload:10s} {cfg_name} ({kind}): "
                 f"legacy={legacy['wall_seconds']:.3f}s "
-                f"off={off['wall_seconds']:.3f}s on={on['wall_seconds']:.3f}s "
-                f"replay={replay_on['wall_seconds']:.3f}s "
-                f"ff={ff_speedup}x replay={replay_speedup}x vs legacy "
-                f"{replay_on['uops_per_second']:,} uops/s "
+                f"production={production['wall_seconds']:.3f}s "
+                f"{speedup}x vs legacy "
                 f"active={active:,} uops/s ({scheduler_speedup}x vs PR 3) "
-                f"(ff {on['ff_windows']} windows "
-                f"{on['ff_cycles_skipped']}/{on['cycles']} cycles; replay "
-                f"{replay_on['replay_windows']} windows "
-                f"{replay_on['replay_cycles_skipped']}/{replay_on['cycles']})"
+                f"(ff {production['ff_windows']} windows "
+                f"{production['ff_cycles_skipped']}/{production['cycles']} "
+                f"cycles; replay {production['replay_windows']} windows "
+                f"{production['replay_cycles_skipped']}/"
+                f"{production['cycles']})"
             )
         workloads[workload] = {
             "kind": kind, "instructions": instructions, "configs": configs,
@@ -277,32 +258,17 @@ def test_simulator_speed(reporter):
     # The designated memory-bound trace must clear the hard floor and
     # show the fast-forward engine actually engaging.
     chase = workloads["chase"]["configs"]["bdw"]
-    assert chase["ff_on"]["uops_per_second"] > max(
+    assert chase["production"]["uops_per_second"] > max(
         MEMORY_BOUND_FLOOR, _baseline_floor(baseline, "chase", "bdw")
     )
-    assert chase["ff_speedup_vs_legacy"] >= 3.0
-    assert chase["ff_on"]["ff_cycles_skipped"] > 0
-
-    # Compute-bound guard: fast-forward must not regress the plain run
-    # (both share the elision machinery; the engine adds only its own
-    # window bookkeeping on top).  With the memory fast path both walls
-    # sit near 10-30ms, so allow 10% timer noise.
-    for cfg_name, _ in CONFIGS:
-        cell = workloads["exchange2"]["configs"][cfg_name]
-        guard = round(
-            cell["ff_off"]["wall_seconds"] / cell["ff_on"]["wall_seconds"],
-            2,
-        )
-        assert guard >= 0.90, (
-            f"fast-forward regressed compute-bound exchange2/{cfg_name}: "
-            f"{guard}x"
-        )
+    assert chase["speedup_vs_legacy"] >= 3.0
+    assert chase["production"]["ff_cycles_skipped"] > 0
 
     # Every cell stays above its committed-baseline floor (with slack).
     for workload, data in workloads.items():
         for cfg_name, cell in data["configs"].items():
             floor = _baseline_floor(baseline, workload, cfg_name)
-            assert cell["ff_on"]["uops_per_second"] > floor, (
+            assert cell["production"]["uops_per_second"] > floor, (
                 f"{workload}/{cfg_name} fell below baseline floor {floor:,}"
             )
             active_floor = _active_baseline_floor(
@@ -332,12 +298,12 @@ def test_simulator_speed(reporter):
     for workload, ratio in REPLAY_SPEEDUP_FLOORS.items():
         for cfg_name, _ in CONFIGS:
             cell = workloads[workload]["configs"][cfg_name]
-            assert cell["replay_on"]["replay_cycles_skipped"] > 0, (
+            assert cell["production"]["replay_cycles_skipped"] > 0, (
                 f"replay never engaged on {workload}/{cfg_name}"
             )
-            assert cell["replay_speedup_vs_legacy"] >= ratio, (
+            assert cell["speedup_vs_legacy"] >= ratio, (
                 f"{workload}/{cfg_name} replay speedup "
-                f"{cell['replay_speedup_vs_legacy']}x is below the "
+                f"{cell['speedup_vs_legacy']}x is below the "
                 f"{ratio}x floor"
             )
 
@@ -347,8 +313,8 @@ def test_simulator_speed(reporter):
     for (workload, cfg_name), pinned in PR5_FF_BASELINE.items():
         cell = workloads[workload]["configs"][cfg_name]
         floor = int(pinned * 3.0)
-        assert cell["replay_on"]["uops_per_second"] >= floor, (
-            f"{workload}/{cfg_name} replay_on throughput "
-            f"{cell['replay_on']['uops_per_second']:,} is below the "
+        assert cell["production"]["uops_per_second"] >= floor, (
+            f"{workload}/{cfg_name} production throughput "
+            f"{cell['production']['uops_per_second']:,} is below the "
             f"3x floor {floor:,} (PR 5 ff_on baseline {pinned:,})"
         )

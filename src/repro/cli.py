@@ -51,7 +51,6 @@ from repro.experiments.parallel import summarize_since, telemetry_mark
 from repro.experiments.runner import clear_cache, run_case
 from repro.experiments.cache import get_disk_cache
 from repro.pipeline import checkpoint as pipeline_checkpoint
-from repro.pipeline import core as pipeline_core
 from repro.viz.ascii import (
     render_boxplot_table,
     render_cpi_stack,
@@ -439,19 +438,6 @@ def _add_harness_flags(parser: argparse.ArgumentParser) -> None:
              "warnings (violating results are still never disk-cached)",
     )
     parser.add_argument(
-        "--no-fast-forward", action="store_true", dest="no_fast_forward",
-        help="force the cycle-by-cycle simulation loop, disabling the "
-             "quiescent-cycle fast-forward engine (results are bitwise "
-             "identical either way; useful for timing comparisons and "
-             "as a bisection escape hatch)",
-    )
-    parser.add_argument(
-        "--no-replay", action="store_true", dest="no_replay",
-        help="disable the periodic steady-state replay engine (results "
-             "are bitwise identical either way; same contract as "
-             "--no-fast-forward)",
-    )
-    parser.add_argument(
         "--checkpoint-interval", type=int, default=None,
         dest="checkpoint_interval", metavar="N",
         help="write a crash-safe snapshot every N committed instructions "
@@ -488,11 +474,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
     instructions = args.instructions or 10_000
     trace = make_trace(args.workload, instructions, args.seed)
-    config = get_preset(args.core)
-    fast_forward = not args.no_fast_forward
-    replay = not args.no_replay
-    sim = CoreSimulator(trace, config, fast_forward=fast_forward,
-                        replay=replay)
+    sim = CoreSimulator(trace, get_preset(args.core))
 
     profiler = cProfile.Profile()
     start = time.perf_counter()
@@ -502,13 +484,11 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     wall = time.perf_counter() - start
 
     buf = io.StringIO()
-    stats = pstats.Stats(profiler, stream=buf)
+    stats = pstats.Stats(profiler, stream=buf).strip_dirs()
     stats.sort_stats(args.sort).print_stats(args.top)
     header = (
         f"# repro profile {args.workload} --core {args.core} "
-        f"--instructions {instructions}"
-        f"{' --no-fast-forward' if args.no_fast_forward else ''}"
-        f"{' --no-replay' if args.no_replay else ''}\n"
+        f"--instructions {instructions}\n"
         f"# cycles={result.cycles} committed_uops={result.committed_uops} "
         f"wall={wall:.3f}s "
         f"uops_per_second={result.committed_uops / wall:,.0f}\n"
@@ -550,16 +530,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--flops", action="store_true",
                      help="also print the FLOPS stack")
-    run.add_argument(
-        "--no-fast-forward", action="store_true", dest="no_fast_forward",
-        help="force the cycle-by-cycle simulation loop (results are "
-             "bitwise identical either way)",
-    )
-    run.add_argument(
-        "--no-replay", action="store_true", dest="no_replay",
-        help="disable the periodic steady-state replay engine (results "
-             "are bitwise identical either way)",
-    )
     run.set_defaults(func=_cmd_run)
 
     wl = sub.add_parser("workloads", help="list available workloads")
@@ -658,14 +628,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", default=None, metavar="PATH",
         help="report destination (default: results/profile_<workload>.txt)",
     )
-    prof.add_argument(
-        "--no-fast-forward", action="store_true", dest="no_fast_forward",
-        help="profile the cycle-by-cycle loop (every cycle simulated)",
-    )
-    prof.add_argument(
-        "--no-replay", action="store_true", dest="no_replay",
-        help="profile without the periodic steady-state replay engine",
-    )
     prof.set_defaults(func=_cmd_profile)
 
     fl = sub.add_parser(
@@ -696,11 +658,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         # workers inherit) every worker's guard.
         invariants.set_strict(False)
         os.environ[invariants.ENV_STRICT] = "0"
-    if getattr(args, "no_fast_forward", False):
-        # Inherited by pool workers the same way as the strict flag.
-        os.environ[pipeline_core.ENV_FAST_FORWARD] = "0"
-    if getattr(args, "no_replay", False):
-        os.environ[pipeline_core.ENV_REPLAY] = "0"
     if getattr(args, "no_fuse", False):
         # run_cases reads $REPRO_FUSE per batch; the env var also reaches
         # pool workers, matching the other harness toggles.

@@ -4,8 +4,9 @@ Storage is flat per-set line/dirty arrays: position in the array *is* the
 LRU order (index 0 oldest, the last element MRU).  Hits on the MRU way —
 the loop-dominant case — short-circuit with zero reordering work; other
 hits are one C-level scan plus a delete/append pair.  The dict-per-set
-reference implementation lives in :mod:`repro.memory.legacy`
-(``REPRO_LEGACY_MEMORY=1``) and the two are kept bitwise interchangeable.
+reference implementation lives in :mod:`repro.memory.legacy` (the
+simulators' ``reference=True`` mode) and the two are kept bitwise
+interchangeable.
 """
 
 from __future__ import annotations

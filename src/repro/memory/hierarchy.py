@@ -13,16 +13,15 @@ heap ops, no per-access string or :class:`Evicted` construction, and the
 returned :class:`AccessResult` is a preallocated per-hierarchy object
 (every minimum-latency hit is identical except for ``complete``, which is
 rewritten in place; callers read results immediately and never retain
-them).  ``REPRO_LEGACY_MEMORY=1`` / ``fast_path=False`` selects the
-pre-optimization walk over dict-backed caches
-(:mod:`repro.memory.legacy`) as a differential oracle — both paths are
-bitwise identical, which ``tests/test_memory_hotpath.py`` proves.
+them).  ``fast_path=False`` selects the pre-optimization walk over
+dict-backed caches (:mod:`repro.memory.legacy`) as a differential
+oracle; the simulators choose it under ``reference=True``.  Both paths
+are bitwise identical, which ``tests/test_memory_hotpath.py`` proves.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
@@ -33,19 +32,6 @@ from repro.memory.legacy import LegacyCache, LegacyTlb
 from repro.memory.mshr import MshrFile
 from repro.memory.prefetcher import StreamPrefetcher
 from repro.memory.tlb import Tlb
-
-#: Environment escape hatch for the allocation-free memory fast path and
-#: the flat-array cache/TLB storage.  Set to "1" to fall back to the
-#: legacy dict-backed walk (bitwise identical results; useful for
-#: differential testing and bisection).  Inherited by pool worker
-#: processes like the other REPRO_* hatches.
-ENV_LEGACY_MEMORY = "REPRO_LEGACY_MEMORY"
-
-
-def legacy_memory_default() -> bool:
-    """Legacy-memory setting from the environment (off unless ``"1"``)."""
-    return os.environ.get(ENV_LEGACY_MEMORY, "0") == "1"
-
 
 @dataclass(slots=True)
 class AccessResult:
@@ -96,12 +82,10 @@ class SharedMemoryBackend:
     __slots__ = ("config", "fast_path", "l3", "l3_level", "dram")
 
     def __init__(
-        self, config: MemoryConfig, *, fast_path: bool | None = None
+        self, config: MemoryConfig, *, fast_path: bool = True
     ) -> None:
         self.config = config
-        self.fast_path = (
-            not legacy_memory_default() if fast_path is None else fast_path
-        )
+        self.fast_path = fast_path
         cache_cls = Cache if self.fast_path else LegacyCache
         self.l3 = (
             cache_cls(config.l3, "L3") if config.l3 is not None else None
@@ -119,15 +103,13 @@ class MemoryHierarchy:
         *,
         perfect_icache: bool = False,
         perfect_dcache: bool = False,
-        fast_path: bool | None = None,
+        fast_path: bool = True,
         shared: SharedMemoryBackend | None = None,
     ) -> None:
         self.config = config
         self.perfect_icache = perfect_icache
         self.perfect_dcache = perfect_dcache
-        self.fast_path = (
-            not legacy_memory_default() if fast_path is None else fast_path
-        )
+        self.fast_path = fast_path
         if shared is not None and shared.fast_path != self.fast_path:
             raise ValueError(
                 "shared memory backend and core hierarchy disagree on "

@@ -1,9 +1,9 @@
 """Dict-backed cache/TLB reference implementations (differential oracle).
 
-These are the pre-optimization structures, kept verbatim behind the
-``REPRO_LEGACY_MEMORY=1`` / ``memory_fast_path=False`` gate (the
-``REPRO_LEGACY_ISSUE_SCAN`` pattern): each set is a dict whose insertion
-order is the LRU order.  The flat-array :class:`repro.memory.cache.Cache`
+These are the pre-optimization structures, kept verbatim as the memory
+representation of the simulators' ``reference=True`` mode
+(``MemoryHierarchy(fast_path=False)``): each set is a dict whose
+insertion order is the LRU order.  The flat-array :class:`repro.memory.cache.Cache`
 and :class:`repro.memory.tlb.Tlb` must stay bitwise interchangeable with
 these — same hit/miss/eviction decisions, same statistics, same
 ``fingerprint``/``snapshot`` schema — which the memory differential suite

@@ -9,7 +9,8 @@ data cache (and TLB)").
 Storage is a flat entry array in LRU order (oldest first, MRU last) with
 an MRU short-circuit: the loop-dominant "same page again" case touches
 nothing.  The dict-backed reference lives in
-:class:`repro.memory.legacy.LegacyTlb` (``REPRO_LEGACY_MEMORY=1``).
+:class:`repro.memory.legacy.LegacyTlb` (the simulators'
+``reference=True`` mode).
 """
 
 from __future__ import annotations

@@ -75,7 +75,9 @@ __all__ = [
 #: and the state holds one collector slot per spec.
 #: 3: state-only payloads — the envelope carries program identities
 #: instead of the programs, and trace instructions are references.
-CHECKPOINT_SCHEMA = 3
+#: 4: the simulator kwargs carry one ``reference`` switch instead of
+#: three per-engine switches.
+CHECKPOINT_SCHEMA = 4
 
 #: First line of every checkpoint file.
 MAGIC = b"REPRO-CKPT\n"

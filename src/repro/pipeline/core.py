@@ -6,12 +6,16 @@ cycle t can issue at t+1, and a completing producer wakes consumers in time
 for same-cycle issue (back-to-back single-cycle chains execute at one op per
 cycle).  One :class:`CycleObservation` is filled per cycle and handed to the
 accounting collector — the paper's measurement point.
+
+The default path skips provably repetitive cycles (quiescent-cycle
+fast-forward, periodic replay) and reports them in the ``ff_*``/
+``replay_*`` counters; ``reference=True`` simulates every cycle over the
+dict-backed memory walk.  Both give bitwise-identical results.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
 from collections import deque
 from pathlib import Path
@@ -29,7 +33,7 @@ from repro.core.wrongpath import WrongPathMode
 from repro.isa.instructions import Program
 from repro.isa.registers import TOTAL_REGS
 from repro.isa.uops import UopClass
-from repro.memory.hierarchy import MemoryHierarchy, legacy_memory_default
+from repro.memory.hierarchy import MemoryHierarchy
 from repro.pipeline import checkpoint as _ckpt
 from repro.pipeline.frontend import Frontend
 from repro.pipeline.inflight import POOL_MUL, InflightUop, UopPool
@@ -39,37 +43,6 @@ from repro.pipeline.result import SimResult
 
 #: Safety net against scheduling bugs: no realistic trace needs more cycles.
 _MAX_CYCLES_PER_UOP = 400
-
-#: Environment escape hatch for the quiescent-cycle fast-forward engine.
-#: Set to "0" to force cycle-by-cycle simulation everywhere (including
-#: pool worker processes, which inherit the environment).
-ENV_FAST_FORWARD = "REPRO_FAST_FORWARD"
-
-#: Environment escape hatch for the event-driven issue scheduler.  Set to
-#: "1" to fall back to the legacy full-reservation-station scan (bitwise
-#: identical results; useful for differential testing and bisection).
-#: Inherited by pool worker processes like the other REPRO_* hatches.
-ENV_LEGACY_ISSUE_SCAN = "REPRO_LEGACY_ISSUE_SCAN"
-
-#: Environment escape hatch for the periodic steady-state replay engine.
-#: Set to "0" to disable replay everywhere (including pool workers).
-ENV_REPLAY = "REPRO_REPLAY"
-
-
-def fast_forward_default() -> bool:
-    """Fast-forward setting from the environment (on unless ``"0"``)."""
-    return os.environ.get(ENV_FAST_FORWARD, "1") != "0"
-
-
-def legacy_issue_scan_default() -> bool:
-    """Legacy issue-scan setting from the environment (off unless ``"1"``)."""
-    return os.environ.get(ENV_LEGACY_ISSUE_SCAN, "0") == "1"
-
-
-def replay_default() -> bool:
-    """Replay setting from the environment (on unless ``"0"``)."""
-    return os.environ.get(ENV_REPLAY, "1") != "0"
-
 
 class _UopSnapshot:
     """Frozen :class:`repro.core.blame.BlamableUop` attribute set.
@@ -155,10 +128,8 @@ class CoreSimulator:
         warmup_instructions: int = 0,
         accounting_width: int | None = None,
         topdown: bool = False,
-        fast_forward: bool | None = None,
-        legacy_issue_scan: bool | None = None,
-        replay: bool | None = None,
-        memory_fast_path: bool | None = None,
+        reference: bool = False,
+        legacy_issue_scan: bool = False,
         collectors: "tuple[CollectorSpec, ...] | list[CollectorSpec] | None" = None,
         shared_backend=None,
     ) -> None:
@@ -172,16 +143,12 @@ class CoreSimulator:
         self.config = config
         self.mode = mode
         self._seed = seed
-        # Allocation-free memory fast path + flat-array caches; the
-        # legacy dict-backed walk (REPRO_LEGACY_MEMORY=1 /
-        # memory_fast_path=False) is the differential oracle.  The same
-        # gate governs the stall-streak elision below: legacy mode is the
-        # fully un-optimized cycle-by-cycle reference.
-        self._memory_fast = (
-            not legacy_memory_default()
-            if memory_fast_path is None
-            else memory_fast_path
-        )
+        # ``reference=True`` is the per-cycle differential oracle: the
+        # dict-backed memory walk (:mod:`repro.memory.legacy`), no
+        # quiescent-cycle fast-forward, no periodic replay and no squashed
+        # completion pruning.  Results are bitwise identical either way;
+        # only the ff_*/replay_* counters (always 0 here) differ.
+        self._reference = reference
         # ``shared_backend`` (a SharedMemoryBackend) substitutes a
         # socket-shared L3 + DRAM for the private ones; the multi-core
         # engine owns the backend and steps its member cores externally.
@@ -189,7 +156,7 @@ class CoreSimulator:
             config.memory,
             perfect_icache=config.perfect_icache,
             perfect_dcache=config.perfect_dcache,
-            fast_path=self._memory_fast,
+            fast_path=not reference,
             shared=shared_backend,
         )
         self.predictor = make_predictor(
@@ -300,10 +267,11 @@ class CoreSimulator:
         self._has_correct_waiting = False
         self._issue_obs_cache: tuple = (None, False, False, None, False)
         # Event-driven issue scheduling (wakeup/select).  The legacy
-        # full-RS scan is kept behind ``legacy_issue_scan=True`` /
-        # REPRO_LEGACY_ISSUE_SCAN=1 for differential verification; both
-        # produce bitwise-identical results.  In event mode ``self.rs``
-        # stays empty and the scheduler state lives in:
+        # full-RS scan is kept behind ``legacy_issue_scan=True`` for
+        # differential verification; both produce bitwise-identical
+        # results.  The scan path never fast-forwards or replays.  In
+        # event mode ``self.rs`` stays empty and the scheduler state
+        # lives in:
         #   _ready        (seq, uop) entries whose operands are all ready,
         #                 walked in seq order by select; lazily pruned
         #                 (an entry is stale once its uop issued, was
@@ -317,12 +285,7 @@ class CoreSimulator:
         #   _parked       loads waiting on an older same-address store
         #                 (woken by the store's writeback or by a younger
         #                 store taking over the forwarding slot).
-        self._legacy_scan = (
-            legacy_issue_scan_default()
-            if legacy_issue_scan is None
-            else legacy_issue_scan
-        )
-        self._event = not self._legacy_scan
+        self._event = not legacy_issue_scan
         self._ready: list[tuple[int, InflightUop]] = []
         self._nonready: deque[tuple[int, InflightUop]] = deque()
         self._nonready_vfp: deque[tuple[int, InflightUop]] = deque()
@@ -330,24 +293,13 @@ class CoreSimulator:
         self._rs_correct = 0
         self._rs_vfp = 0
         self._parked = 0
-        # Quiescent-cycle fast-forward: when every stage is provably
-        # stalled until a known future event, jump there in one step and
-        # bulk-account the identical cycles.  Bitwise identical results;
-        # ``fast_forward=False`` (or REPRO_FAST_FORWARD=0) forces the
-        # cycle-by-cycle loop.
-        self._fast_forward = (
-            fast_forward_default() if fast_forward is None else fast_forward
-        )
+        # Quiescent-cycle fast-forward (event mode, off under
+        # ``reference``): when every stage is provably stalled until a
+        # known future event, jump there in one step and bulk-account the
+        # identical cycles.  Bitwise identical results.
+        self._fast_forward = self._event and not reference
         self.ff_windows = 0
         self.ff_cycles_skipped = 0
-        # Stall-streak elision: even with fast-forward disabled, a
-        # provably-quiescent window can be processed in one step — the
-        # same window logic, minus the ff telemetry (ff_windows /
-        # ff_cycles_skipped stay 0, so ``fast_forward=False`` results are
-        # still reported as cycle-by-cycle).  Bitwise identical by the
-        # same argument as fast-forward itself; gated with the memory
-        # fast path so legacy mode remains a true per-cycle oracle.
-        self._ff_eligible = self._fast_forward or self._memory_fast
         # One observation object reused across cycles (per-cycle
         # allocation dominated short-stall profiles); accountants never
         # retain a reference.
@@ -415,24 +367,14 @@ class CoreSimulator:
         # Periodic steady-state replay: record one loop iteration's worth
         # of accounting once the machine provably reaches a fixed point
         # (modulo a uniform shift), then skip whole periods at a time.
-        # Bitwise identical results; ``replay=False`` / REPRO_REPLAY=0
-        # forces cycle-by-cycle simulation of active loops.  Armed only
-        # in event mode with signature batching (or with accounting off)
-        # and only when the trace itself is periodic.  Like the
-        # fast-forward engine, the memory fast path also arms it with
-        # ``replay=False`` — steady-state periods are then skipped
-        # silently (the telemetry counters stay 0 unless the user asked
-        # for replay), which is sound because replay is bitwise-proven.
+        # Bitwise identical results.  Armed only with fast-forward (event
+        # mode, not ``reference``), with signature batching (or with
+        # accounting off), and only when the trace itself is periodic.
         self.replay_windows = 0
         self.replay_cycles_skipped = 0
-        self._replay_enabled = replay_default() if replay is None else replay
         self._replay: ReplayEngine | None = None
         self._replay_rec = False
-        if (
-            (self._replay_enabled or self._memory_fast)
-            and self._event
-            and (self._batch or not self._accounting)
-        ):
+        if self._fast_forward and (self._batch or not self._accounting):
             region = find_period(program)
             if region is not None:
                 self._replay = ReplayEngine(self, region[0], region[1])
@@ -669,10 +611,8 @@ class CoreSimulator:
                     "mode": self.mode,
                     "seed": self._seed,
                     "warmup_instructions": self.warmup_instructions,
-                    "fast_forward": self._fast_forward,
-                    "legacy_issue_scan": self._legacy_scan,
-                    "replay": self._replay_enabled,
-                    "memory_fast_path": self._memory_fast,
+                    "reference": self._reference,
+                    "legacy_issue_scan": not self._event,
                     # The full collector-spec tuple: restoring a fused
                     # run must bring back *all* attached collectors.
                     "collectors": self._collector_specs,
@@ -823,8 +763,8 @@ class CoreSimulator:
             self._replay.restore(state["replay"])
         elif state["replay"] is not None:
             # The checkpoint carries engine state but this simulator has
-            # no engine (e.g. a fast-path checkpoint restored under
-            # REPRO_LEGACY_MEMORY).  Dropping it is sound — replay never
+            # no engine (e.g. a production checkpoint restored under
+            # ``reference=True``).  Dropping it is sound — replay never
             # changes results, only skips work — but any in-flight
             # recording is gone, so clear the recording flag with it.
             self._replay_rec = False
@@ -886,12 +826,6 @@ class CoreSimulator:
                 collector.observe(obs)
             self.cycle = cycle + 1
             return
-
-        if self._fast_forward and self._rs_quiet and not self._rs_dirty:
-            k = self._quiescent_cycles(cycle)
-            if k > 0:
-                self._fast_forward_by(cycle, k, obs)
-                return
 
         self._writeback(cycle)
         self._commit(cycle, obs)
@@ -1188,7 +1122,7 @@ class CoreSimulator:
             self.cycle = cycle + 1
             return
 
-        if self._ff_eligible and self._rs_quiet and not self._rs_dirty:
+        if self._fast_forward and self._rs_quiet and not self._rs_dirty:
             k = self._quiescent_cycles(cycle)
             if k > 0:
                 self._ff_event(cycle, k)
@@ -1720,20 +1654,18 @@ class CoreSimulator:
             self._end_warmup()
 
     def _ff_event(self, cycle: int, k: int) -> None:
-        """Event-mode fast-forward: jump ``k`` quiescent cycles.
+        """Fast-forward: jump ``k`` quiescent cycles in one step.
 
-        Like :meth:`_fast_forward_by`, but batch-aware: when the window's
-        observation signature matches the pending batch, the ``k`` cycles
-        merge into it instead of forcing a flush on either side.
+        Batch-aware: when the window's observation signature matches the
+        pending batch, the ``k`` cycles merge into it instead of forcing
+        a flush on either side; otherwise one ``observe_repeat`` accounts
+        them.
         """
         frontend = self.frontend
         room = self._uq_size - len(self.uop_queue)
         frontend.note_skipped_cycles(cycle, k, room > 0)
-        if self._fast_forward:
-            self.ff_windows += 1
-            self.ff_cycles_skipped += k
-        # else: stall-streak elision — the jump is identical but is not
-        # reported as fast-forward (fast_forward=False keeps telemetry 0).
+        self.ff_windows += 1
+        self.ff_cycles_skipped += k
         collector = self.collector
         if collector is not None:
             rob = self.rob
@@ -1886,38 +1818,6 @@ class CoreSimulator:
             return 0  # termination/deadlock: let the normal loop decide
         return int(wake) - cycle
 
-    def _fast_forward_by(
-        self, cycle: int, k: int, obs: CycleObservation | None
-    ) -> None:
-        """Jump ``k`` quiescent cycles in one step, bulk-accounting them."""
-        frontend = self.frontend
-        room = self.config.uop_queue_size - len(self.uop_queue)
-        frontend.note_skipped_cycles(cycle, k, room > 0)
-        self.ff_windows += 1
-        self.ff_cycles_skipped += k
-        if obs is not None:
-            rob = self.rob
-            obs.rob_empty = not rob
-            obs.rob_head = rob[0] if rob else None
-            (
-                obs.first_nonready_producer,
-                obs.structural_stall,
-                obs.vfp_in_rs,
-                obs.oldest_vfp_producer,
-                obs.vfp_structural,
-            ) = self._resolve_issue_obs()
-            obs.rs_empty = not self._has_correct_waiting
-            queue_empty = not self.uop_queue
-            obs.uop_queue_empty = queue_empty
-            obs.window_full = not queue_empty
-            fe_reason = frontend.reason(cycle)
-            obs.fe_reason = fe_reason
-            obs.wrong_path_active = (
-                frontend.wrong_path or fe_reason is Component.BPRED
-            )
-            self.collector.observe_repeat(obs, k)
-        self.cycle = cycle + k
-
     # -- stages -------------------------------------------------------------------
 
     def _writeback(self, cycle: int) -> None:
@@ -1925,7 +1825,6 @@ class CoreSimulator:
         if not finishing:
             return
         self._rs_dirty = True
-        event = self._event
         release = self._pool.release
         for uop in finishing:
             if uop.squashed:
@@ -1939,26 +1838,13 @@ class CoreSimulator:
                 for consumer in consumers:
                     if consumer.squashed:
                         continue
-                    left = consumer.deps_left - 1
-                    consumer.deps_left = left
-                    if left == 0 and event:
-                        self._ready.append((consumer.seq, consumer))
+                    consumer.deps_left -= 1
                     # Sever the back edge so recycling this record cannot
                     # leave a dangling producer reference.  Equivalent for
                     # first_unfinished_producer(): done producers were
                     # skipped anyway.
                     consumer.producers.remove(uop)
                 consumers.clear()
-            waiters = uop.waiters
-            if waiters is not None:
-                # Store completed: loads parked on the address conflict
-                # become schedulable (they re-check forwarding at select).
-                uop.waiters = None
-                for seq, load in waiters:
-                    if load.seq == seq and load.parked:
-                        load.parked = False
-                        self._parked -= 1
-                        self._ready.append((seq, load))
             if uop.mispredicted:
                 self._squash(uop)
                 self.frontend.redirect(cycle)
@@ -2016,9 +1902,8 @@ class CoreSimulator:
     def _issue_scan(self, cycle: int, obs: CycleObservation | None) -> None:
         """Legacy issue stage: full reservation-station scan.
 
-        Kept behind ``legacy_issue_scan=True`` / REPRO_LEGACY_ISSUE_SCAN=1
-        as the differential reference for the event-driven issue phase of
-        :meth:`_step_event`.
+        Kept behind ``legacy_issue_scan=True`` as the differential
+        reference for the event-driven issue phase of :meth:`_step_event`.
         """
         # Note: unpipelined-unit releases coincide with their micro-op's
         # completion, so the writeback dirty flag already covers them.
@@ -2268,11 +2153,7 @@ class CoreSimulator:
         rob_size = config.rob_size
         rs_size = config.rs_size
         sq_size = config.store_queue_size
-        event = self._event
         rs_append = self.rs.append
-        ready_append = self._ready.append
-        nonready_append = self._nonready.append
-        nonready_vfp_append = self._nonready_vfp.append
         pending_stores = self.pending_stores
         n = 0
         n_wrong = 0
@@ -2297,41 +2178,11 @@ class CoreSimulator:
             rename(uop)
             rob_append(uop)
             self._rs_count += 1
-            if event:
-                entry = (uop.seq, uop)
-                if uop.deps_left == 0:
-                    ready_append(entry)
-                if not uop.wrong_path:
-                    self._rs_correct += 1
-                    ops = uop.ops
-                    if ops:
-                        self._rs_vfp += 1
-                    if uop.deps_left:
-                        nonready_append(entry)
-                        if ops:
-                            nonready_vfp_append(entry)
-            else:
-                rs_append(uop)
+            rs_append(uop)
             if uop.is_store:
                 self.sq_count += 1
                 if not uop.wrong_path and uop.uop.addr >= 0:
-                    addr = uop.uop.addr
-                    prev = pending_stores.get(addr)
-                    if prev is not None and prev.waiters is not None:
-                        # A younger store takes over the forwarding slot:
-                        # loads parked on the old store no longer conflict
-                        # under the scheduler's older-store test (the new
-                        # store is younger than they are) — wake them so
-                        # they re-check at select, exactly when the legacy
-                        # scan's per-cycle conflict test would evaporate.
-                        waiters = prev.waiters
-                        prev.waiters = None
-                        for wseq, load in waiters:
-                            if load.seq == wseq and load.parked:
-                                load.parked = False
-                                self._parked -= 1
-                                ready_append((wseq, load))
-                    pending_stores[addr] = uop
+                    pending_stores[uop.uop.addr] = uop
             if uop.wrong_path:
                 n_wrong += 1
             else:
@@ -2441,7 +2292,7 @@ class CoreSimulator:
             uop.squashed = True
             releasable.append(uop)
         self.uop_queue.clear()
-        if event and self._memory_fast:
+        if event and not self._reference:
             # Drop issued-but-incomplete squashed records from their
             # completion buckets so their writeback cycles stop pinning
             # the machine active.  Such a writeback only recycles the
@@ -2494,8 +2345,7 @@ def simulate(
     seed: int = 12345,
     warmup_instructions: int = 0,
     topdown: bool = False,
-    fast_forward: bool | None = None,
-    replay: bool | None = None,
+    reference: bool = False,
     collectors: "tuple[CollectorSpec, ...] | list[CollectorSpec] | None" = None,
 ) -> SimResult:
     """Convenience wrapper: build a :class:`CoreSimulator` and run it."""
@@ -2507,7 +2357,6 @@ def simulate(
         seed=seed,
         warmup_instructions=warmup_instructions,
         topdown=topdown,
-        fast_forward=fast_forward,
-        replay=replay,
+        reference=reference,
         collectors=collectors,
     ).run()

@@ -48,7 +48,7 @@ from typing import Sequence
 from repro.config.cores import CoreConfig
 from repro.core.wrongpath import WrongPathMode
 from repro.isa.instructions import Instruction, Program
-from repro.memory.hierarchy import SharedMemoryBackend, legacy_memory_default
+from repro.memory.hierarchy import SharedMemoryBackend
 from repro.pipeline import checkpoint as _ckpt
 from repro.pipeline.core import _MAX_CYCLES_PER_UOP, CoreSimulator
 from repro.pipeline.result import SimResult
@@ -117,10 +117,8 @@ class MulticoreSimulator:
         warmup_instructions: int | Sequence[int] = 0,
         accounting_width: int | None = None,
         topdown: bool = False,
-        fast_forward: bool | None = None,
-        legacy_issue_scan: bool | None = None,
-        replay: bool | None = None,
-        memory_fast_path: bool | None = None,
+        reference: bool = False,
+        legacy_issue_scan: bool = False,
         collectors=None,
     ) -> None:
         programs = list(programs)
@@ -150,16 +148,10 @@ class MulticoreSimulator:
         self.name = (
             programs[0].name if n == 1 else f"{programs[0].name}(x{n})"
         )
-        # One shared back end; every core's hierarchy must agree with its
-        # fast-path flavour, so resolve the flag once here and pass the
-        # resolved value down (MemoryHierarchy raises on a mismatch).
-        resolved_fast = (
-            not legacy_memory_default()
-            if memory_fast_path is None
-            else memory_fast_path
-        )
+        # One shared back end in the cores' memory representation
+        # (MemoryHierarchy raises on a mismatch).
         self.backend = SharedMemoryBackend(
-            config.memory, fast_path=resolved_fast
+            config.memory, fast_path=not reference
         )
         self.cores: list[CoreSimulator] = []
         for i, program in enumerate(programs):
@@ -172,10 +164,8 @@ class MulticoreSimulator:
                 warmup_instructions=warmups[i],
                 accounting_width=accounting_width,
                 topdown=topdown,
-                fast_forward=fast_forward,
+                reference=reference,
                 legacy_issue_scan=legacy_issue_scan,
-                replay=replay,
-                memory_fast_path=resolved_fast,
                 collectors=collectors,
                 shared_backend=self.backend,
             )
@@ -183,10 +173,9 @@ class MulticoreSimulator:
             core._barrier_hook = self._on_barrier
             if n > 1:
                 # Periodic replay is unsound under sharing (a skipped
-                # period skips this core's shared-level traffic); the
-                # memory fast path arms it even with replay=False, so
-                # disarm the engine outright.  1-core keeps it: the
-                # identity guarantee must hold over the optimized path.
+                # period skips this core's shared-level traffic), so
+                # disarm the engine.  1-core keeps it: the identity
+                # guarantee must hold over the optimized path.
                 core._replay = None
                 core._replay_rec = False
             self.cores.append(core)
@@ -196,19 +185,15 @@ class MulticoreSimulator:
         self._done = [False] * n
         #: Checkpoint-only instruction references, built on first snapshot.
         self._instruction_refs: dict[int, tuple] | None = None
-        # Resolved construction arguments, snapshotted verbatim so a
-        # checkpoint restores under the same optimization flags even if
-        # the environment changed in between (mirrors CoreSimulator).
-        core0 = self.cores[0]
+        # Construction arguments, snapshotted verbatim so a checkpoint
+        # restores under the same engine switches (mirrors CoreSimulator).
         self._engine_kwargs = {
             "mode": mode,
             "seeds": seeds,
             "warmup_instructions": warmups,
-            "fast_forward": core0._fast_forward,
-            "legacy_issue_scan": core0._legacy_scan,
-            "replay": core0._replay_enabled,
-            "memory_fast_path": core0._memory_fast,
-            "collectors": core0._collector_specs,
+            "reference": reference,
+            "legacy_issue_scan": legacy_issue_scan,
+            "collectors": self.cores[0]._collector_specs,
         }
 
     # -- barrier protocol --------------------------------------------------------

@@ -45,9 +45,11 @@ engine (:meth:`ReplayEngine.rearm`), so the measured region replays
 exactly as if the engine had first armed there.
 
 Results are bitwise identical to the cycle-by-cycle run by construction;
-``tests/test_replay.py`` verifies this differentially.  Escape hatches
-mirror the fast-forward engine's: ``replay=False`` / ``REPRO_REPLAY=0`` /
-``--no-replay``.
+``tests/test_replay.py`` verifies this differentially against the
+simulator's ``reference=True`` mode, which never arms the engine.  The
+engine arms wherever fast-forward does (event-mode scheduling, not
+``reference``), and ``replay_windows``/``replay_cycles_skipped`` count
+every jump it takes.
 """
 
 from __future__ import annotations
@@ -521,13 +523,8 @@ class ReplayEngine:
         sim.fu.shift_time(cycle, jump)
         sim.hierarchy.shift_time(cycle, jump)
 
-        if sim._replay_enabled:
-            # Telemetry only counts user-requested replay: the memory
-            # fast path arms the engine silently (results are bitwise
-            # identical either way), and ``replay=False`` runs must
-            # keep reporting zero windows.
-            sim.replay_windows += 1
-            sim.replay_cycles_skipped += jump
+        sim.replay_windows += 1
+        sim.replay_cycles_skipped += jump
         return jump
 
     def _feed(self, k: int) -> None:

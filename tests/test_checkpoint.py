@@ -10,8 +10,8 @@ The contract under test has three layers:
 2. **Bitwise-identical restart** — a simulation interrupted at a
    checkpoint and resumed from disk must finish with a ``SimResult``
    identical (everything but host wall time) to an uninterrupted run, in
-   every wrong-path mode, with and without warmup, and with the
-   fast-forward/replay engines on or off.  The differential matrix here
+   every wrong-path mode, with and without warmup, on the production
+   path (fast-forward and replay armed) and under ``reference=True``.  The differential matrix here
    enforces that.
 3. **Supervised recovery** — a case whose worker is SIGKILLed mid-run is
    retried *from its newest checkpoint* (not from scratch), a corrupt
@@ -279,23 +279,27 @@ def test_resume_bitwise_identical_across_modes(mode, warmup):
     assert _comparable(resumed) == _comparable(reference)
 
 
-@pytest.mark.parametrize("fast_forward", [False, True])
-@pytest.mark.parametrize("replay", [False, True])
-def test_resume_bitwise_identical_with_skip_engines(fast_forward, replay):
+@pytest.mark.parametrize("reference", [False, True])
+@pytest.mark.parametrize("legacy_issue_scan", [False, True])
+def test_resume_bitwise_identical_with_skip_engines(reference,
+                                                    legacy_issue_scan):
     """The quiescent fast-forward and steady-state replay engines carry
     mid-flight state (recorded windows, skip counters) that must survive
     the snapshot — including their telemetry, which ``_comparable`` here
-    deliberately does *not* exclude."""
+    deliberately does *not* exclude.  The per-cycle reference and the
+    scan scheduler resume with both engines still off."""
     trace = make_trace("spin", N, 1)
     config = broadwell()
-    reference = CoreSimulator(
-        trace, config, fast_forward=fast_forward, replay=replay
-    ).run()
+    kwargs = dict(reference=reference, legacy_issue_scan=legacy_issue_scan)
+    expected = CoreSimulator(trace, config, **kwargs).run()
+    if reference or legacy_issue_scan:
+        assert expected.ff_windows == 0 and expected.replay_windows == 0
+    else:
+        assert expected.ff_windows > 0 and expected.replay_windows > 0
     resumed = _run_interrupted_then_resumed(
-        trace, config, key=f"skip-{fast_forward}-{replay}",
-        fast_forward=fast_forward, replay=replay,
+        trace, config, key=f"skip-{reference}-{legacy_issue_scan}", **kwargs,
     )
-    assert _comparable(resumed) == _comparable(reference)
+    assert _comparable(resumed) == _comparable(expected)
 
 
 @pytest.mark.parametrize("workload,preset", [

@@ -210,25 +210,14 @@ def test_no_strict_flag_disables_guard(capsys):
     capsys.readouterr()
 
 
-def test_no_fast_forward_flag_sets_env(capsys):
-    import os
-
-    from repro.pipeline.core import ENV_FAST_FORWARD, fast_forward_default
-
-    previous = os.environ.pop(ENV_FAST_FORWARD, None)
-    try:
-        code = main(["run", "--workload", "exchange2", "--core", "tiny",
-                     "--instructions", "2000", "--no-fast-forward"])
-        assert code == 0
-        assert os.environ.get(ENV_FAST_FORWARD) == "0", (
-            "workers must inherit the escape hatch via the environment"
-        )
-        assert fast_forward_default() is False
-    finally:
-        os.environ.pop(ENV_FAST_FORWARD, None)
-        if previous is not None:
-            os.environ[ENV_FAST_FORWARD] = previous
-    capsys.readouterr()
+@pytest.mark.parametrize("command", ["run", "profile", "table1"])
+@pytest.mark.parametrize("flag", ["--no-fast-forward", "--no-replay"])
+def test_engine_switches_are_not_cli_flags(command, flag):
+    """The skip engines have one switch, ``reference=True`` in the
+    simulator API; the CLI carries no per-engine flags."""
+    argv = [command, "mcf"] if command == "profile" else [command]
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv + [flag])
 
 
 def test_checkpoints_commands(capsys):

@@ -3,8 +3,10 @@
 The engine's contract is that skipping provably-stalled cycles changes
 *nothing* observable: every ``SimResult`` field (cycles, stacks, cache
 stats, top-down report) must be bit-for-bit identical to the
-cycle-by-cycle loop, in every wrong-path mode, with and without warmup.
-The differential matrix here enforces that; the unit tests pin down the
+per-cycle reference (``reference=True``: no fast-forward, no replay,
+dict-backed memory walk), in every wrong-path mode, with and without
+warmup.  The differential matrix here enforces that; the unit tests pin
+down the
 per-accountant ``observe_repeat`` equivalence (including the
 width-normalizer carry drain and the active-observation fallback) and
 the ``next_event`` queries the window bound is built from.
@@ -27,12 +29,7 @@ from repro.core.observation import CycleObservation
 from repro.core.topdown import TopDownAccountant
 from repro.core.wrongpath import WrongPathMode
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.pipeline.core import (
-    ENV_FAST_FORWARD,
-    CoreSimulator,
-    fast_forward_default,
-    simulate,
-)
+from repro.pipeline.core import CoreSimulator
 from repro.workloads.registry import make_trace
 
 N = 2_000
@@ -49,16 +46,17 @@ def _comparable(result) -> dict:
 
 def _run_pair(workload, config, *, mode=WrongPathMode.EXACT, warmup=0,
               topdown=False, n=N):
+    """One production run and one ``reference=True`` run, same kwargs."""
     trace = make_trace(workload, n, 1)
     on = CoreSimulator(trace, config, mode=mode, topdown=topdown,
-                       warmup_instructions=warmup, fast_forward=True)
+                       warmup_instructions=warmup)
     off = CoreSimulator(trace, config, mode=mode, topdown=topdown,
-                        warmup_instructions=warmup, fast_forward=False)
+                        warmup_instructions=warmup, reference=True)
     return on, on.run(), off, off.run()
 
 
 # ---------------------------------------------------------------------------
-# differential matrix: ff on == ff off, bit for bit
+# differential matrix: production == per-cycle reference, bit for bit
 # ---------------------------------------------------------------------------
 
 
@@ -87,36 +85,6 @@ def test_memory_bound_trace_skips_most_cycles():
     # The DRAM-latency pointer chase is the engine's best case: the
     # overwhelming majority of cycles sit inside quiescent windows.
     assert on.ff_cycles_skipped > 0.9 * res_on.cycles
-
-
-# ---------------------------------------------------------------------------
-# escape hatches
-# ---------------------------------------------------------------------------
-
-
-def test_fast_forward_param_disables_engine():
-    trace = make_trace("chase", 1_000, 1)
-    sim = CoreSimulator(trace, broadwell(), fast_forward=False)
-    sim.run()
-    assert sim.ff_windows == 0 and sim.ff_cycles_skipped == 0
-
-
-def test_fast_forward_env_default(monkeypatch):
-    monkeypatch.delenv(ENV_FAST_FORWARD, raising=False)
-    assert fast_forward_default() is True
-    monkeypatch.setenv(ENV_FAST_FORWARD, "0")
-    assert fast_forward_default() is False
-    trace = make_trace("chase", 1_000, 1)
-    sim = CoreSimulator(trace, broadwell())  # fast_forward=None -> env
-    sim.run()
-    assert sim.ff_windows == 0
-
-
-def test_simulate_wrapper_passes_fast_forward_through():
-    trace = make_trace("chase", 1_000, 1)
-    res_on = simulate(trace, broadwell(), fast_forward=True)
-    res_off = simulate(trace, broadwell(), fast_forward=False)
-    assert _comparable(res_on) == _comparable(res_off)
 
 
 # ---------------------------------------------------------------------------

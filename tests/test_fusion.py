@@ -7,9 +7,9 @@ as a single pipeline pass with every member's collector attached.  The
 guarantees pinned here:
 
 * every fused member's result is bitwise identical to its unfused run —
-  across workloads, presets, wrong-path modes, warmup fractions, the
-  fast-forward/replay skip engines, and collector sets (multi-stage,
-  topdown, accounting off, non-default accounting width);
+  across workloads, presets, wrong-path modes, warmup fractions and
+  collector sets (multi-stage, topdown, accounting off, non-default
+  accounting width), with the fast-forward/replay skip engines engaged;
 * attaching 0, 1 or many collectors never perturbs the timing: cycle
   counts and every timing-side field are invariant (the timing oracle);
 * a fused run checkpoints and resumes mid-flight with *all* collectors
@@ -124,19 +124,12 @@ def test_fused_matches_unfused_across_machines(workload, preset):
         assert _comparable(a) == _comparable(b), spec.label()
 
 
-@pytest.mark.parametrize(
-    "fast_forward, replay",
-    [("0", "0"), ("1", "0"), ("1", "1")],
-)
-def test_fused_matches_unfused_with_skip_engines(
-    monkeypatch, fast_forward, replay
-):
-    monkeypatch.setenv("REPRO_FAST_FORWARD", fast_forward)
-    monkeypatch.setenv("REPRO_REPLAY", replay)
+def test_fused_matches_unfused_with_skip_engines():
     # ``spin`` has quiescent and steady-state stretches the skip engines
     # actually engage on.
     specs = _variant_specs("spin", "tiny", warmup_fraction=0.2)
     unfused, fused = _run_both_ways(specs)
+    assert any(r.ff_windows and r.replay_windows for r in fused)
     for spec, a, b in zip(specs, unfused, fused):
         assert _comparable(a) == _comparable(b), spec.label()
 
@@ -239,11 +232,6 @@ def test_timing_oracle_collector_count_invariance(mode, warmup):
         for field in _TIMING_FIELDS:
             assert getattr(result, field) == getattr(baseline, field), field
 
-
-def test_timing_oracle_with_skip_engines(monkeypatch):
-    monkeypatch.setenv("REPRO_FAST_FORWARD", "1")
-    monkeypatch.setenv("REPRO_REPLAY", "1")
-    test_timing_oracle_collector_count_invariance(WrongPathMode.EXACT, 0.2)
 
 
 # ---------------------------------------------------------------------------

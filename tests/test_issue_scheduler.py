@@ -3,9 +3,13 @@
 The scheduler rewrite (writeback wakeups feeding a seq-ordered ready
 structure, pooled ``InflightUop`` records, memoized decode, signature-
 batched accounting) must be observationally invisible: every cell of the
-workloads x configs x wrong-path-modes x warmup x fast-forward matrix
-must produce a ``SimResult`` bit-for-bit identical to the legacy
-full-RS-scan scheduler (``legacy_issue_scan=True``).
+workloads x configs x wrong-path-modes x warmup matrix must produce a
+``SimResult`` bit-for-bit identical to the legacy full-RS-scan scheduler
+(``legacy_issue_scan=True``, which never fast-forwards or replays).  The
+matrix runs once on the production path and once under
+``reference=True``, where both schedulers walk the dict-backed memory
+and the event scheduler simulates every cycle, so the comparison
+isolates the issue phase.
 """
 
 from __future__ import annotations
@@ -37,18 +41,18 @@ def _trace(workload: str, instructions: int = 2500):
     return _TRACES[key]
 
 
-def _result_dict(trace, cfg_fn, *, mode, warmup, fast_forward, legacy):
+def _result_dict(trace, cfg_fn, *, mode, warmup, legacy, reference=False):
     sim = CoreSimulator(
         trace,
         cfg_fn(),
         mode=mode,
         warmup_instructions=warmup,
-        fast_forward=fast_forward,
         legacy_issue_scan=legacy,
+        reference=reference,
     )
     data = sim.run().to_dict()
-    # Host-side telemetry: the replay engine only arms on the batched
-    # event path, so its counters legitimately differ from legacy runs.
+    # Host-side telemetry: the skip engines only arm on the event path,
+    # so their counters legitimately differ from legacy runs.
     for key in ("wall_seconds", "ff_windows", "ff_cycles_skipped",
                 "replay_windows", "replay_cycles_skipped"):
         data.pop(key, None)
@@ -63,25 +67,23 @@ def _result_dict(trace, cfg_fn, *, mode, warmup, fast_forward, legacy):
 @pytest.mark.parametrize("cfg", ["bdw", "knl"])
 @pytest.mark.parametrize("mode", list(WrongPathMode))
 @pytest.mark.parametrize("warmup", [0, 600])
-@pytest.mark.parametrize("fast_forward", [False, True])
-def test_bitwise_identical_to_legacy_scan(
-    workload, cfg, mode, warmup, fast_forward
-):
+@pytest.mark.parametrize("reference", [False, True])
+def test_bitwise_identical_to_legacy_scan(workload, cfg, mode, warmup,
+                                          reference):
     trace = _trace(workload)
-    kwargs = dict(mode=mode, warmup=warmup, fast_forward=fast_forward)
+    kwargs = dict(mode=mode, warmup=warmup, reference=reference)
     event = _result_dict(trace, CONFIGS[cfg], legacy=False, **kwargs)
     legacy = _result_dict(trace, CONFIGS[cfg], legacy=True, **kwargs)
     assert event == legacy
 
 
 @pytest.mark.parametrize("workload", ["bwaves", "povray", "chase"])
-def test_bitwise_identical_additional_workloads(workload):
+@pytest.mark.parametrize("reference", [False, True])
+def test_bitwise_identical_additional_workloads(workload, reference):
     """Spot checks widening workload coverage (vector FP, microcode,
     DRAM-latency pointer chase) on the default cell."""
     trace = _trace(workload)
-    kwargs = dict(
-        mode=WrongPathMode.EXACT, warmup=0, fast_forward=True
-    )
+    kwargs = dict(mode=WrongPathMode.EXACT, warmup=0, reference=reference)
     event = _result_dict(trace, broadwell, legacy=False, **kwargs)
     legacy = _result_dict(trace, broadwell, legacy=True, **kwargs)
     assert event == legacy
@@ -149,7 +151,7 @@ def test_acquire_classifies_load_from_recycled_alu():
 def test_pool_records_enter_free_list_clean_after_full_run():
     """End-to-end invariant: every record parked in the free list after a
     mispredict-heavy run has severed edges and cleared scheduler state."""
-    sim = CoreSimulator(_trace("mcf"), broadwell(), fast_forward=True)
+    sim = CoreSimulator(_trace("mcf"), broadwell())
     sim.run()
     free = sim._pool._free
     assert free  # pooling actually engaged
@@ -196,7 +198,7 @@ def test_wrong_path_synthesis_leaves_decode_memo_consistent():
     a mispredict-heavy run every entry still maps its pc to the live
     Instruction and to exactly the rows a fresh decode produces."""
     trace = _trace("mcf")
-    sim = CoreSimulator(trace, broadwell(), fast_forward=True)
+    sim = CoreSimulator(trace, broadwell())
     sim.run()
     fe = sim.frontend
     assert fe.delivered_wrong > 0  # wrong-path delivery actually ran
@@ -210,17 +212,13 @@ def test_wrong_path_synthesis_leaves_decode_memo_consistent():
 # Batched accounting units
 # ---------------------------------------------------------------------------
 
-def test_legacy_env_var_selects_the_scan_scheduler(monkeypatch):
+def test_legacy_issue_scan_selects_the_scan_scheduler():
     trace = _trace("exchange2")
-    monkeypatch.setenv("REPRO_LEGACY_ISSUE_SCAN", "1")
-    assert CoreSimulator(trace, broadwell())._event is False
-    monkeypatch.setenv("REPRO_LEGACY_ISSUE_SCAN", "0")
     assert CoreSimulator(trace, broadwell())._event is True
-    # The explicit kwarg wins over the environment.
-    monkeypatch.setenv("REPRO_LEGACY_ISSUE_SCAN", "1")
-    assert CoreSimulator(
-        trace, broadwell(), legacy_issue_scan=False
-    )._event is True
+    scan = CoreSimulator(trace, broadwell(), legacy_issue_scan=True)
+    assert scan._event is False
+    # The scan path never fast-forwards or replays.
+    assert not scan._fast_forward and scan._replay is None
 
 
 def test_signature_batching_gated_to_exact_event_mode():

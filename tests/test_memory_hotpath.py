@@ -1,20 +1,21 @@
 """Allocation-free memory fast path: differential proof vs the legacy walk.
 
 The memory subsystem's common case (TLB hit + L1 hit, flat array-backed
-sets) and the machine-level optimizations gated with it (stall-streak
-elision, silent replay arming, the per-signature accounting delta cache)
-must be *bitwise invisible*: every architectural number in a
-``SimResult`` — cycles, CPI/FLOPS stacks, cache/TLB/predictor stats —
-must match the legacy dict-backed reference walk
-(``REPRO_LEGACY_MEMORY=1`` / ``memory_fast_path=False``) exactly.
+sets) and the machine-level optimizations of the production path
+(fast-forward, replay, squashed-completion pruning, the per-signature
+accounting delta cache) must be *bitwise invisible*: every architectural
+number in a ``SimResult`` — cycles, CPI/FLOPS stacks, cache/TLB/predictor
+stats — must match the per-cycle reference (``reference=True``: the
+dict-backed memory walk with no skip engines) exactly.
 
 Four layers of evidence:
 
 1. **End-to-end matrix** — workloads × presets × wrong-path modes ×
-   warmup × fast-forward/replay/fusion, fast vs legacy, bit for bit.
-2. **Mid-run checkpoint/resume** — an interrupted fast-path run resumed
-   from disk equals the legacy uninterrupted run; a snapshot written by
-   one representation restores into the *other* (the snapshot schema is
+   warmup × fusion × seeds × issue scheduler, production vs reference,
+   bit for bit.
+2. **Mid-run checkpoint/resume** — an interrupted production run resumed
+   from disk equals the reference uninterrupted run; a snapshot written
+   by one mode restores into the *other* (the snapshot schema is
    representation-stable).
 3. **Structure-level differential** — randomized op sequences through
    the flat ``Cache``/``Tlb`` and the dict-backed ``LegacyCache``/
@@ -45,11 +46,7 @@ from repro.config.presets import broadwell, knights_landing
 from repro.core.multistage import CollectorSpec
 from repro.core.wrongpath import WrongPathMode
 from repro.memory.cache import Cache
-from repro.memory.hierarchy import (
-    ENV_LEGACY_MEMORY,
-    MemoryHierarchy,
-    legacy_memory_default,
-)
+from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.legacy import LegacyCache, LegacyTlb
 from repro.memory.tlb import Tlb
 from repro.pipeline import checkpoint as ckpt
@@ -71,8 +68,8 @@ def _clean_checkpoints():
 def _comparable(result) -> dict:
     """Everything that must be identical (host-side telemetry excluded).
 
-    The skip-engine window counters legitimately differ: the fast path
-    arms elision/replay where the legacy reference simulates every
+    The skip-engine window counters legitimately differ: the production
+    path fast-forwards and replays where the reference simulates every
     cycle.  Every architectural field must still match bit for bit.
     """
     payload = result.to_dict()
@@ -83,13 +80,11 @@ def _comparable(result) -> dict:
 
 
 def _pair(workload, config_fn, *, n=N, **kwargs):
-    """One fast-path run and one legacy-oracle run, same kwargs."""
+    """One production run and one ``reference=True`` run, same kwargs."""
     trace = make_trace(workload, n, 1)
-    fast = CoreSimulator(
-        trace, config_fn(), memory_fast_path=True, **kwargs
-    ).run()
+    fast = CoreSimulator(trace, config_fn(), **kwargs).run()
     legacy = CoreSimulator(
-        trace, config_fn(), memory_fast_path=False, **kwargs
+        trace, config_fn(), reference=True, **kwargs
     ).run()
     return fast, legacy
 
@@ -103,7 +98,7 @@ def _pair(workload, config_fn, *, n=N, **kwargs):
 @pytest.mark.parametrize("preset", [broadwell, knights_landing])
 @pytest.mark.parametrize("mode", list(WrongPathMode))
 def test_fast_path_bitwise_identical(workload, preset, mode):
-    fast, legacy = _pair(workload, preset, mode=mode, fast_forward=False)
+    fast, legacy = _pair(workload, preset, mode=mode)
     assert _comparable(fast) == _comparable(legacy)
 
 
@@ -111,48 +106,31 @@ def test_fast_path_bitwise_identical(workload, preset, mode):
 @pytest.mark.parametrize("preset", [broadwell, knights_landing])
 @pytest.mark.parametrize("warmup", [100, 350])
 def test_fast_path_identical_with_warmup(workload, preset, warmup):
-    fast, legacy = _pair(
-        workload, preset, warmup_instructions=warmup, fast_forward=False
-    )
+    fast, legacy = _pair(workload, preset, warmup_instructions=warmup)
     assert _comparable(fast) == _comparable(legacy)
 
 
 @pytest.mark.parametrize("workload", ["mcf", "spin", "chase"])
-@pytest.mark.parametrize(
-    "engines",
-    [
-        {"fast_forward": True, "replay": False},
-        {"fast_forward": False, "replay": True},
-        {"fast_forward": True, "replay": True},
-    ],
-    ids=["ff", "replay", "both"],
-)
-def test_fast_path_identical_under_skip_engines(workload, engines):
-    """The fast path composes with both skip engines, and the composed
-    run still equals the fully cycle-by-cycle legacy reference."""
-    trace = make_trace(workload, N, 1)
-    fast = CoreSimulator(
-        trace, broadwell(), memory_fast_path=True, **engines
-    ).run()
-    reference = CoreSimulator(
-        trace, broadwell(), memory_fast_path=False,
-        fast_forward=False, replay=False,
-    ).run()
-    assert _comparable(fast) == _comparable(reference)
+@pytest.mark.parametrize("preset", [broadwell, knights_landing])
+def test_fast_path_identical_on_scan_scheduler(workload, preset):
+    """The memory representation alone: the scan scheduler never
+    fast-forwards or replays, so flat arrays vs the dict-backed walk is
+    the only difference between these two runs."""
+    fast, legacy = _pair(workload, preset, legacy_issue_scan=True)
+    assert fast.ff_windows == 0 and fast.replay_windows == 0
+    assert _comparable(fast) == _comparable(legacy)
 
 
 def test_fast_path_identical_under_fusion():
-    """Every member of a fused multi-collector fast-path run equals its
-    unfused legacy single-collector twin."""
+    """Every member of a fused multi-collector production run equals its
+    unfused single-collector reference twin."""
     trace = make_trace("mcf", N, 1)
     specs = (
         CollectorSpec(),
         CollectorSpec(topdown=True),
         CollectorSpec(accounting_width=2),
     )
-    fused = CoreSimulator(
-        trace, broadwell(), memory_fast_path=True, collectors=specs
-    )
+    fused = CoreSimulator(trace, broadwell(), collectors=specs)
     fused.run()
     single_kwargs = [
         {},
@@ -161,7 +139,7 @@ def test_fast_path_identical_under_fusion():
     ]
     for member, kwargs in zip(fused.fused_results, single_kwargs):
         legacy = CoreSimulator(
-            trace, broadwell(), memory_fast_path=False, **kwargs
+            trace, broadwell(), reference=True, **kwargs
         ).run()
         assert _comparable(member) == _comparable(legacy)
 
@@ -170,11 +148,9 @@ def test_fast_path_identical_across_seeds():
     """Wrong-path synthesis consumes the same RNG stream on both paths."""
     for seed in (1, 99, 424242):
         trace = make_trace("mcf", N, 1)
-        fast = CoreSimulator(
-            trace, broadwell(), memory_fast_path=True, seed=seed
-        ).run()
+        fast = CoreSimulator(trace, broadwell(), seed=seed).run()
         legacy = CoreSimulator(
-            trace, broadwell(), memory_fast_path=False, seed=seed
+            trace, broadwell(), reference=True, seed=seed
         ).run()
         assert _comparable(fast) == _comparable(legacy)
 
@@ -202,13 +178,13 @@ def _interrupted_resumed(trace, config, *, kills=2, **kwargs):
     try:
         sim.run(
             checkpoint_interval=300,
-            checkpoint_key=f"hotpath-{kwargs.get('memory_fast_path')}",
+            checkpoint_key=f"hotpath-{kwargs.get('reference')}",
             on_checkpoint=hook,
         )
     except _Interrupted:
         pass
     files = ckpt.list_case_checkpoints(
-        f"hotpath-{kwargs.get('memory_fast_path')}"
+        f"hotpath-{kwargs.get('reference')}"
     )
     assert files, "the interrupted run never wrote a checkpoint"
     return CoreSimulator.resume(files[-1], trace).run()
@@ -217,12 +193,8 @@ def _interrupted_resumed(trace, config, *, kills=2, **kwargs):
 @pytest.mark.parametrize("workload", ["mcf", "exchange2"])
 def test_checkpoint_resume_fast_path_equals_legacy(workload):
     trace = make_trace(workload, N, 1)
-    resumed = _interrupted_resumed(
-        trace, broadwell(), memory_fast_path=True
-    )
-    legacy = CoreSimulator(
-        trace, broadwell(), memory_fast_path=False
-    ).run()
+    resumed = _interrupted_resumed(trace, broadwell(), reference=False)
+    legacy = CoreSimulator(trace, broadwell(), reference=True).run()
     assert _comparable(resumed) == _comparable(legacy)
 
 
@@ -246,23 +218,24 @@ def _mid_run_snapshot(trace, config, **kwargs) -> bytes:
     return captured[0]
 
 
-@pytest.mark.parametrize("src_fast,dst_fast", [(True, False), (False, True)])
-def test_snapshot_restores_across_representations(src_fast, dst_fast):
-    """A snapshot written by one cache representation finishes the run
-    under the other — the snapshot schema is representation-stable —
-    and still matches the straight-through reference."""
-    trace = make_trace("mcf", N, 1)
-    payload = _mid_run_snapshot(
-        trace, broadwell(), memory_fast_path=src_fast
-    )
+@pytest.mark.parametrize("workload", ["mcf", "exchange2"])
+@pytest.mark.parametrize("src_ref,dst_ref", [(False, True), (True, False)])
+def test_snapshot_restores_across_representations(src_ref, dst_ref, workload):
+    """A snapshot written by one mode finishes the run under the other —
+    the snapshot schema is representation-stable — and still matches
+    the straight-through reference.  On the periodic exchange2 trace,
+    production -> reference drops the replay engine's state (the
+    reference has no engine) and reference -> production rearms the
+    engine from idle."""
+    trace = make_trace(workload, N, 1)
+    payload = _mid_run_snapshot(trace, broadwell(), reference=src_ref)
     data = pickle.loads(payload)
-    assert data["kwargs"]["memory_fast_path"] is src_fast
-    data["kwargs"]["memory_fast_path"] = dst_fast
-    crossed = CoreSimulator.from_snapshot(pickle.dumps(data), trace).run()
-    reference = CoreSimulator(
-        trace, broadwell(), memory_fast_path=False
-    ).run()
-    assert _comparable(crossed) == _comparable(reference)
+    assert data["kwargs"]["reference"] is src_ref
+    data["kwargs"]["reference"] = dst_ref
+    crossed = CoreSimulator.from_snapshot(pickle.dumps(data), trace)
+    assert type(crossed.hierarchy.l1d) is (LegacyCache if dst_ref else Cache)
+    reference = CoreSimulator(trace, broadwell(), reference=True).run()
+    assert _comparable(crossed.run()) == _comparable(reference)
 
 
 # ---------------------------------------------------------------------------
@@ -270,23 +243,16 @@ def test_snapshot_restores_across_representations(src_fast, dst_fast):
 # ---------------------------------------------------------------------------
 
 
-def test_env_gate_selects_legacy_representation(monkeypatch):
-    monkeypatch.setenv(ENV_LEGACY_MEMORY, "1")
-    assert legacy_memory_default()
-    h = MemoryHierarchy(broadwell().memory)
+def test_reference_selects_legacy_representation():
+    sim = CoreSimulator(make_trace("mcf", 200, 1), broadwell(),
+                        reference=True)
+    h = sim.hierarchy
     assert not h.fast_path
     assert type(h.l1d) is LegacyCache and type(h.dtlb) is LegacyTlb
-
-
-def test_kwarg_overrides_env_gate(monkeypatch):
-    monkeypatch.setenv(ENV_LEGACY_MEMORY, "1")
-    h = MemoryHierarchy(broadwell().memory, fast_path=True)
-    assert h.fast_path
-    assert type(h.l1d) is Cache and type(h.dtlb) is Tlb
-    monkeypatch.delenv(ENV_LEGACY_MEMORY)
-    assert not legacy_memory_default()
+    assert sim._replay is None and not sim._fast_forward
     h = MemoryHierarchy(broadwell().memory)
     assert h.fast_path
+    assert type(h.l1d) is Cache and type(h.dtlb) is Tlb
 
 
 # ---------------------------------------------------------------------------

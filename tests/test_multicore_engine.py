@@ -414,11 +414,11 @@ def test_no_contention_engine_equals_independent_cores():
     config = _no_contention_config()
     traces = [_disjoint_load_trace(core, N) for core in range(3)]
     engine = MulticoreSimulator(
-        traces, config, seeds=(7, 8, 9), replay=False
+        traces, config, seeds=(7, 8, 9)
     ).run()
     for core, trace in enumerate(traces):
         solo = CoreSimulator(
-            trace, config, seed=7 + core, replay=False
+            trace, config, seed=7 + core
         ).run()
         assert engine.per_core[core].cycles == solo.cycles, f"core {core}"
         engine_report = engine.per_core[core].report
@@ -454,7 +454,7 @@ def test_contended_cycles_monotonic_in_core_count():
     for cores in (1, 2, 4):
         result = MulticoreSimulator(
             traces[:cores], config,
-            seeds=tuple(7 + i for i in range(cores)), replay=False,
+            seeds=tuple(7 + i for i in range(cores)),
         ).run()
         per_count[cores] = list(result.per_core)
     for smaller, larger in ((1, 2), (2, 4)):

@@ -3,9 +3,9 @@
 The replay engine's contract mirrors the quiescent-cycle fast-forward
 engine's: skipping whole loop iterations changes *nothing* observable.
 Every ``SimResult`` field (cycles, stacks, cache stats, predictor stats)
-must be bit-for-bit identical to the cycle-by-cycle run, in every
-wrong-path mode, with and without warmup.  The differential matrix here
-enforces that; the unit tests pin down the trace period analysis and the
+must be bit-for-bit identical to the per-cycle reference
+(``reference=True``), in every wrong-path mode, with and without warmup.
+The differential matrix here enforces that; the unit tests pin down the trace period analysis and the
 state fingerprints the fixed-point check is built from — each
 ``fingerprint()`` must change whenever the underlying behavioural state
 changes, or the engine could jump from a state it never actually
@@ -30,12 +30,7 @@ from repro.memory.dram import DramModel
 from repro.memory.mshr import MshrFile
 from repro.memory.prefetcher import StreamPrefetcher
 from repro.memory.tlb import Tlb
-from repro.pipeline.core import (
-    ENV_REPLAY,
-    CoreSimulator,
-    replay_default,
-    simulate,
-)
+from repro.pipeline.core import CoreSimulator, simulate
 from repro.pipeline.replay import ReplayEngine, find_period
 from repro.pipeline.resources import FunctionalUnitPool
 from repro.pipeline.result import SimResult
@@ -54,16 +49,17 @@ def _comparable(result) -> dict:
 
 
 def _run_pair(workload, config, *, mode=WrongPathMode.EXACT, warmup=0, n=N):
+    """One production run and one ``reference=True`` run, same kwargs."""
     trace = make_trace(workload, n, 1)
     on = CoreSimulator(trace, config, mode=mode,
-                       warmup_instructions=warmup, replay=True)
+                       warmup_instructions=warmup)
     off = CoreSimulator(trace, config, mode=mode,
-                        warmup_instructions=warmup, replay=False)
+                        warmup_instructions=warmup, reference=True)
     return on, on.run(), off, off.run()
 
 
 # ---------------------------------------------------------------------------
-# differential matrix: replay on == replay off, bit for bit
+# differential matrix: production == per-cycle reference, bit for bit
 # ---------------------------------------------------------------------------
 
 
@@ -103,41 +99,10 @@ def test_replay_identical_with_warmup_boundary_inside_loop():
 def test_replay_composes_with_fast_forward():
     """Both engines on together must still be bitwise identical."""
     trace = make_trace("spin", 4_000, 1)
-    both = simulate(trace, broadwell(), fast_forward=True, replay=True)
-    neither = simulate(trace, broadwell(), fast_forward=False, replay=False)
+    both = simulate(trace, broadwell())
+    neither = simulate(trace, broadwell(), reference=True)
+    assert both.ff_windows > 0 and both.replay_windows > 0
     assert _comparable(both) == _comparable(neither)
-
-
-# ---------------------------------------------------------------------------
-# escape hatches
-# ---------------------------------------------------------------------------
-
-
-def test_replay_param_disables_engine():
-    trace = make_trace("spin", 2_000, 1)
-    sim = CoreSimulator(trace, broadwell(), replay=False)
-    sim.run()
-    assert sim.replay_windows == 0 and sim.replay_cycles_skipped == 0
-
-
-def test_replay_env_default(monkeypatch):
-    monkeypatch.delenv(ENV_REPLAY, raising=False)
-    assert replay_default() is True
-    monkeypatch.setenv(ENV_REPLAY, "0")
-    assert replay_default() is False
-    trace = make_trace("spin", 2_000, 1)
-    sim = CoreSimulator(trace, broadwell())  # replay=None -> env
-    sim.run()
-    assert sim.replay_windows == 0
-
-
-def test_simulate_wrapper_passes_replay_through():
-    trace = make_trace("spin", 2_000, 1)
-    res_on = simulate(trace, broadwell(), replay=True)
-    res_off = simulate(trace, broadwell(), replay=False)
-    assert _comparable(res_on) == _comparable(res_off)
-    assert res_on.replay_windows > 0
-    assert res_off.replay_windows == 0
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +155,7 @@ def test_replay_through_warmup_is_bitwise_identical(workload, monkeypatch):
             trace, config, warmup_instructions=warmup
         ).run()
         reference = CoreSimulator(
-            trace, config, warmup_instructions=warmup, replay=False,
-            fast_forward=False, memory_fast_path=False,
+            trace, config, warmup_instructions=warmup, reference=True,
         ).run()
         assert _comparable(replayed) == _comparable(reference), warmup
         assert jumps, "replay never engaged"
@@ -435,7 +399,7 @@ def test_frontend_shift_moves_position_and_deadline():
 
 def test_simresult_roundtrip_keeps_telemetry():
     trace = make_trace("spin", 4_000, 1)
-    result = simulate(trace, broadwell(), replay=True)
+    result = simulate(trace, broadwell())
     assert result.replay_windows > 0
     clone = SimResult.from_dict(result.to_dict())
     assert clone.to_dict() == result.to_dict()
