@@ -191,11 +191,12 @@ class Cache:
         """Structural state snapshot for the replay engine's fixed-point
         check: every tag and dirty bit, in LRU order per set.  Counters
         are excluded — the engine advances them arithmetically.  The
-        format matches :class:`LegacyCache` exactly (tuples of
-        ``(line, dirty)`` pairs)."""
-        return tuple(
-            tuple(zip(lines, dirty))
-            for lines, dirty in zip(self._set_lines, self._set_dirty)
+        format matches :class:`LegacyCache` exactly: ``(lines, dirty)``,
+        one tuple per set in each half, so the snapshot is two passes of
+        C-level copies instead of a pair per line."""
+        return (
+            tuple(map(tuple, self._set_lines)),
+            tuple(map(tuple, self._set_dirty)),
         )
 
     def snapshot(self) -> dict:

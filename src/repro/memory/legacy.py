@@ -111,8 +111,12 @@ class LegacyCache:
     def fingerprint(self) -> tuple:
         """Structural state snapshot for the replay engine's fixed-point
         check: every tag and dirty bit, in LRU order per set.  Counters
-        are excluded — the engine advances them arithmetically."""
-        return tuple(tuple(s.items()) for s in self._sets)
+        are excluded — the engine advances them arithmetically.  Same
+        ``(lines, dirty)`` shape as :meth:`Cache.fingerprint`."""
+        return (
+            tuple(map(tuple, self._sets)),
+            tuple(tuple(s.values()) for s in self._sets),
+        )
 
     def snapshot(self) -> dict:
         """Picklable full state: tags + dirty bits in LRU order per set,

@@ -77,7 +77,9 @@ __all__ = [
 #: instead of the programs, and trace instructions are references.
 #: 4: the simulator kwargs carry one ``reference`` switch instead of
 #: three per-engine switches.
-CHECKPOINT_SCHEMA = 4
+#: 5: the frontend state drops its decode rows; restore derives the
+#: expansion from the pending instruction.
+CHECKPOINT_SCHEMA = 5
 
 #: First line of every checkpoint file.
 MAGIC = b"REPRO-CKPT\n"

@@ -925,10 +925,9 @@ class CoreSimulator:
             self._bat_sig = None
             self._apply_batch(self._bat_cur, k)
 
-    def _apply_batch(self, buf: _ObsBuffer, k: int) -> None:
-        """Account ``k`` cycles of ``buf``'s observation (see
-        :meth:`_flush_batch`); the replay engine feeds skipped periods
-        through here too."""
+    def _batch_program(self, buf: _ObsBuffer):
+        """``buf``'s memoized repeat program, built on first use (False
+        when the generic ``observe_repeat`` chain must run)."""
         prog = buf.delta
         if prog is None or buf.delta_epoch != self._acc_epoch:
             collector = self.collector
@@ -937,6 +936,15 @@ class CoreSimulator:
                 prog = collector.repeat_program(buf.obs)
             buf.delta = prog
             buf.delta_epoch = self._acc_epoch
+        return prog
+
+    def _apply_batch(self, buf: _ObsBuffer, k: int) -> None:
+        """Account ``k`` cycles of ``buf``'s observation (see
+        :meth:`_flush_batch`); the replay engine feeds skipped periods
+        through here too."""
+        prog = buf.delta
+        if prog is None or buf.delta_epoch != self._acc_epoch:
+            prog = self._batch_program(buf)
         if prog is False:
             self.collector.observe_repeat(buf.obs, k)
             return

@@ -67,12 +67,8 @@ class Frontend:
         #: pool (a private one when constructed standalone in tests).
         self._pool = UopPool() if pool is None else pool
         # Current macro-op expansion state: an index cursor over the
-        # memoized decode of the current instruction (see _start_instr).
-        # Each row carries the micro-op plus every static classification
-        # the delivery loop would otherwise recompute per dynamic
-        # instance: (uop, is_load, is_store, is_branch, multi_cycle,
-        # fu_pool, flops_per_lane, is_vu_nonvfp, wp_addr).
-        self._decoded: tuple[tuple, ...] = ()
+        # micro-ops of the current instruction (see _start_instr).
+        self._decoded: tuple[MicroOp, ...] = ()
         self._decoded_idx = 0
         self._decoded_len = 0
         self._pending_instr: Instruction | None = None
@@ -97,10 +93,22 @@ class Frontend:
         self.delivered = 0
         self.delivered_wrong = 0
         self.icache_stall_cycles = 0
-        #: uclass -> multi-cycle flag, precomputed (latency_of per
-        #: delivered micro-op showed in profiles).
-        self._multi_cycle = tuple(
-            config.latency_of(uclass) > 1 for uclass in UopClass
+        #: uclass -> every static classification a minted record copies:
+        #: (is_load, is_store, is_branch, multi_cycle, fu_pool,
+        #: flops_per_lane, is_vu_nonvfp).  Each is a function of the
+        #: micro-op class and the core config alone, so this one table
+        #: serves the correct and the wrong path without any decode.
+        self._class_rows = tuple(
+            (
+                uclass is UopClass.LOAD,
+                uclass is UopClass.STORE,
+                uclass is UopClass.BRANCH,
+                config.latency_of(uclass) > 1 or uclass is UopClass.LOAD,
+                _POOL_OF[uclass],
+                _OPS_OF[uclass],
+                _IS_VU_NONVFP[uclass],
+            )
+            for uclass in UopClass
         )
         # Per-uop hot-path constants hoisted out of the delivery loop.
         self._decode_width = config.decode_width
@@ -114,17 +122,6 @@ class Frontend:
         #: three coordinates packed into one int (tuple keys showed in
         #: mispredict-heavy profiles).
         self._wp_uop_cache: dict[int, MicroOp] = {}
-        #: pc -> (instruction, decoded rows): loop bodies re-decode the
-        #: same static instructions every iteration, so the expansion
-        #: (including the full per-uop static classification — see the
-        #: ``_decoded`` row layout above) is memoized per pc.  Entries
-        #: are validated by instruction identity, so a different
-        #: Instruction object at the same pc (self-modifying traces,
-        #: hand-built programs) replaces the stale expansion instead of
-        #: reusing it.
-        self._decode_cache: dict[
-            int, tuple[Instruction, tuple[tuple, ...]]
-        ] = {}
 
     # -- status ------------------------------------------------------------------
 
@@ -241,14 +238,13 @@ class Frontend:
         (``resolving_branch``, ``waiting_sync``) are stored as live
         objects — the simulator pickles its whole state in one pass, so
         the memo keeps them identical to the ROB/scheduler entries.
-        The ``_decode_cache``/``_wp_uop_cache`` memos are deliberately
-        excluded: they are rebuilt on demand and carry no behaviour
-        (``_decoded`` itself is saved, so a mid-expansion cursor
-        resumes on the exact same rows).
+        The ``_wp_uop_cache`` memo is deliberately excluded: it is
+        rebuilt on demand and carries no behaviour.  So is ``_decoded``,
+        which is always the pending instruction's micro-ops: restore
+        derives it, and a mid-expansion cursor resumes on the same uops.
         """
         return {
             "idx": self._idx,
-            "decoded": self._decoded,
             "decoded_idx": self._decoded_idx,
             "decoded_len": self._decoded_len,
             "pending_instr": self._pending_instr,
@@ -273,10 +269,11 @@ class Frontend:
     def restore(self, state: dict) -> None:
         """Inverse of :meth:`snapshot`; mutates this frontend in place."""
         self._idx = state["idx"]
-        self._decoded = state["decoded"]
         self._decoded_idx = state["decoded_idx"]
         self._decoded_len = state["decoded_len"]
         self._pending_instr = state["pending_instr"]
+        pending = self._pending_instr
+        self._decoded = () if pending is None else pending.uops
         self.seq = state["seq"]
         self.block = state["block"]
         self._stall_until = state["stall_until"]
@@ -353,8 +350,9 @@ class Frontend:
         delivered_any = False
         # Pool acquire and the non-branch _finish_instr fast path are
         # inlined: both ran once per delivered micro-op / instruction,
-        # and the decode rows carry every static classification so the
-        # record is filled with plain slot stores.
+        # and the per-class rows carry every static classification so
+        # the record is filled with plain slot stores.
+        class_rows = self._class_rows
         seq = self.seq
         block = self.block
         n_delivered = 0
@@ -365,8 +363,8 @@ class Frontend:
             instr = self._pending_instr
             if instr is not None:
                 # Drain the current expansion through a local cursor: the
-                # per-row attribute churn on self showed in profiles.
-                decoded = self._decoded
+                # per-uop attribute churn on self showed in profiles.
+                uops = self._decoded
                 dlen = self._decoded_len
                 idx = self._decoded_idx
                 microcoded = instr.microcoded
@@ -378,10 +376,11 @@ class Frontend:
                             halt = True
                             break
                         micro_budget -= 1
+                    uop = uops[idx]
                     (
-                        uop, is_load, is_store, is_branch, multi_cycle,
-                        pool_idx, ops, is_vu_nonvfp, wp_addr,
-                    ) = decoded[idx]
+                        is_load, is_store, is_branch, multi_cycle,
+                        pool_idx, ops, is_vu_nonvfp,
+                    ) = class_rows[uop.uclass]
                     idx += 1
                     last = idx == dlen
                     if free:
@@ -416,8 +415,10 @@ class Frontend:
                         )
                     seq += 1
                     n_delivered += 1
-                    if wp_addr >= 0:
-                        self._wp_data_addr = wp_addr
+                    if is_load:
+                        # Loads publish their address to the wrong-path
+                        # synthesizer.
+                        self._wp_data_addr = uop.addr
                     out_append(inflight)
                     delivered_any = True
                     budget -= 1
@@ -444,82 +445,75 @@ class Frontend:
             if i >= self._count:
                 break
             # _start_instr's fast path inlined: same I-cache line as the
-            # previous fetch, decode memo hit, not microcoded.  When the
-            # whole expansion also fits this cycle's remaining budget —
-            # the common case for 1-3 uop instructions under a 4-wide
-            # decoder — the rows are minted right here, bypassing the
-            # ``_decoded`` cursor state entirely.
+            # previous fetch, not microcoded.  When the whole expansion
+            # also fits this cycle's remaining budget — the common case
+            # for 1-3 uop instructions under a 4-wide decoder — the uops
+            # are minted right here, bypassing the ``_decoded`` cursor
+            # state entirely.
             instr = self._instructions[i]
-            pc = instr.pc
-            if (pc >> self._line_bits) == self._last_line:
-                cached = self._decode_cache.get(pc)
-                if (
-                    cached is not None
-                    and cached[0] is instr
-                    and not instr.microcoded
-                ):
-                    self._idx = i + 1
-                    decoded = cached[1]
-                    dlen = len(decoded)
-                    if dlen > budget:
-                        self._decoded = decoded
-                        self._decoded_idx = 0
-                        self._decoded_len = dlen
-                        self._pending_instr = instr
-                        continue
-                    budget -= dlen
-                    n_delivered += dlen
-                    rows_left = dlen
-                    inflight = None
-                    for row in decoded:
-                        (
-                            uop, is_load, is_store, is_branch,
-                            multi_cycle, pool_idx, ops, is_vu_nonvfp,
-                            wp_addr,
-                        ) = row
-                        rows_left -= 1
-                        if free:
-                            # Same mint as the drain loop above.
-                            inflight = free_pop()
-                            inflight.uop = uop
-                            inflight.instr = instr
-                            inflight.seq = seq
-                            inflight.block_id = block
-                            inflight.wrong_path = False
-                            inflight.last_of_instr = rows_left == 0
-                            inflight.issued = False
-                            inflight.done = False
-                            inflight.squashed = False
-                            inflight.is_load = is_load
-                            inflight.is_store = is_store
-                            inflight.is_branch = is_branch
-                            inflight.multi_cycle = multi_cycle
-                            inflight.dcache_miss = False
-                            inflight.mispredicted = False
-                            inflight.parked = False
-                            inflight.pool = pool_idx
-                            inflight.ops = ops
-                            inflight.is_vu_nonvfp = is_vu_nonvfp
-                        else:
-                            inflight = InflightUop(
-                                uop, instr, seq, block,
-                                last_of_instr=rows_left == 0,
-                                multi_cycle=multi_cycle,
-                            )
-                        seq += 1
-                        if wp_addr >= 0:
-                            self._wp_data_addr = wp_addr
-                        out_append(inflight)
-                    if dlen:
-                        delivered_any = True
-                        if instr.yield_cycles > 0 or instr.is_branch:
-                            self.seq = seq
-                            if not self._finish_instr(
-                                instr, inflight, cycle
-                            ):
-                                break
-                            block = self.block
+            if (
+                (instr.pc >> self._line_bits) == self._last_line
+                and not instr.microcoded
+            ):
+                self._idx = i + 1
+                uops = instr.uops
+                dlen = len(uops)
+                if dlen > budget:
+                    self._decoded = uops
+                    self._decoded_idx = 0
+                    self._decoded_len = dlen
+                    self._pending_instr = instr
                     continue
+                budget -= dlen
+                n_delivered += dlen
+                uops_left = dlen
+                inflight = None
+                for uop in uops:
+                    (
+                        is_load, is_store, is_branch, multi_cycle,
+                        pool_idx, ops, is_vu_nonvfp,
+                    ) = class_rows[uop.uclass]
+                    uops_left -= 1
+                    if free:
+                        # Same mint as the drain loop above.
+                        inflight = free_pop()
+                        inflight.uop = uop
+                        inflight.instr = instr
+                        inflight.seq = seq
+                        inflight.block_id = block
+                        inflight.wrong_path = False
+                        inflight.last_of_instr = uops_left == 0
+                        inflight.issued = False
+                        inflight.done = False
+                        inflight.squashed = False
+                        inflight.is_load = is_load
+                        inflight.is_store = is_store
+                        inflight.is_branch = is_branch
+                        inflight.multi_cycle = multi_cycle
+                        inflight.dcache_miss = False
+                        inflight.mispredicted = False
+                        inflight.parked = False
+                        inflight.pool = pool_idx
+                        inflight.ops = ops
+                        inflight.is_vu_nonvfp = is_vu_nonvfp
+                    else:
+                        inflight = InflightUop(
+                            uop, instr, seq, block,
+                            last_of_instr=uops_left == 0,
+                            multi_cycle=multi_cycle,
+                        )
+                    seq += 1
+                    if is_load:
+                        self._wp_data_addr = uop.addr
+                    out_append(inflight)
+                if dlen:
+                    delivered_any = True
+                    if instr.yield_cycles > 0 or instr.is_branch:
+                        self.seq = seq
+                        if not self._finish_instr(instr, inflight, cycle):
+                            break
+                        block = self.block
+                continue
             if not self._start_instr(cycle):
                 break
         self.seq = seq
@@ -545,15 +539,9 @@ class Frontend:
                 self._stall(result.complete, Component.ICACHE)
                 return False
         self._idx += 1
-        cached = self._decode_cache.get(instr.pc)
-        if cached is not None and cached[0] is instr:
-            decoded = cached[1]
-        else:
-            decoded = self._decode(instr)
-            self._decode_cache[instr.pc] = (instr, decoded)
-        self._decoded = decoded
+        self._decoded = instr.uops
         self._decoded_idx = 0
-        self._decoded_len = len(decoded)
+        self._decoded_len = len(instr.uops)
         self._pending_instr = instr
         if instr.microcoded and instr.decode_cycles > len(instr.uops):
             # Sequencer setup cycles beyond the per-uop emission rate.
@@ -561,35 +549,6 @@ class Frontend:
             self._stall(cycle + extra, Component.MICROCODE)
             return False
         return True
-
-    def _decode(self, instr: Instruction) -> tuple[tuple, ...]:
-        """Expand a macro-op into fully classified micro-op rows.
-
-        Every static property the delivery loop needs to mint an
-        :class:`InflightUop` is computed once here and memoized with the
-        expansion; ``wp_addr`` is the data address a load publishes to
-        the wrong-path synthesizer (-1 when not applicable).
-        """
-        multi_cycle = self._multi_cycle
-        load_class = UopClass.LOAD
-        store_class = UopClass.STORE
-        branch_class = UopClass.BRANCH
-        rows = []
-        for uop in instr.uops:
-            uclass = uop.uclass
-            is_load = uclass is load_class
-            rows.append((
-                uop,
-                is_load,
-                uclass is store_class,
-                uclass is branch_class,
-                multi_cycle[uclass] or is_load,
-                _POOL_OF[uclass],
-                _OPS_OF[uclass],
-                _IS_VU_NONVFP[uclass],
-                uop.addr if is_load and uop.addr >= 0 else -1,
-            ))
-        return tuple(rows)
 
     def _finish_instr(
         self, instr: Instruction, last_uop: InflightUop, cycle: int
@@ -636,11 +595,9 @@ class Frontend:
         classes = template._classes
         last_class = len(classes) - 1
         load_probe_prob = template.load_probe_prob
-        multi_cycle = self._multi_cycle
+        class_rows = self._class_rows
         load_class = UopClass.LOAD
         alu_class = UopClass.ALU
-        store_class = UopClass.STORE
-        branch_class = UopClass.BRANCH
         wp_cache = self._wp_uop_cache
         wp_cache_get = wp_cache.get
         free = self._pool._free
@@ -664,7 +621,10 @@ class Frontend:
             else:
                 src_off = 0
                 srcs = ()
-            is_load = uclass is load_class
+            (
+                is_load, is_store, is_branch, multi_cycle,
+                pool_idx, ops, is_vu_nonvfp,
+            ) = class_rows[uclass]
             if is_load:
                 off = rng_getrandbits(15)
                 while off >= 16384:
@@ -694,21 +654,21 @@ class Frontend:
                 inflight.done = False
                 inflight.squashed = False
                 inflight.is_load = is_load
-                inflight.is_store = uclass is store_class
-                inflight.is_branch = uclass is branch_class
-                inflight.multi_cycle = multi_cycle[uclass] or is_load
+                inflight.is_store = is_store
+                inflight.is_branch = is_branch
+                inflight.multi_cycle = multi_cycle
                 inflight.dcache_miss = False
                 inflight.mispredicted = False
                 inflight.parked = False
-                inflight.pool = _POOL_OF[uclass]
-                inflight.ops = _OPS_OF[uclass]
-                inflight.is_vu_nonvfp = _IS_VU_NONVFP[uclass]
+                inflight.pool = pool_idx
+                inflight.ops = ops
+                inflight.is_vu_nonvfp = is_vu_nonvfp
             else:
                 inflight = InflightUop(
                     uop, None, seq, block,
                     wrong_path=True,
                     last_of_instr=True,
-                    multi_cycle=multi_cycle[uclass],
+                    multi_cycle=multi_cycle,
                 )
             seq += 1
             wp_prev_dst = dst

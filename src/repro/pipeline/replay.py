@@ -30,11 +30,12 @@ The engine works in three phases:
    recorded observation runs ``k`` times through the simulator's batch
    flush (the memoized repeat programs, or the proven-equivalent
    ``observe_repeat`` bulk path; the exact flush/merge pattern a
-   cycle-by-cycle run would produce), advance every integer counter by
-   ``k`` times its per-period delta, and shift the time-valued and
-   seq-valued state forward.  Windows whose float accumulators
-   (DRAM queue delay, MSHR waits) advanced are rejected: those cannot be
-   bulk-replayed with bitwise-exact arithmetic.
+   cycle-by-cycle run would produce, or one flush per recorded
+   signature where regrouping the flushes is exact), advance every
+   integer counter by ``k`` times its per-period delta, and shift the
+   time-valued and seq-valued state forward.  Windows whose float
+   accumulators (DRAM queue delay, MSHR waits) advanced are rejected:
+   those cannot be bulk-replayed with bitwise-exact arithmetic.
 
 Replay also runs through warmup, where no accountant is attached and
 the recorded runs are empty.  A warmup jump stops short of the warmup
@@ -537,25 +538,31 @@ class ReplayEngine:
         times, seeded with — and leaving behind — the simulator's pending
         batch.  Each flush goes through the simulator's own batch
         delivery, so recorded buffers memoize their repeat programs just
-        like the simulator's retained ones.
+        like the simulator's retained ones.  When :meth:`_fold` proves
+        the order of those flushes immaterial, each signature is flushed
+        once with its total count instead.
         """
         sim = self._sim
         if sim.collector is None or not self._runs:
             return
-        apply_batch = sim._apply_batch
-        sig_p = sim._bat_sig
-        k_p = sim._bat_k
-        buf_p = sim._bat_cur
-        for _ in range(k):
-            for run in self._runs:
-                if k_p and run[0] == sig_p:
-                    k_p += run[1]
-                else:
-                    if k_p:
-                        apply_batch(buf_p, k_p)
-                    sig_p = run[0]
-                    k_p = run[1]
-                    buf_p = run[2]
+        folded = self._fold(k)
+        if folded is not None:
+            sig_p, k_p, buf_p = folded
+        else:
+            apply_batch = sim._apply_batch
+            sig_p = sim._bat_sig
+            k_p = sim._bat_k
+            buf_p = sim._bat_cur
+            for _ in range(k):
+                for run in self._runs:
+                    if k_p and run[0] == sig_p:
+                        k_p += run[1]
+                    else:
+                        if k_p:
+                            apply_batch(buf_p, k_p)
+                        sig_p = run[0]
+                        k_p = run[1]
+                        buf_p = run[2]
         if buf_p is not sim._bat_cur:
             # Never hand an engine-owned buffer to the simulator's
             # spare/current rotation; copy the trailing run instead.
@@ -571,6 +578,49 @@ class ReplayEngine:
             sim._bat_cur = dst
         sim._bat_sig = sig_p
         sim._bat_k = k_p
+
+    def _fold(self, k: int):
+        """Flush the :meth:`_feed` stream once per signature, or return
+        None, having applied nothing, when that could change a bit.
+
+        Equal signatures account identically (the batching invariant).
+        With every program compiled and every normalizer carry at 0 (no
+        program moves a carry), each flush adds exact dyadics, so the
+        additions may be regrouped: one flush per signature with its
+        total count, in first-appearance order, which keeps the
+        counters' key order.  The stream's last merge group stays
+        pending as in the walk; it is returned as ``(sig, count, buf)``.
+        """
+        sim = self._sim
+        runs = self._runs
+        k_p = sim._bat_k
+        totals: dict = {}
+        if k_p:
+            totals[sim._bat_sig] = [sim._bat_cur, k_p]
+        for sig, n, buf in runs:
+            totals.setdefault(sig, [buf, 0])[1] += n * k
+        last = runs[-1][0]
+        t = len(runs) - 1
+        while t and runs[t - 1][0] == last:
+            t -= 1
+        tail = sum(run[1] for run in runs[t:])
+        buf_t = runs[t][2]
+        if t == 0:
+            # One signature throughout: every period, and a matching
+            # pending batch, merge into the trailing group.
+            tail *= k
+            if k_p and sim._bat_sig == last:
+                tail += k_p
+                buf_t = sim._bat_cur
+        totals[last][1] -= tail
+        flushes = [(buf, n) for buf, n in totals.values() if n]
+        for buf, _ in flushes:
+            prog = sim._batch_program(buf)
+            if prog is False or any(norm.carry for norm in prog[1]):
+                return None
+        for buf, n in flushes:
+            sim._apply_batch(buf, n)
+        return last, tail, buf_t
 
     # -- buffers -----------------------------------------------------------------
 

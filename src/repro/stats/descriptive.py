@@ -6,16 +6,32 @@ the box, and the whiskers extend to the extreme values."
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 
 def mean(values: Sequence[float]) -> float:
     if not values:
         raise ValueError("mean of empty sequence")
-    return float(np.mean(values))
+    return math.fsum(values) / len(values)
+
+
+def _sorted_quantile(ordered: Sequence[float], q: float) -> float:
+    """``numpy.quantile``'s default linear rule on sorted data, operation
+    for operation (index clamping and two-sided lerp included), so the
+    result matches it bit for bit."""
+    last = len(ordered) - 1
+    h = last * q
+    lo = hi = last
+    t = h + 1  # numpy clamps at the top and weighs from index -1
+    if h < last:
+        lo = math.floor(h)
+        hi = lo + 1
+        t = h - lo
+    a = ordered[lo]
+    d = ordered[hi] - a
+    return a + d * t if t < 0.5 else ordered[hi] - d * (1 - t)
 
 
 def quantile(values: Sequence[float], q: float) -> float:
@@ -23,7 +39,7 @@ def quantile(values: Sequence[float], q: float) -> float:
         raise ValueError("quantile of empty sequence")
     if not 0.0 <= q <= 1.0:
         raise ValueError("quantile must be in [0, 1]")
-    return float(np.quantile(values, q))
+    return _sorted_quantile(sorted(map(float, values)), q)
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,12 +72,12 @@ def boxplot_stats(values: Sequence[float]) -> BoxStats:
     """Five-number summary with whiskers at the extremes (as in Fig. 2)."""
     if not values:
         raise ValueError("boxplot of empty sequence")
-    arr = np.asarray(values, dtype=float)
+    ordered = sorted(map(float, values))
     return BoxStats(
-        low=float(arr.min()),
-        q1=float(np.quantile(arr, 0.25)),
-        median=float(np.quantile(arr, 0.5)),
-        q3=float(np.quantile(arr, 0.75)),
-        high=float(arr.max()),
-        n=int(arr.size),
+        low=ordered[0],
+        q1=_sorted_quantile(ordered, 0.25),
+        median=_sorted_quantile(ordered, 0.5),
+        q3=_sorted_quantile(ordered, 0.75),
+        high=ordered[-1],
+        n=len(ordered),
     )

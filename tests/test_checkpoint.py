@@ -320,6 +320,42 @@ def test_resume_bitwise_identical_across_machines(workload, preset):
     assert _comparable(resumed) == _comparable(reference)
 
 
+@pytest.mark.parametrize("workload,preset", [
+    ("conv-vgg-2-fwd", broadwell),
+    ("gemm-train-1760-knl", knights_landing),
+])
+def test_resume_mid_expansion_is_bitwise_identical(tmp_path, workload,
+                                                   preset):
+    """A checkpoint taken while an instruction is half delivered (the
+    frontend cursor inside its micro-ops) stores no decode rows: restore
+    re-derives the expansion from the pending instruction and the run
+    finishes bit for bit like an uninterrupted one."""
+    trace = make_trace(workload, N, 1)
+    config = preset()
+    expected = CoreSimulator(trace, config).run()
+    sim = CoreSimulator(trace, config)
+    fe = sim.frontend
+    for _ in range(100_000):
+        if (
+            sim.committed_instrs >= N // 4
+            and 0 < fe._decoded_idx < fe._decoded_len
+        ):
+            break
+        sim._step_event()
+    else:
+        pytest.fail("no cycle ended with a half-delivered instruction")
+    assert "decoded" not in fe.snapshot()
+    path = tmp_path / "mid-expansion.rck"
+    ckpt.save_checkpoint(path, sim.snapshot(), sim.checkpoint_meta())
+    resumed = CoreSimulator.resume(path, trace)
+    rfe = resumed.frontend
+    assert rfe._decoded is rfe._pending_instr.uops
+    assert (rfe._decoded_idx, rfe._decoded_len) == (
+        fe._decoded_idx, fe._decoded_len
+    )
+    assert _comparable(resumed.run()) == _comparable(expected)
+
+
 def test_resume_from_inside_warmup_region():
     """A checkpoint taken before the measured region starts must restore
     the warmup bookkeeping exactly (measure-start anchors included)."""
@@ -655,7 +691,7 @@ def test_schema_2_checkpoint_is_evicted_and_case_restarts_fresh():
     assert TELEMETRY.resume_events == 0
     assert _comparable(result) == _comparable(clean)
     for left in ckpt.list_case_checkpoints(spec.key()):
-        ckpt.load_checkpoint(left)  # every survivor is a schema-3 file
+        ckpt.load_checkpoint(left)  # every survivor is a current-schema file
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,12 @@
 """Event-driven issue scheduler: differential identity and unit contracts.
 
 The scheduler rewrite (writeback wakeups feeding a seq-ordered ready
-structure, pooled ``InflightUop`` records, memoized decode, signature-
-batched accounting) must be observationally invisible: every cell of the
-workloads x configs x wrong-path-modes x warmup matrix must produce a
-``SimResult`` bit-for-bit identical to the legacy full-RS-scan scheduler
-(``legacy_issue_scan=True``, which never fast-forwards or replays).  The
-matrix runs once on the production path and once under
+structure, pooled ``InflightUop`` records, per-class delivery rows,
+signature-batched accounting) must be observationally invisible: every
+cell of the workloads x configs x wrong-path-modes x warmup matrix must
+produce a ``SimResult`` bit-for-bit identical to the legacy full-RS-scan
+scheduler (``legacy_issue_scan=True``, which never fast-forwards or
+replays).  The matrix runs once on the production path and once under
 ``reference=True``, where both schedulers walk the dict-backed memory
 and the event scheduler simulates every cycle, so the comparison
 isolates the issue phase.
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.config.presets import broadwell, knights_landing
+from repro.config.presets import PRESETS, broadwell, knights_landing
 from repro.core.commit import CommitAccountant
 from repro.core.components import Component
 from repro.core.observation import CycleObservation
@@ -24,7 +24,15 @@ from repro.core.wrongpath import WrongPathMode
 from repro.isa import decoder as asm
 from repro.isa.uops import MicroOp, UopClass
 from repro.pipeline.core import CoreSimulator
-from repro.pipeline.inflight import POOL_ALU, POOL_LOAD, UopPool
+from repro.pipeline.inflight import (
+    _IS_VU_NONVFP,
+    _OPS_OF,
+    _POOL_OF,
+    POOL_ALU,
+    POOL_LOAD,
+    InflightUop,
+    UopPool,
+)
 from repro.workloads.base import DATA_BASE, TraceBuilder
 from repro.workloads.registry import make_trace
 
@@ -163,49 +171,75 @@ def test_pool_records_enter_free_list_clean_after_full_run():
 
 
 # ---------------------------------------------------------------------------
-# Decode memoization
+# Per-class delivery rows
 # ---------------------------------------------------------------------------
 
-def test_decode_memo_validated_by_instruction_identity():
-    """A different Instruction object at a reused pc must re-decode: the
-    memo is keyed by pc but validated by object identity."""
-    b = TraceBuilder("memo-identity", seed=1)
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_class_rows_match_per_uop_classification(preset):
+    """The frontend's per-class rows hold exactly the classification a
+    per-instruction decode computed for each micro-op: (is_load,
+    is_store, is_branch, multi_cycle, pool, ops, is_vu_nonvfp)."""
+    config = PRESETS[preset]()
+    b = TraceBuilder("rows", seed=1)
+    b.emit(asm.alu(b.pc, dst=2, srcs=(2,)))
+    program = b.program()
+    rows = CoreSimulator(program, config).frontend._class_rows
+    assert len(rows) == len(UopClass)
+    for uclass in UopClass:
+        is_load = uclass is UopClass.LOAD
+        expected = (
+            is_load,
+            uclass is UopClass.STORE,
+            uclass is UopClass.BRANCH,
+            (config.latency_of(uclass) > 1) or is_load,
+            _POOL_OF[uclass],
+            _OPS_OF[uclass],
+            _IS_VU_NONVFP[uclass],
+        )
+        assert rows[uclass] == expected, uclass.name
+
+
+def test_reused_pc_delivers_the_new_instructions_uops():
+    """A different Instruction object at a reused pc delivers its own
+    micro-ops: nothing decoded for the first occupant of the pc may
+    leak into the second."""
+    b = TraceBuilder("pc-reuse", seed=1)
     pc0 = b.pc
     first = asm.alu(pc0, dst=2, srcs=(2,))
     b.at(pc0)
     b.emit(first)
     for _ in range(4):
         b.emit(asm.alu(b.pc, dst=3, srcs=(3,)))
-    # Same pc, structurally different instruction (decoder memo key
-    # differs, so a fresh object replaces the first one).
     second = asm.load(pc0, dst=4, addr=DATA_BASE)
     assert second is not first
     b.at(pc0)
     b.emit(second)
     program = b.program()
 
-    sim = CoreSimulator(program, broadwell())
-    result = sim.run()
+    fe = CoreSimulator(program, broadwell()).frontend
+    # Pre-fill the free list so every record goes through the pooled mint.
+    for _ in range(program.uop_count):
+        fe._pool.release(
+            InflightUop(MicroOp(UopClass.NOP), None, 0, 0)
+        )
+    delivered = []
+    cycle = 0
+    while not fe.trace_exhausted:
+        fe.deliver(cycle, 64, delivered)
+        cycle += 1
+    by_instr = {}
+    for rec in delivered:
+        by_instr.setdefault(id(rec.instr), []).append(rec)
+    (old,) = by_instr[id(first)]
+    (new,) = by_instr[id(second)]
+    assert old.uop is first.uops[0] and not old.is_load
+    assert old.pool == POOL_ALU
+    assert new.uop is second.uops[0]
+    assert new.is_load and new.multi_cycle and new.pool == POOL_LOAD
+    assert fe._wp_data_addr == DATA_BASE  # the load published its address
+
+    result = CoreSimulator(program, broadwell()).run()
     assert result.committed_uops == program.uop_count
-    cached_instr, rows = sim.frontend._decode_cache[pc0]
-    assert cached_instr is second  # memo re-validated, not stale
-    assert rows[0][0] is second.uops[0]
-    assert rows[0][1] is True  # is_load column follows the new decode
-
-
-def test_wrong_path_synthesis_leaves_decode_memo_consistent():
-    """Wrong-path uop synthesis must never pollute the decode memo: after
-    a mispredict-heavy run every entry still maps its pc to the live
-    Instruction and to exactly the rows a fresh decode produces."""
-    trace = _trace("mcf")
-    sim = CoreSimulator(trace, broadwell())
-    sim.run()
-    fe = sim.frontend
-    assert fe.delivered_wrong > 0  # wrong-path delivery actually ran
-    by_pc = {instr.pc: instr for instr in trace.instructions}
-    for pc, (instr, rows) in fe._decode_cache.items():
-        assert instr is by_pc[pc]
-        assert rows == fe._decode(instr)
 
 
 # ---------------------------------------------------------------------------

@@ -106,12 +106,12 @@ def test_occupancy_running_count_matches_sets():
     assert cache.occupancy == 1
     for line in range(20):  # far past capacity: evictions replace victims
         cache.insert(line)
-    assert cache.occupancy == sum(len(s) for s in cache.fingerprint())
+    assert cache.occupancy == sum(len(s) for s in cache.fingerprint()[0])
     assert cache.occupancy == 512 // 64
     cache.invalidate(19)
     cache.invalidate(19)  # double-invalidate must not double-count
     cache.invalidate(12345)  # never present
-    assert cache.occupancy == sum(len(s) for s in cache.fingerprint())
+    assert cache.occupancy == sum(len(s) for s in cache.fingerprint()[0])
 
 
 def test_miss_rate():

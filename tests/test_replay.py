@@ -106,6 +106,81 @@ def test_replay_composes_with_fast_forward():
 
 
 # ---------------------------------------------------------------------------
+# folded feed: one flush per recorded buffer when reordering is exact
+# ---------------------------------------------------------------------------
+
+
+def _spy_feeds(monkeypatch) -> list[dict]:
+    """Record, per jump, the period count, the recorded runs, whether
+    the fold ran, and the ``_apply_batch`` calls the feed made."""
+    feeds: list[dict] = []
+    current: list[dict] = []
+    real_feed = ReplayEngine._feed
+    real_fold = ReplayEngine._fold
+    real_apply = CoreSimulator._apply_batch
+
+    def feed(self, k):
+        rec = {
+            "k": k,
+            "runs": len(self._runs),
+            "buffers": len({id(run[2]) for run in self._runs}),
+            "folded": None,
+            "calls": 0,
+        }
+        current.append(rec)
+        try:
+            real_feed(self, k)
+        finally:
+            current.pop()
+        feeds.append(rec)
+
+    def fold(self, k):
+        out = real_fold(self, k)
+        current[-1]["folded"] = out is not None
+        return out
+
+    def apply_batch(self, buf, k):
+        if current:
+            current[-1]["calls"] += 1
+        real_apply(self, buf, k)
+
+    monkeypatch.setattr(ReplayEngine, "_feed", feed)
+    monkeypatch.setattr(ReplayEngine, "_fold", fold)
+    monkeypatch.setattr(CoreSimulator, "_apply_batch", apply_batch)
+    return feeds
+
+
+@pytest.mark.parametrize("workload", ["exchange2", "spin"])
+def test_replay_feed_folds_repeated_periods(workload, monkeypatch):
+    """On the loop traces every jump flushes each distinct recorded
+    buffer at most once, plus the pending batch, instead of once per
+    period; the result equals the per-cycle reference."""
+    feeds = _spy_feeds(monkeypatch)
+    _, res_on, _, res_off = _run_pair(workload, knights_landing(), n=4_000)
+    assert _comparable(res_on) == _comparable(res_off)
+    fed = [f for f in feeds if f["runs"]]
+    assert fed, "replay never fed a recorded window"
+    for f in fed:
+        assert f["folded"], f
+        assert f["calls"] <= f["buffers"] + 1, f
+    assert any(f["k"] * f["runs"] > f["buffers"] + 1 for f in fed)
+
+
+def test_replay_feed_stays_sequential_on_over_width_counts(monkeypatch):
+    """gemm@knl's over-width issue counts compile to no repeat program
+    and leave normalizer carries, so the fold declines and the
+    per-period walk runs; the result is still bitwise identical."""
+    feeds = _spy_feeds(monkeypatch)
+    _, res_on, _, res_off = _run_pair(
+        "gemm-train-1760-knl", knights_landing(), n=8_000
+    )
+    assert _comparable(res_on) == _comparable(res_off)
+    fed = [f for f in feeds if f["runs"]]
+    assert fed, "replay never fed a recorded window"
+    assert any(f["folded"] is False for f in fed)
+
+
+# ---------------------------------------------------------------------------
 # replay inside warmup
 # ---------------------------------------------------------------------------
 

@@ -1,6 +1,11 @@
 """Tests for the stats helpers and the ASCII/CSV presentation layer."""
 
+import subprocess
+import sys
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.components import Component, FlopsComponent
 from repro.core.stack import CpiStack, FlopsStack
@@ -42,6 +47,49 @@ def test_mean_and_quantile():
         quantile([1.0], 1.5)
     with pytest.raises(ValueError):
         mean([])
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(_FINITE, min_size=1, max_size=40),
+    q=st.one_of(
+        st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+        st.floats(min_value=0.0, max_value=1.0),
+    ),
+)
+def test_quantile_and_boxplot_match_numpy(values, q):
+    """The pure-Python quantiles reproduce ``numpy.quantile``'s default
+    rule exactly, and the boxplot's five numbers follow from them.
+    Near the float range the interpolation overflows; NaN then counts
+    as equal to NaN, since both sides perform the same operations."""
+    np = pytest.importorskip("numpy")
+
+    def same(ours, theirs):
+        theirs = float(theirs)
+        return ours == theirs or (ours != ours and theirs != theirs)
+
+    assert same(quantile(values, q), np.quantile(values, q))
+    box = boxplot_stats(values)
+    assert box.low == float(np.min(values))
+    assert box.high == float(np.max(values))
+    assert same(box.q1, np.quantile(values, 0.25))
+    assert same(box.median, np.quantile(values, 0.5))
+    assert same(box.q3, np.quantile(values, 0.75))
+    assert box.n == len(values)
+
+
+def test_cli_import_does_not_load_numpy():
+    """numpy is a development dependency only: importing the CLI (and
+    with it every runtime module it pulls in) must not load it."""
+    code = "import sys, repro.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_render_table_alignment_and_none():
