@@ -49,6 +49,9 @@ DEFAULT_WARMUP_FRACTION = 0.3
 #: Environment variable overriding the on-disk cache location.
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 
+#: Timing-fingerprint fields that name a trace rather than describe it.
+TRACE_NAME_FIELDS = ("workload", "instructions", "trace_seed")
+
 
 def default_cache_dir() -> Path:
     """Resolve the cache root: ``$REPRO_CACHE_DIR`` or ``results/.cache``."""
@@ -153,11 +156,18 @@ class CaseSpec:
             fp["multicore_schema"] = 1
         return fp
 
-    def timing_key(self) -> str:
-        """SHA-256 content address of :meth:`timing_fingerprint`."""
-        text = json.dumps(
-            self.timing_fingerprint(), sort_keys=True, separators=(",", ":")
-        )
+    def timing_key(self, *, by_name: bool = True) -> str:
+        """SHA-256 content address of :meth:`timing_fingerprint`.
+
+        With ``by_name=False`` the fields that only name the trace
+        (:data:`TRACE_NAME_FIELDS`) are left out: cases sharing that key
+        and equal traces, compared by content, need one timing run.
+        """
+        fp = self.timing_fingerprint()
+        if not by_name:
+            for name in TRACE_NAME_FIELDS:
+                del fp[name]
+        text = json.dumps(fp, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
     def fingerprint(self) -> dict:
@@ -243,13 +253,15 @@ class Job:
     """The harness's one unit of work: every case one timing run serves.
 
     A single case is a one-member job.  A fused group is a job with two
-    or more members that share one :meth:`CaseSpec.timing_key` and
-    differ only in accounting configuration: one pipeline run carries
-    every member's collector.  A socket is a one-member job whose case
-    has ``cores > 1``: one engine run yields one result per core.  A job
-    is attempted, checkpointed, timed out and retried as a unit, and
-    yields ``len(specs) * cores`` results, member-major, core-minor;
-    each member's results are published under the member's own keys.
+    or more members sharing one :meth:`CaseSpec.timing_key` — or, with
+    ``names``, the name-free ``timing_key(by_name=False)`` plus equal
+    traces, which the caller vouches for: one pipeline run over the
+    first member's trace carries each distinct collector once.  A socket
+    is a one-member job whose case has ``cores > 1``: one engine run
+    yields one result per core.  A job is attempted, checkpointed, timed
+    out and retried as a unit, and yields ``len(specs) * cores``
+    results, member-major, core-minor; each member's results are
+    published under the member's own keys.
     """
 
     specs: tuple[CaseSpec, ...]
@@ -257,6 +269,9 @@ class Job:
     #: here unless the caller already holds them, so a job hashes each
     #: member once however often the harness asks for its keys.
     keys: tuple[str, ...] = field(default=(), compare=False, repr=False)
+    #: Each member's own program name, in member order, when members
+    #: run one trace content under different names; else empty.
+    names: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if not self.specs:
@@ -264,13 +279,16 @@ class Job:
         if not self.keys:
             keys = tuple(spec.key() for spec in self.specs)
             object.__setattr__(self, "keys", keys)
+        if self.names and len(self.names) != len(self.specs):
+            raise ValueError("a Job needs one name per member")
         if len(self.specs) == 1:
             return
         if any(spec.cores > 1 for spec in self.specs):
             # The multi-core engine returns results for its first
             # collector only, so a socket cannot carry fused members.
             raise ValueError("multi-core cases cannot be fused")
-        timing_keys = {spec.timing_key() for spec in self.specs}
+        by_name = not self.names
+        timing_keys = {s.timing_key(by_name=by_name) for s in self.specs}
         if len(timing_keys) != 1:
             raise ValueError(
                 "Job members must share one timing key, "

@@ -10,7 +10,7 @@ experiment modules declare their full case list to:
 2. the cache hierarchy (in-process memo, then the persistent disk cache)
    is consulted per unique key;
 3. remaining misses become :class:`~repro.experiments.cache.Job` items
-   (one per case, or one per timing key under fusion) dispatched under
+   (one per case, or one per distinct timing under fusion) dispatched under
    **supervision** (:mod:`repro.experiments.supervisor`): per-job
    deadlines, bounded
    retries, pool rebuild on worker death with serial fallback, and
@@ -205,14 +205,16 @@ def run_cases(
     instead of restarting.
 
     **Fused execution** (``fuse``, default from ``$REPRO_FUSE``, on
-    unless ``"0"``): cache-missing specs sharing one *timing key* —
-    identical trace, machine config, wrong-path mode, warmup and seeds,
-    differing only in accounting configuration — become one
+    unless ``"0"``): cache-missing specs needing one timing — equal
+    trace content (whatever the workload is called), machine config,
+    wrong-path mode, warmup and simulator seed, differing at most in
+    accounting configuration and trace name — become one
     :class:`~repro.experiments.cache.Job` executed as a single pipeline
-    run with every requested collector attached.  The batch cost then
-    scales with distinct timings rather than cases; each member's result
-    is bitwise identical to its unfused run and still lands in the disk
-    cache under its own key.
+    run with each distinct collector attached once.  The parent builds
+    the pending traces to compare them.  The batch cost then scales
+    with distinct timings rather than cases; each member's result is
+    bitwise identical to its unfused run (re-stamped with its own
+    program name) and still lands in the disk cache under its own key.
     """
     spec_list: Sequence[CaseSpec] = list(specs)
     for spec in spec_list:
@@ -269,14 +271,39 @@ def run_multicore_cases(
 
 
 def _group_jobs(pending: dict[str, CaseSpec], fuse: bool) -> list[Job]:
-    """One job per distinct timing key when fusing, else one per case."""
-    groups: dict[str, dict[str, CaseSpec]] = {}
+    """One job per distinct timing when fusing, else one per case.
+
+    Fusing, the parent builds every pending trace (forked workers
+    inherit them) and groups cases sharing the name-free timing key and
+    equal traces, compared instruction for instruction.  A duplicate
+    trace built here leaves the memo: one trace per content stays.
+    """
+    if not fuse:
+        return [Job((spec,), (key,)) for key, spec in pending.items()]
+    groups: list[tuple[dict[str, CaseSpec], list[str]]] = []
+    buckets: dict[tuple, list] = {}
     for key, spec in pending.items():
-        group = spec.timing_key() if fuse else key
-        groups.setdefault(group, {})[key] = spec
+        name = (spec.workload, spec.instructions, spec.seed)
+        built = not runner.trace_memoized(*name)
+        trace = runner.get_trace(*name)
+        bucket = buckets.setdefault(
+            (spec.timing_key(by_name=False), len(trace), trace.uop_count),
+            [],
+        )
+        for rep, (members, names) in bucket:
+            if rep.instructions == trace.instructions:
+                if built:
+                    runner.forget_trace(*name)
+                break
+        else:
+            members, names = {}, []
+            bucket.append((trace, (members, names)))
+            groups.append((members, names))
+        members[key] = spec
+        names.append(trace.name)
     return [
-        Job(tuple(members.values()), tuple(members))
-        for members in groups.values()
+        Job(tuple(members.values()), tuple(members), tuple(names))
+        for members, names in groups
     ]
 
 
@@ -296,8 +323,8 @@ def _run_batch(
     """Resolve ``spec_list`` to per-core result lists, in input order.
 
     Keys are computed once per spec; duplicates collapse onto one entry;
-    cache hits are served; the misses become jobs (fused by timing key
-    when ``fuse``) and run under supervision.  Leaves a
+    cache hits are served; the misses become jobs (fused by timing and
+    trace content when ``fuse``) and run under supervision.  Leaves a
     :class:`BatchStats` in :data:`LAST_BATCH`.
     """
     jobs = resolve_jobs(jobs)
@@ -401,7 +428,7 @@ def summarize_since(mark: tuple[float, dict[str, float]]) -> str:
     saved = int(after["fused_runs_saved"] - before["fused_runs_saved"])
     rate = uops / wall if wall > 0 else 0.0
     line = (
-        f"[harness] {simulated + memo + disk} case lookups: "
+        f"[harness] {simulated + saved + memo + disk} case lookups: "
         f"{simulated} simulated, {memo} memo hits, {disk} disk hits | "
         f"wall={wall:.2f}s sim={sim_seconds:.2f}s "
         f"({rate / 1e3:.0f}k uops/s)"

@@ -41,6 +41,7 @@ __all__ = [
     "clear_cache",
     "execute_spec",
     "execute_spec_checkpointed",
+    "forget_trace",
     "get_threaded_traces",
     "get_trace",
     "lookup_cached",
@@ -48,6 +49,7 @@ __all__ = [
     "run_case",
     "run_spec",
     "store_results",
+    "trace_memoized",
 ]
 
 _trace_cache: dict[tuple, Program] = {}
@@ -76,6 +78,16 @@ def get_trace(name: str, instructions: int | None, seed: int) -> Program:
         trace = get_workload(name).make(instructions, seed)
         _trace_cache[key] = trace
     return trace
+
+
+def trace_memoized(name: str, instructions: int | None, seed: int) -> bool:
+    """Whether :func:`get_trace` would return a memoized trace."""
+    return (name, instructions, seed) in _trace_cache
+
+
+def forget_trace(name: str, instructions: int | None, seed: int) -> None:
+    """Drop one memoized trace (fusion drops duplicates it built)."""
+    _trace_cache.pop((name, instructions, seed), None)
 
 
 def get_threaded_traces(
@@ -159,8 +171,10 @@ def execute_spec_checkpointed(
 ) -> tuple[list[SimResult], int | None]:
     """Simulate one job as one pipeline run with periodic checkpoints.
 
-    A 1-core job runs a :class:`CoreSimulator` over the case's trace with
-    every member's collector attached; an N-core job runs the lockstep
+    A 1-core job runs a :class:`CoreSimulator` over its first member's
+    trace with each distinct collector attached once; each member gets
+    its collector's result, re-stamped with its :attr:`Job.names` entry.
+    An N-core job runs the lockstep
     :class:`~repro.pipeline.multicore.MulticoreSimulator` over the
     workload's threaded decomposition (shared L3/DRAM backend).  Returns
     ``(results, resumed_from)``: ``len(job.specs) * job.cores`` results,
@@ -180,7 +194,8 @@ def execute_spec_checkpointed(
     """
     first = job.specs[0]
     config = first.resolved_config()
-    collectors = tuple(spec.collector_spec() for spec in job.specs)
+    wanted = [spec.collector_spec() for spec in job.specs]
+    collectors = tuple(dict.fromkeys(wanted))
     key = job.key()
     run_kwargs = {
         "checkpoint_interval": interval,
@@ -203,7 +218,11 @@ def execute_spec_checkpointed(
             ),
         )
         sim.run(**run_kwargs)
-        results = list(sim.fused_results)
+        shared = dict(zip(collectors, sim.fused_results))
+        results = [shared[collector] for collector in wanted]
+        for i, name in enumerate(job.names):
+            if results[i].name != name:
+                results[i] = results[i].renamed(name)
     else:
         traces = get_threaded_traces(
             first.workload, first.cores, first.instructions, first.seed

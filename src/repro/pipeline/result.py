@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -129,6 +130,21 @@ class SimResult:
             replay_windows=data.get("replay_windows", 0),
             replay_cycles_skipped=data.get("replay_cycles_skipped", 0),
         )
+
+    def renamed(self, name: str) -> "SimResult":
+        """A deep copy attributed to program ``name`` in every name field
+        (the result, its report and its stacks): one run over a trace
+        serves every equal trace under that trace's own name."""
+        result = copy.deepcopy(self)
+        result.name = name
+        report = result.report
+        if report is not None:
+            report.name = name
+            for stack in (report.dispatch, report.issue, report.commit,
+                          report.flops):
+                if stack is not None:
+                    stack.name = name
+        return result
 
     def fingerprint(self) -> str:
         """Short stable content hash of the fully serialized result.

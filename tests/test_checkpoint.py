@@ -694,6 +694,32 @@ def test_schema_2_checkpoint_is_evicted_and_case_restarts_fresh():
         ckpt.load_checkpoint(left)  # every survivor is a current-schema file
 
 
+def test_content_shared_job_resumes_bitwise():
+    """A job serving equal traces under different names (the Fig. 4
+    sgemm kernels) dies after its first checkpoint and resumes; every
+    member matches its own uninterrupted unfused run bit for bit."""
+    specs = [
+        CaseSpec(workload=name, preset="knl", instructions=N)
+        for name in ("gemm-train-1760-knl", "gemm-train-2048-knl",
+                     "gemm-infer-1024-knl")
+    ]
+    unfused = run_cases(specs, jobs=1, use_cache=False, fuse=False)
+    clear_cache()
+    (job,) = parallel._group_jobs({s.key(): s for s in specs}, True)
+    assert len(job.specs) == len(specs)
+
+    def hook(path, instrs):
+        raise _Interrupted
+
+    with pytest.raises(_Interrupted):
+        runner.execute_spec_checkpointed(job, INTERVAL, on_checkpoint=hook)
+    assert ckpt.list_case_checkpoints(job.key())
+    results, resumed_from = runner.execute_spec_checkpointed(job, INTERVAL)
+    assert resumed_from is not None and resumed_from > 0
+    for spec, a, b in zip(specs, unfused, results):
+        assert _comparable(a) == _comparable(b), spec.label()
+
+
 # ---------------------------------------------------------------------------
 # supervised crash recovery
 # ---------------------------------------------------------------------------

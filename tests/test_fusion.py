@@ -18,23 +18,36 @@ guarantees pinned here:
   (warm reruns need zero simulator invocations), and the pre-existing
   cache keys of default-accounting cases are unchanged;
 * the batch summary line and telemetry report fused groups / runs saved;
+* cases whose traces are equal under different names (the Fig. 4
+  kernels) share one run, each member re-stamped with its own program
+  name, while traces differing in a single micro-op field never do;
 * ``Job`` construction rejects malformed memberships.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
+import os
 
 import pytest
 
 from repro.config.idealize import PERFECT_DCACHE
 from repro.core.wrongpath import WrongPathMode
-from repro.experiments import runner, supervisor
+from repro.experiments import parallel, runner, supervisor
 from repro.experiments.cache import TELEMETRY, CaseSpec, Job
 from repro.experiments.parallel import run_cases
+from repro.isa.instructions import Program
 from repro.pipeline import checkpoint as ckpt
+from repro.workloads.base import WorkloadSpec
+from repro.workloads.registry import WORKLOADS, make_trace
 
 N = 2500
+
+
+def _start_method() -> str:
+    """Pool start method for the pool tests (CI runs them under spawn)."""
+    return os.environ.get("REPRO_TEST_START_METHOD", "fork")
 
 
 @pytest.fixture(autouse=True)
@@ -342,6 +355,131 @@ def test_summary_line_reports_fusion():
     assert "1 fused groups (3 runs saved)" in batch.summary()
     assert TELEMETRY.counters()["fused_groups"] == 1
     assert TELEMETRY.counters()["fused_runs_saved"] == 3
+
+
+# ---------------------------------------------------------------------------
+# content sharing: equal traces under different names share one run
+# ---------------------------------------------------------------------------
+
+
+FIG4_N = 1500
+
+
+def _fig4_specs() -> list[CaseSpec]:
+    """A Fig.-4-shaped batch: the KNL-style sgemm kernels and the
+    forward convolutions, whose traces repeat under different names."""
+    names = [
+        name for name in WORKLOADS
+        if (name.startswith("gemm-") and name.endswith("-knl"))
+        or (name.startswith("conv-") and name.endswith("-fwd"))
+    ]
+    return [
+        CaseSpec(workload=name, preset="knl", instructions=FIG4_N)
+        for name in names
+    ]
+
+
+def _stamped_names(result) -> set[str]:
+    report = result.report
+    stacks = (report.dispatch, report.issue, report.commit, report.flops)
+    return {result.name, report.name, *(stack.name for stack in stacks)}
+
+
+def test_content_shared_batch_matches_unfused():
+    specs = _fig4_specs()
+    traces = [make_trace(s.workload, FIG4_N, s.seed) for s in specs]
+    distinct = len({tuple(trace.instructions) for trace in traces})
+    assert distinct < len(specs), "the batch must repeat some traces"
+
+    unfused = run_cases(specs, jobs=1, use_cache=False, fuse=False)
+    runner.clear_cache()
+    TELEMETRY.reset()
+    fused = run_cases(
+        specs, jobs=2, use_cache=False, fuse=True,
+        mp_start_method=_start_method(),
+    )
+    batch = parallel.LAST_BATCH
+    assert batch.simulated == distinct, "one run per distinct trace"
+    assert batch.fused_runs_saved == len(specs) - distinct
+    for spec, trace, a, b in zip(specs, traces, unfused, fused):
+        assert _comparable(a) == _comparable(b), spec.label()
+        assert _stamped_names(b) == {trace.name}, spec.label()
+
+
+def test_grouping_memoizes_one_trace_per_content():
+    """Fusing, the parent keeps one trace per distinct content and each
+    job runs its representative's; unfused, it builds no trace."""
+    specs = _fig4_specs()
+    pending = {spec.key(): spec for spec in specs}
+
+    def memoized():
+        return [
+            spec for spec in specs
+            if runner.trace_memoized(spec.workload, FIG4_N, spec.seed)
+        ]
+
+    unfused = parallel._group_jobs(pending, False)
+    assert [job.specs for job in unfused] == [(spec,) for spec in specs]
+    assert memoized() == []
+    fused = parallel._group_jobs(pending, True)
+    assert memoized() == [job.specs[0] for job in fused]
+    assert sum(len(job.specs) for job in fused) == len(specs)
+
+
+def test_harness_summary_counts_shared_members():
+    specs = _fig4_specs()
+    mark = parallel.telemetry_mark()
+    run_cases(specs, jobs=1, use_cache=False, fuse=True)
+    line = parallel.summarize_since(mark)
+    assert f"[harness] {len(specs)} case lookups:" in line
+    saved = parallel.LAST_BATCH.fused_runs_saved
+    assert saved > 0 and f"({saved} runs saved)" in line
+
+
+def _mutated(base: Program, name: str, at: tuple[int, int], **change):
+    """``base`` under ``name`` with ``change`` applied to the micro-op at
+    ``at`` (instruction index, micro-op index)."""
+    i, j = at
+    instrs = list(base.instructions)
+    uops = list(instrs[i].uops)
+    uops[j] = dataclasses.replace(uops[j], **change)
+    instrs[i] = dataclasses.replace(instrs[i], uops=tuple(uops))
+    return Program(name, instrs)
+
+
+@pytest.mark.parametrize("field", ["lanes", "addr"])
+def test_one_micro_op_field_splits_the_run(monkeypatch, field):
+    """A trace differing in one micro-op field never shares a run, while
+    an exact copy under another name does."""
+    base = make_trace("gemm-train-1760-knl", FIG4_N, 1)
+    at = next(
+        (i, j)
+        for i, instr in enumerate(base.instructions)
+        for j, uop in enumerate(instr.uops)
+        if (uop.lanes > 1 if field == "lanes" else uop.addr >= 0)
+    )
+    uop = base.instructions[at[0]].uops[at[1]]
+    value = uop.lanes - 1 if field == "lanes" else uop.addr + 4096
+    variants = {
+        "twin-base": Program("twin-base", list(base.instructions)),
+        "twin-copy": Program("twin-copy", list(base.instructions)),
+        "twin-mutant": _mutated(base, "twin-mutant", at, **{field: value}),
+    }
+    for name, program in variants.items():
+        monkeypatch.setitem(
+            WORKLOADS, name,
+            WorkloadSpec(name, name, "fusion twin", lambda n, s, p=program: p),
+        )
+    specs = [
+        CaseSpec(workload=name, preset="knl", instructions=FIG4_N)
+        for name in variants
+    ]
+    results = run_cases(specs, jobs=1, use_cache=False, fuse=True)
+    batch = parallel.LAST_BATCH
+    assert batch.simulated == 2, "only the exact copy may share a run"
+    assert batch.fused_runs_saved == 1
+    for name, result in zip(variants, results):
+        assert _stamped_names(result) == {name}
 
 
 # ---------------------------------------------------------------------------
