@@ -14,7 +14,8 @@ routine and a batch must survive them.  This module wraps every case in a
   (crashes, timeouts, corrupt payloads, invariant violations);
 * automatic pool rebuild when the ``ProcessPoolExecutor`` breaks
   (a worker died hard), and graceful degradation to in-process serial
-  execution once it has broken :data:`POOL_BREAK_LIMIT` times;
+  execution once it has broken :data:`POOL_BREAK_LIMIT` times; a broken
+  pool charges a failed attempt only to the jobs that had started in it;
 * per-case classification — ``crash`` / ``timeout`` / ``invariant`` /
   ``corrupt-payload`` — collected into a :class:`FailureReport` and
   persisted as ``results/failures/<key>.json`` so a later run can
@@ -121,6 +122,10 @@ class FaultInjected(RuntimeError):
 
 class CorruptPayload(RuntimeError):
     """A worker shipped a payload that cannot be decoded into a result."""
+
+
+class _NotStarted(BrokenProcessPool):
+    """A broken pool failed a job before its attempt began."""
 
 
 class CaseDeadlineExceeded(TimeoutError):
@@ -534,6 +539,26 @@ def _supervised_worker(
     return payload
 
 
+#: In a pool worker: the round's start flags, one byte per submitted job
+#: (see :meth:`_Supervision.pool_round`).
+_started_flags = None
+
+
+def _init_pool_worker(started_flags) -> None:
+    """Pool-worker initializer: freeze the inherited garbage (see
+    :meth:`_Supervision.pool_round`) and keep the round's start flags."""
+    global _started_flags
+    gc.freeze()
+    _started_flags = started_flags
+
+
+def _pool_attempt(slot: int, *args) -> dict | bytes:
+    """A pool attempt: flag job ``slot`` as started, then run
+    :func:`_supervised_worker` with ``args``."""
+    _started_flags[slot] = 1
+    return _supervised_worker(*args)
+
+
 # ---------------------------------------------------------------------------
 # deadlines
 
@@ -696,7 +721,7 @@ class _Supervision:
     resumed: dict[str, int] = field(default_factory=dict)
 
     def collect(
-        self, key: str, job: Job, fetch, executor: str
+        self, key: str, job: Job, fetch, executor: str, started=None,
     ) -> type[Exception] | None:
         """Fetch one attempt's payload, then publish it or record why not.
 
@@ -704,15 +729,24 @@ class _Supervision:
         result or an in-process call.  Returns the type of the attempt's
         exception, or None once the job's results are published.  (Not
         the exception itself: its traceback would keep the failed
-        simulation's frames alive.)
+        simulation's frames alive.)  A broken pool fails every
+        uncollected job; ``started()`` tells whether this one had begun,
+        and one that had not returns :class:`_NotStarted` and records no
+        attempt.
         """
-        started = time.perf_counter()
+        begun = time.perf_counter()
         deadline = case_deadline(job.specs[0], self.timeout_override)
         try:
             payload = fetch(deadline)
             resumed = _pop_resumed(payload)
             results = validate_payload(payload, job)
         except Exception as exc:
+            if (
+                started is not None
+                and isinstance(exc, BrokenProcessPool)
+                and not started()
+            ):
+                return _NotStarted
             classification, error = _classify(exc, deadline)
             if classification == "timeout":
                 self.outcome.timeouts += 1
@@ -722,7 +756,7 @@ class _Supervision:
                     attempt=len(history),
                     classification=classification,
                     error=error,
-                    elapsed_seconds=time.perf_counter() - started,
+                    elapsed_seconds=time.perf_counter() - begun,
                     executor=executor,
                 )
             )
@@ -758,22 +792,31 @@ class _Supervision:
     def pool_round(
         self, pending: list[tuple[str, Job]], jobs: int,
         mp_start_method: str | None,
-    ) -> tuple[list[tuple[str, Job]], bool]:
-        """One pool pass over ``pending``; returns (retry list, pool broke)."""
-        context = None
-        if mp_start_method is not None:
-            context = multiprocessing.get_context(mp_start_method)
+    ) -> tuple[list[tuple[str, Job]], list[tuple[str, Job]], bool]:
+        """One pool pass over ``pending``.
+
+        Returns the jobs charged a failed attempt, the jobs a broken
+        pool failed before they started (re-queued uncharged), and
+        whether the pool broke.
+        """
+        context = multiprocessing.get_context(mp_start_method)
+        # One byte per job, set by the worker as the attempt begins.  A
+        # dead worker fails every uncollected future of the pool, but only
+        # the jobs that had begun are charged: the others did nothing, and
+        # charging them would also advance their fault-plan attempt index.
+        started = context.RawArray("b", len(pending))
         # A forked worker inherits the parent's uncollected garbage, which
         # can hold an earlier round's executor.  Collecting it in the
         # worker would run that executor's weakref callback, which takes a
         # lock a parent thread may have held at fork time: the worker
-        # hangs.  ``gc.freeze`` keeps every inherited object out of the
-        # worker's collections.
+        # hangs.  ``gc.freeze`` in the initializer keeps every inherited
+        # object out of the worker's collections.
         pool = ProcessPoolExecutor(
             max_workers=min(jobs, len(pending)), mp_context=context,
-            initializer=gc.freeze,
+            initializer=_init_pool_worker, initargs=(started,),
         )
         retry: list = []
+        unstarted: list = []
         broke = False
         try:
             submitted = [
@@ -781,28 +824,31 @@ class _Supervision:
                     key,
                     job,
                     pool.submit(
-                        _supervised_worker, job, len(self.attempts[key]),
+                        _pool_attempt, slot, job, len(self.attempts[key]),
                         self.plan, True, self.checkpoint_interval,
                     ),
                 )
-                for key, job in pending
+                for slot, (key, job) in enumerate(pending)
             ]
             # Deterministic collection: submission order, not completion
             # order.
-            for key, job, future in submitted:
+            for slot, (key, job, future) in enumerate(submitted):
                 failure = self.collect(
                     key, job,
                     lambda deadline, f=future: f.result(timeout=deadline),
-                    "pool",
+                    "pool", lambda slot=slot: bool(started[slot]),
                 )
                 if failure is not None:
                     future.cancel()
                     # If a worker died hard, every uncollected future of
                     # this pool raises BrokenProcessPool too; all of them
-                    # retry in a rebuilt pool (or serially, if this keeps
-                    # happening).
+                    # go again in a rebuilt pool (or serially, if this
+                    # keeps happening).
                     broke = broke or issubclass(failure, BrokenProcessPool)
-                    retry.append((key, job))
+                    if failure is _NotStarted:
+                        unstarted.append((key, job))
+                    else:
+                        retry.append((key, job))
         except KeyboardInterrupt:
             # Ctrl-C: cancel everything still queued and reap the pool so
             # no orphan workers keep simulating a batch nobody will
@@ -810,7 +856,7 @@ class _Supervision:
             pool.shutdown(wait=False, cancel_futures=True)
             raise
         pool.shutdown(wait=False, cancel_futures=True)
-        return retry, broke
+        return retry, unstarted, broke
 
     def serial_round(
         self, pending: list[tuple[str, Job]]
@@ -891,17 +937,23 @@ def run_supervised(
         if round_no and backoff > 0:
             time.sleep(min(BACKOFF_CAP, backoff * 2 ** (round_no - 1)))
         degraded = pool_breaks >= POOL_BREAK_LIMIT
+        unstarted: list = []
         if prefer_serial or degraded:
             if degraded and not prefer_serial:
                 outcome.serial_fallback = True
             retry = state.serial_round(pending)
         else:
-            retry, broke = state.pool_round(pending, jobs, mp_start_method)
+            retry, unstarted, broke = state.pool_round(
+                pending, jobs, mp_start_method
+            )
             if broke:
                 pool_breaks += 1
                 if pool_breaks < POOL_BREAK_LIMIT:
                     outcome.pool_rebuilds += 1
-        pending = []
+        # Jobs a broken pool failed before they began go again as they
+        # were: no attempt, no retry.  Pool breaks are bounded by
+        # POOL_BREAK_LIMIT, after which every job runs serially.
+        pending = unstarted
         for key, job in retry:
             history = state.attempts[key]
             if len(history) < max_attempts:

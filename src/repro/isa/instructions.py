@@ -84,7 +84,7 @@ class Program:
     spirit: simulations never mutate it, so one instance can back many runs
     (baseline and idealized configurations share the trace, as in the paper's
     methodology).  Trace analyses every simulation needs (the micro-op
-    count, the replay period) are memoized on the instance, so a program
+    count, the replay period, the checkpoint identity) are memoized on the instance, so a program
     must not be mutated after its first simulation; :meth:`extend` is the
     one mutator and drops the memos.
     """
@@ -100,6 +100,11 @@ class Program:
     _period: tuple[int, int] | None | bool = field(
         default=False, init=False, repr=False, compare=False
     )
+    #: Memo of :func:`repro.pipeline.checkpoint.program_identity` (None
+    #: until first computed).
+    _identity: dict | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __len__(self) -> int:
         return len(self.instructions)
@@ -114,6 +119,7 @@ class Program:
         self.instructions.extend(instrs)
         self._uop_count = None
         self._period = False
+        self._identity = None
 
     @property
     def uop_count(self) -> int:

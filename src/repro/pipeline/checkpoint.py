@@ -32,15 +32,32 @@ Checkpoints live under ``results/.checkpoints/<case-key>/`` (override with
 snapshot named ``ckpt_<committed-instructions>.rck``.  Recovery walks the
 ladder newest -> older -> fresh start, unlinking any checkpoint whose
 checksum fails on the way down.
+
+Once a case's result is published, :func:`clear_checkpoints` renames its
+directory to ``<root>/.reaping/<key>-<pid>-<n>`` and one background
+reaper thread per process deletes it from a queue.  On ext4, unlinking a
+file whose data was fsynced measured 36-62 ms and removing its directory
+~36 ms, while the rename costs ~0 ms, so the caller never waits on the
+deletion.  The case's path is free at once: a rerun of the same case
+writes fresh checkpoints while the old ones are still being deleted.
+Recovery and listing never read ``.reaping``, so a crash mid-deletion
+leaves only ``.reaping`` debris (swept by ``clear_checkpoints()``),
+never a resumable stale checkpoint.  An ``atexit`` hook drains the
+reaper, and a forked child starts with fresh reaper state.
 """
 
 from __future__ import annotations
 
+import atexit
 import hashlib
 import io
+import itertools
 import json
 import os
 import pickle
+import queue
+import shutil
+import threading
 import time
 from array import array
 from pathlib import Path
@@ -53,10 +70,12 @@ __all__ = [
     "CheckpointError",
     "ENV_CHECKPOINT_DIR",
     "ENV_CHECKPOINT_INTERVAL",
+    "REAPING_DIR",
     "checkpoint_dir_for",
     "checkpoint_interval_default",
     "checkpoint_root",
     "clear_checkpoints",
+    "drain_reaper",
     "instruction_refs",
     "latest_valid_checkpoint",
     "list_case_checkpoints",
@@ -130,18 +149,24 @@ def program_identity(program: Program) -> dict:
     machine-native ``array('q')`` bytes of every instruction's pc and
     every micro-op's address (checkpoints are host-local files).  Two
     traces from different workloads, lengths or seeds differ here.
+    Memoized on the program (dropped by :meth:`Program.extend`), so a
+    trace is hashed once however many engines snapshot or restore it.
     """
-    instrs = program.instructions
-    pcs = array("q", [instr.pc for instr in instrs])
-    addrs = array("q", [uop.addr for instr in instrs for uop in instr.uops])
-    digest = hashlib.sha256(pcs.tobytes())
-    digest.update(addrs.tobytes())
-    return {
-        "name": program.name,
-        "instructions": len(pcs),
-        "uops": len(addrs),
-        "sha256": digest.hexdigest(),
-    }
+    if program._identity is None:
+        instrs = program.instructions
+        pcs = array("q", [instr.pc for instr in instrs])
+        addrs = array(
+            "q", [uop.addr for instr in instrs for uop in instr.uops]
+        )
+        digest = hashlib.sha256(pcs.tobytes())
+        digest.update(addrs.tobytes())
+        program._identity = {
+            "name": program.name,
+            "instructions": len(pcs),
+            "uops": len(addrs),
+            "sha256": digest.hexdigest(),
+        }
+    return program._identity
 
 
 def _check_identity(saved: Sequence[dict], supplied: Sequence[dict]) -> None:
@@ -226,19 +251,19 @@ def pack_snapshot(
 
 def unpack_snapshot(
     payload: bytes, programs: Sequence[Program]
-) -> tuple[dict, list[dict], object]:
+) -> tuple[dict, object]:
     """Inverse of :func:`pack_snapshot` against caller-supplied programs.
 
-    Returns ``(envelope, identities, state)``: ``identities`` are the
-    supplied programs' (so a restored simulator need not recompute
-    them).  Raises :class:`CheckpointError` before touching the state
-    blob if any program differs from the one the snapshot was taken with.
+    Returns ``(envelope, state)``.  Raises :class:`CheckpointError`
+    before touching the state blob if any program differs from the one
+    the snapshot was taken with.
     """
     envelope = pickle.loads(payload)
-    identities = [program_identity(program) for program in programs]
-    _check_identity(envelope["programs"], identities)
+    _check_identity(
+        envelope["programs"], [program_identity(p) for p in programs]
+    )
     state = _SnapshotUnpickler(io.BytesIO(envelope["state"]), programs).load()
-    return envelope, identities, state
+    return envelope, state
 
 
 # ---------------------------------------------------------------------------
@@ -398,37 +423,123 @@ def latest_valid_checkpoint(key: str) -> tuple[Path, bytes, dict] | None:
     return None
 
 
+# ---------------------------------------------------------------------------
+# Background reaper (see the module docstring)
+
+#: Subdirectory of the checkpoint root holding directories awaiting
+#: deletion.  Recovery and listing never look inside it.
+REAPING_DIR = ".reaping"
+
+_reaper_lock = threading.Lock()
+_reaper_queue: queue.Queue | None = None
+_aside_serial = itertools.count(1)
+
+
+def _reaper_loop(work: queue.Queue) -> None:
+    while True:
+        path = work.get()
+        try:
+            shutil.rmtree(path, ignore_errors=True)
+        finally:
+            work.task_done()
+
+
+def _reap(path: Path) -> None:
+    """Queue ``path`` for deletion, starting the reaper on first use."""
+    global _reaper_queue
+    with _reaper_lock:
+        if _reaper_queue is None:
+            _reaper_queue = queue.Queue()
+            threading.Thread(
+                target=_reaper_loop, args=(_reaper_queue,),
+                name="checkpoint-reaper", daemon=True,
+            ).start()
+        _reaper_queue.put(path)
+
+
+def drain_reaper() -> None:
+    """Block until every directory queued for deletion is gone."""
+    with _reaper_lock:
+        work = _reaper_queue
+    if work is not None:
+        work.join()
+
+
+def _reset_reaper_in_child() -> None:
+    """A forked child has no reaper thread, and may have inherited its
+    locks held: give it fresh state (the parent still deletes what it
+    queued)."""
+    global _reaper_lock, _reaper_queue
+    _reaper_lock = threading.Lock()
+    _reaper_queue = None
+
+
+atexit.register(drain_reaper)
+os.register_at_fork(after_in_child=_reset_reaper_in_child)
+
+
+def _delete_in_place(directory: Path) -> int:
+    """Synchronously delete one case directory's checkpoint and temp
+    files, then the directory if that left it empty; returns the
+    checkpoint files removed."""
+    removed = 0
+    try:
+        paths = list(directory.iterdir())
+    except OSError:
+        return 0
+    for path in paths:
+        is_ckpt = _progress_of(path) is not None
+        is_tmp = f"{_FILE_SUFFIX}.tmp" in path.name
+        if not (is_ckpt or is_tmp):
+            continue
+        try:
+            path.unlink()
+        except OSError:  # pragma: no cover - racing unlink
+            continue
+        if is_ckpt:
+            removed += 1
+    try:
+        directory.rmdir()
+    except OSError:
+        pass
+    return removed
+
+
 def clear_checkpoints(key: str | None = None) -> int:
     """Delete checkpoints (one case's, or all); returns files removed.
 
-    Leftover temp files are swept too, so an interrupted writer never
-    accumulates garbage.
+    One case's directory is renamed into :data:`REAPING_DIR` and deleted
+    there by the background reaper (:func:`drain_reaper` waits for it):
+    the case's path is free at once, and the caller never waits on the
+    unlinks.  If the rename fails, the files are deleted in place.
+    Clearing every case stays synchronous: it deletes in place, drains
+    the reaper and sweeps whatever a crashed process left in
+    :data:`REAPING_DIR`.  Leftover temp files go too, so an interrupted
+    writer never accumulates garbage.
     """
-    removed = 0
-    if key is not None:
-        roots = [checkpoint_dir_for(key)]
-    else:
+    if key is None:
         root = checkpoint_root()
-        roots = [p for p in root.iterdir() if p.is_dir()] if root.is_dir() \
-            else []
-    for directory in roots:
-        if not directory.is_dir():
-            continue
-        for path in directory.iterdir():
-            is_ckpt = _progress_of(path) is not None
-            is_tmp = f"{_FILE_SUFFIX}.tmp" in path.name
-            if not (is_ckpt or is_tmp):
-                continue
-            try:
-                path.unlink()
-            except OSError:  # pragma: no cover - racing unlink
-                continue
-            if is_ckpt:
-                removed += 1
-        try:
-            directory.rmdir()
-        except OSError:
-            pass
+        removed = 0
+        if root.is_dir():
+            for directory in root.iterdir():
+                if directory.name != REAPING_DIR and directory.is_dir():
+                    removed += _delete_in_place(directory)
+        drain_reaper()
+        shutil.rmtree(root / REAPING_DIR, ignore_errors=True)
+        return removed
+    directory = checkpoint_dir_for(key)
+    if not directory.is_dir():
+        return 0
+    removed = len(list_case_checkpoints(key))
+    aside = directory.parent / REAPING_DIR / (
+        f"{key}-{os.getpid()}-{next(_aside_serial)}"
+    )
+    try:
+        aside.parent.mkdir(exist_ok=True)
+        os.rename(directory, aside)
+    except OSError:
+        return _delete_in_place(directory)
+    _reap(aside)
     return removed
 
 
@@ -438,7 +549,9 @@ def list_checkpoints() -> list[dict]:
     if not root.is_dir():
         return []
     rows: list[dict] = []
-    for directory in sorted(p for p in root.iterdir() if p.is_dir()):
+    for directory in sorted(
+        p for p in root.iterdir() if p.is_dir() and p.name != REAPING_DIR
+    ):
         paths = list_case_checkpoints(directory.name)
         if not paths:
             continue

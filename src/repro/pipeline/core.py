@@ -136,9 +136,8 @@ class CoreSimulator:
         if config.memory is None:
             raise ValueError("core configuration needs a memory hierarchy")
         self.program = program
-        #: Checkpoint-only program identity and instruction references,
-        #: computed on the first snapshot (see :meth:`snapshot`).
-        self._program_identity: dict | None = None
+        #: Checkpoint-only instruction references, computed on the first
+        #: snapshot (see :meth:`snapshot`).
         self._instruction_refs: dict[int, tuple] | None = None
         self.config = config
         self.mode = mode
@@ -618,16 +617,10 @@ class CoreSimulator:
                     "collectors": self._collector_specs,
                 },
             },
-            [self.program_identity()],
+            [_ckpt.program_identity(self.program)],
             self._state_dict(),
             self._instruction_refs,
         )
-
-    def program_identity(self) -> dict:
-        """This simulator's program identity, computed once on demand."""
-        if self._program_identity is None:
-            self._program_identity = _ckpt.program_identity(self.program)
-        return self._program_identity
 
     def _state_dict(self) -> dict:
         """The picklable mutable-state mapping :meth:`snapshot` wraps.
@@ -786,9 +779,8 @@ class CoreSimulator:
         identity is checked first, and a mismatch raises
         :class:`repro.pipeline.checkpoint.CheckpointError`.
         """
-        data, identities, state = _ckpt.unpack_snapshot(payload, [program])
+        data, state = _ckpt.unpack_snapshot(payload, [program])
         sim = cls(program, data["config"], **data["kwargs"])
-        sim._program_identity = identities[0]
         sim._restore_state(state)
         return sim
 

@@ -342,7 +342,7 @@ class MulticoreSimulator:
         Every core's state is pickled in one pass, for the same
         identity-preservation reason as :meth:`CoreSimulator.snapshot`.
         The programs are inputs: the payload holds one identity per core
-        (each computed once, by its core) and writes trace instructions
+        (memoized on its program) and writes trace instructions
         as ``(core, position)`` references.  The shared L3/DRAM state
         appears once per core (each hierarchy snapshot includes its
         shared tail level); the copies are equal at the snapshot instant
@@ -358,7 +358,7 @@ class MulticoreSimulator:
                 "kwargs": self._engine_kwargs,
                 "barrier_wait": dict(self._barrier_wait),
             },
-            [core.program_identity() for core in self.cores],
+            [_ckpt.program_identity(program) for program in self.programs],
             [core._state_dict() for core in self.cores],
             self._instruction_refs,
         )
@@ -374,10 +374,9 @@ class MulticoreSimulator:
         :class:`repro.pipeline.checkpoint.CheckpointError`.
         """
         programs = list(programs)
-        data, identities, states = _ckpt.unpack_snapshot(payload, programs)
+        data, states = _ckpt.unpack_snapshot(payload, programs)
         engine = cls(programs, data["config"], **data["kwargs"])
-        for core, identity, state in zip(engine.cores, identities, states):
-            core._program_identity = identity
+        for core, state in zip(engine.cores, states):
             core._restore_state(state)
         engine._barrier_wait.clear()
         engine._barrier_wait.update(data["barrier_wait"])

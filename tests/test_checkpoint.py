@@ -24,7 +24,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import multiprocessing
 import os
+import shutil
+import threading
+from pathlib import Path
 
 import pytest
 
@@ -260,6 +264,131 @@ def test_clear_checkpoints_sweeps_temp_files():
 
 
 # ---------------------------------------------------------------------------
+# deferred deletion: one case's checkpoints move aside for the reaper
+# ---------------------------------------------------------------------------
+
+
+def _reaping() -> Path:
+    return ckpt.checkpoint_root() / ckpt.REAPING_DIR
+
+
+def _leftovers() -> list[Path]:
+    """Every file still under the reaping directory."""
+    root = _reaping()
+    return [p for p in root.rglob("*") if p.is_file()] if root.is_dir() else []
+
+
+@pytest.fixture
+def held_reaper(monkeypatch):
+    """Hold this process's reaper inside its first deletion until the
+    test sets the returned ``release`` event (``entered`` is set once it
+    is held).  Other processes delete as usual."""
+    entered, release = threading.Event(), threading.Event()
+    rmtree, owner = shutil.rmtree, os.getpid()
+
+    def held(path, *args, **kwargs):
+        if os.getpid() == owner and ckpt.REAPING_DIR in Path(path).parts:
+            entered.set()
+            release.wait(60)
+        return rmtree(path, *args, **kwargs)
+
+    monkeypatch.setattr(shutil, "rmtree", held)
+    yield entered, release
+    release.set()
+    ckpt.drain_reaper()
+
+
+def test_clear_one_case_counts_files_and_frees_its_path(held_reaper):
+    entered, release = held_reaper
+    key = "reaptest"
+    for instrs in (300, 600, 900):
+        ckpt.save_checkpoint(ckpt.checkpoint_path(key, instrs), b"p", {})
+    assert ckpt.clear_checkpoints(key) == 3
+    assert not ckpt.checkpoint_dir_for(key).exists(), "the path is free"
+    assert entered.wait(10)
+    assert len(_leftovers()) == 3, "the old files await the reaper"
+    # A rerun writes fresh checkpoints while the old ones are deleted;
+    # neither recovery nor listing sees the old ones.
+    ckpt.save_checkpoint(ckpt.checkpoint_path(key, 300), b"q", {})
+    assert [p.name for p in ckpt.list_case_checkpoints(key)] == [
+        "ckpt_000000000300.rck"
+    ]
+    assert [row["key"] for row in ckpt.list_checkpoints()] == [key]
+    release.set()
+    ckpt.drain_reaper()
+    assert _leftovers() == []
+    assert ckpt.latest_valid_checkpoint(key)[1] == b"q"
+
+
+def test_clear_all_sweeps_stale_reaping_debris():
+    stale = _reaping() / "deadbeef-999999999-1"
+    stale.mkdir(parents=True)
+    (stale / "ckpt_000000000300.rck").write_bytes(b"left by a crash")
+    ckpt.save_checkpoint(ckpt.checkpoint_path("live", 300), b"p", {})
+    assert ckpt.list_checkpoints()[0]["key"] == "live"
+    assert len(ckpt.list_checkpoints()) == 1, "listing skips .reaping"
+    assert ckpt.clear_checkpoints() == 1
+    assert not _reaping().exists()
+    assert ckpt.list_checkpoints() == []
+
+
+def test_clear_deletes_in_place_when_the_rename_fails(monkeypatch):
+    key = "norename"
+    ckpt.save_checkpoint(ckpt.checkpoint_path(key, 300), b"p", {})
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "rename", refuse)
+    assert ckpt.clear_checkpoints(key) == 1
+    assert not ckpt.checkpoint_dir_for(key).exists()
+    assert _leftovers() == [], "nothing was handed to the reaper"
+
+
+def _clear_in_child(key: str) -> None:
+    """Write, clear and drain one case in a child process."""
+    ckpt.save_checkpoint(ckpt.checkpoint_path(key, 300), b"p", {})
+    assert ckpt.clear_checkpoints(key) == 1
+    ckpt.drain_reaper()
+    assert not ckpt.checkpoint_dir_for(key).exists()
+
+
+def test_pool_round_completes_while_the_reaper_is_mid_delete(held_reaper):
+    entered, release = held_reaper
+    ckpt.save_checkpoint(ckpt.checkpoint_path("busy", 300), b"p", {})
+    ckpt.clear_checkpoints("busy")
+    assert entered.wait(10)
+    specs = [_spec(seed) for seed in (1, 2)]
+    supervisor.fault_plan = {
+        specs[0].key(): {"kind": "sigkill_mid_case", "times": 1}
+    }
+    results = run_cases(
+        specs, jobs=2, mp_start_method=_start_method(), retry_backoff=0,
+        checkpoint_interval=INTERVAL,
+    )
+    assert all(result is not None for result in results)
+    assert parallel.LAST_BATCH.resumes >= 1
+    # A forked child inherits a reaper with work outstanding but not its
+    # thread; its own clear and drain must still finish.
+    child = multiprocessing.get_context(_start_method()).Process(
+        target=_clear_in_child, args=("child",)
+    )
+    child.start()
+    child.join(30)
+    hung = child.is_alive()
+    if hung:
+        child.kill()
+        child.join()
+    assert not hung, "the child's drain waited on the parent's reaper"
+    assert child.exitcode == 0
+    release.set()
+    ckpt.drain_reaper()
+    assert _leftovers() == []
+    for spec in specs:
+        assert ckpt.list_case_checkpoints(spec.key()) == []
+
+
+# ---------------------------------------------------------------------------
 # differential matrix: interrupt + resume == uninterrupted, bit for bit
 # ---------------------------------------------------------------------------
 
@@ -397,7 +526,7 @@ def test_mid_warmup_checkpoint_holds_no_collector(workload, preset):
                 on_checkpoint=hook)
     (path,) = ckpt.list_case_checkpoints(key)
     payload, _meta = ckpt.load_checkpoint(path)
-    _data, _ids, state = ckpt.unpack_snapshot(payload, [trace])
+    _data, state = ckpt.unpack_snapshot(payload, [trace])
     assert not state["warmed"]
     assert state["collectors"] == [None]
     resumed = CoreSimulator.from_snapshot(payload, trace)

@@ -206,6 +206,38 @@ def test_worker_death_rebuilds_pool_then_falls_back_serial():
     assert stats.failures == 0
 
 
+def test_broken_pool_charges_only_started_jobs():
+    """One SIGKILLed worker breaks the pool, which fails every
+    uncollected job; only jobs that had started may be charged."""
+    specs = [_spec(seed) for seed in (1, 2, 3, 4)]
+    supervisor.fault_plan = {
+        # The culprit dies as its attempt begins (no checkpoint will
+        # land).  The other worker's first job sleeps until the broken
+        # pool terminates it, so no later job can start in this round.
+        specs[0].key(): {"kind": "sigkill_mid_case", "times": 1},
+        specs[1].key(): {"kind": "hang", "seconds": 60, "times": 1},
+    }
+    pending = [(spec.key(), Job((spec,))) for spec in specs]
+    state = supervisor._Supervision(
+        plan=supervisor.get_fault_plan(),
+        outcome=supervisor.SupervisionOutcome(),
+        use_cache=False,
+        timeout_override=None,
+        checkpoint_interval=None,
+        attempts={key: [] for key, _ in pending},
+    )
+    retry, unstarted, broke = state.pool_round(pending, 2, _start_method())
+    assert broke
+    culprit, sleeper, *never_started = [key for key, _ in pending]
+    (attempt,) = state.attempts[culprit]
+    assert attempt.classification == "crash"
+    assert len(state.attempts[sleeper]) <= 1
+    for key in never_started:
+        assert state.attempts[key] == [], "a job that never ran was charged"
+    assert {key for key, _ in unstarted} >= set(never_started)
+    assert culprit in {key for key, _ in retry}
+
+
 # ---------------------------------------------------------------------------
 # partial batches and targeted re-runs
 
