@@ -69,15 +69,6 @@ class BranchTargetBuffer:
         """
         return tuple(sorted(self._table.items()))
 
-    def snapshot(self) -> list:
-        """Picklable full state (index -> (tag, target) pairs)."""
-        return list(self._table.items())
-
-    def restore(self, state: list) -> None:
-        """Inverse of :meth:`snapshot`; mutates the table in place."""
-        self._table.clear()
-        self._table.update((idx, tuple(entry)) for idx, entry in state)
-
 
 class BranchPredictor:
     """Base class: direction predictor combined with a BTB."""
@@ -117,23 +108,6 @@ class BranchPredictor:
         therefore excluded."""
         return (self._direction_fingerprint(), self.btb.fingerprint())
 
-    def snapshot(self) -> dict:
-        """Picklable full state: BTB, counters, direction tables."""
-        return {
-            "btb": self.btb.snapshot(),
-            "lookups": self.lookups,
-            "mispredicts": self.mispredicts,
-            "direction": self._direction_snapshot(),
-        }
-
-    def restore(self, state: dict) -> None:
-        """Inverse of :meth:`snapshot`; mutates in place (the simulator
-        and replay engine hold live references to this object)."""
-        self.btb.restore(state["btb"])
-        self.lookups = state["lookups"]
-        self.mispredicts = state["mispredicts"]
-        self._direction_restore(state["direction"])
-
     # -- direction policy (overridden by subclasses) -------------------------
 
     def _predict_direction(self, pc: int) -> bool:
@@ -145,15 +119,6 @@ class BranchPredictor:
     def _direction_fingerprint(self) -> object:
         """Direction-predictor state; stateless policies return None."""
         return None
-
-    def _direction_snapshot(self) -> object:
-        """Serializable direction state; stateless policies return None."""
-        return None
-
-    def _direction_restore(self, state: object) -> None:
-        """Inverse of :meth:`_direction_snapshot`."""
-        if state is not None:  # pragma: no cover - schema guard
-            raise ValueError("stateless predictor given direction state")
 
 
 class PerfectPredictor(BranchPredictor):
@@ -213,12 +178,6 @@ class BimodalPredictor(BranchPredictor):
     def _direction_fingerprint(self) -> object:
         return bytes(self._counters)
 
-    def _direction_snapshot(self) -> object:
-        return bytes(self._counters)
-
-    def _direction_restore(self, state: object) -> None:
-        self._counters[:] = state
-
 
 class GsharePredictor(BranchPredictor):
     """Global-history predictor: pc XOR history indexes 2-bit counters."""
@@ -250,14 +209,6 @@ class GsharePredictor(BranchPredictor):
 
     def _direction_fingerprint(self) -> object:
         return (bytes(self._counters), self._history)
-
-    def _direction_snapshot(self) -> object:
-        return (bytes(self._counters), self._history)
-
-    def _direction_restore(self, state: object) -> None:
-        counters, history = state
-        self._counters[:] = counters
-        self._history = history
 
 
 class TournamentPredictor(BranchPredictor):
@@ -295,19 +246,6 @@ class TournamentPredictor(BranchPredictor):
             self._gshare._direction_fingerprint(),
             bytes(self._chooser),
         )
-
-    def _direction_snapshot(self) -> object:
-        return (
-            self._bimodal._direction_snapshot(),
-            self._gshare._direction_snapshot(),
-            bytes(self._chooser),
-        )
-
-    def _direction_restore(self, state: object) -> None:
-        bimodal, gshare, chooser = state
-        self._bimodal._direction_restore(bimodal)
-        self._gshare._direction_restore(gshare)
-        self._chooser[:] = chooser
 
 
 _PREDICTORS = {

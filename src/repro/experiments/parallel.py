@@ -30,10 +30,10 @@ A batch with unrecovered failures raises
 failed slots) so a long sweep survives individual bad cases.
 
 Observability: each batch leaves a :class:`BatchStats` in
-:data:`LAST_BATCH` with wall time, per-level hit counts, supervision
-counters (retries/timeouts/pool rebuilds) and simulated uops/sec;
-experiments print its ``summary()`` line and ``repro cache stats``
-exposes the process-wide counters.
+:data:`LAST_BATCH` with wall time, per-level hit counts and supervision
+counters (retries/timeouts/pool rebuilds/resumes).  Experiment commands
+print one :func:`summarize_since` line over every batch they ran, and
+``repro cache stats`` exposes the process-wide counters.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ def resolve_jobs(jobs: int | str | None = None) -> int:
 
 @dataclass(slots=True)
 class BatchStats:
-    """What one ``run_cases`` batch did, for the summary line."""
+    """What one ``run_cases`` batch did."""
 
     cases: int = 0
     unique: int = 0
@@ -126,48 +126,8 @@ class BatchStats:
     #: Per-key report for every case given up on this batch.
     failure_reports: dict[str, FailureReport] = field(default_factory=dict)
 
-    @property
-    def uops_per_second(self) -> float:
-        if self.wall_seconds <= 0:
-            return 0.0
-        return self.uops_simulated / self.wall_seconds
 
-    def summary(self) -> str:
-        rate = self.uops_per_second
-        line = (
-            f"[harness] {self.cases} cases ({self.unique} unique): "
-            f"{self.simulated} simulated, {self.memo_hits} memo hits, "
-            f"{self.disk_hits} disk hits | jobs={self.jobs} "
-            f"wall={self.wall_seconds:.2f}s sim={self.sim_seconds:.2f}s "
-            f"({rate / 1e3:.0f}k uops/s)"
-        )
-        extras = []
-        if self.fused_groups:
-            extras.append(
-                f"{self.fused_groups} fused groups "
-                f"({self.fused_runs_saved} runs saved)"
-            )
-        if self.resumes:
-            extras.append(
-                f"{self.resumes} resumed "
-                f"({self.resumed_instructions} instrs preserved)"
-            )
-        if self.retries:
-            extras.append(f"{self.retries} retries")
-        if self.timeouts:
-            extras.append(f"{self.timeouts} timeouts")
-        if self.pool_rebuilds:
-            extras.append(f"{self.pool_rebuilds} pool rebuilds")
-        if self.serial_fallback:
-            extras.append("serial fallback")
-        if self.failures:
-            extras.append(f"{self.failures} FAILED")
-        if extras:
-            line += " | " + ", ".join(extras)
-        return line
-
-
-#: Stats of the most recent batch (experiments print its summary line).
+#: Stats of the most recent batch.
 LAST_BATCH: BatchStats | None = None
 
 
@@ -397,11 +357,6 @@ def _run_batch(
     if outcome.failures and not keep_going:
         raise BatchFailure(outcome.failures)
     return [results.get(key) for key in keys]
-
-
-def last_batch_summary() -> str | None:
-    """Summary line of the most recent batch, if any ran."""
-    return LAST_BATCH.summary() if LAST_BATCH is not None else None
 
 
 def telemetry_mark() -> tuple[float, dict[str, float]]:

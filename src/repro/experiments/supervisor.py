@@ -880,6 +880,11 @@ class _Supervision:
                 )
 
             if self.collect(key, job, fetch, "serial") is not None:
+                # The failed attempt's simulator is one large reference
+                # cycle: reclaim it now, not whenever the collector next
+                # reaches the oldest generation, so that a retry never
+                # holds two simulators.
+                gc.collect()
                 retry.append((key, job))
         return retry
 

@@ -199,51 +199,6 @@ class Cache:
             tuple(map(tuple, self._set_dirty)),
         )
 
-    def snapshot(self) -> dict:
-        """Picklable full state: tags + dirty bits in LRU order per set,
-        the occupancy count, and every statistics counter.  Schema-stable
-        with :class:`LegacyCache` — snapshots restore across the two."""
-        return {
-            "sets": [
-                list(zip(lines, dirty))
-                for lines, dirty in zip(self._set_lines, self._set_dirty)
-            ],
-            "occupancy": self._occupancy,
-            "stats": {
-                "accesses": self.stats.accesses,
-                "hits": self.stats.hits,
-                "misses": self.stats.misses,
-                "evictions": self.stats.evictions,
-                "dirty_evictions": self.stats.dirty_evictions,
-                "prefetch_fills": self.stats.prefetch_fills,
-            },
-        }
-
-    def restore(self, state: dict) -> None:
-        """Inverse of :meth:`snapshot`.
-
-        Mutates the existing arrays and ``stats`` object in place —
-        the replay engine holds live references to ``stats`` — and
-        rebuilds each set in saved order so LRU behaviour (and thus
-        every later eviction) is bitwise reproduced.
-        """
-        for idx, saved in enumerate(state["sets"]):
-            lines = self._set_lines[idx]
-            dirty_bits = self._set_dirty[idx]
-            lines.clear()
-            dirty_bits.clear()
-            for line, dirty in saved:
-                lines.append(line)
-                dirty_bits.append(dirty)
-        self._occupancy = state["occupancy"]
-        stats = state["stats"]
-        self.stats.accesses = stats["accesses"]
-        self.stats.hits = stats["hits"]
-        self.stats.misses = stats["misses"]
-        self.stats.evictions = stats["evictions"]
-        self.stats.dirty_evictions = stats["dirty_evictions"]
-        self.stats.prefetch_fills = stats["prefetch_fills"]
-
     def mark_dirty(self, line: int) -> None:
         """Set the dirty bit if the line is present."""
         idx = line & self.set_mask

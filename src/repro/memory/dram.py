@@ -59,20 +59,6 @@ class DramModel:
         if self._next_slot > now:
             self._next_slot += delta
 
-    def snapshot(self) -> dict:
-        """Picklable full state (service-queue slot + counters)."""
-        return {
-            "next_slot": self._next_slot,
-            "accesses": self.accesses,
-            "total_queue_delay": self.total_queue_delay,
-        }
-
-    def restore(self, state: dict) -> None:
-        """Inverse of :meth:`snapshot`."""
-        self._next_slot = state["next_slot"]
-        self.accesses = state["accesses"]
-        self.total_queue_delay = state["total_queue_delay"]
-
     @property
     def average_queue_delay(self) -> float:
         if self.accesses == 0:

@@ -557,54 +557,6 @@ class MemoryHierarchy:
             if t > now:
                 events[i] = t + delta
 
-    def snapshot(self) -> dict:
-        """Picklable full state of the composed hierarchy.
-
-        Each distinct level (L2/L3 shared by both chains appear once, via
-        :meth:`_levels`) contributes its cache, MSHR file and outstanding
-        fill map; plus DRAM, both TLBs, the prefetcher, the prefetch
-        counter and the observational ``_fill_events`` heap (saved
-        verbatim so ``next_event`` pops in the identical order after a
-        resume, keeping fast-forward windows bitwise reproducible).  The
-        schema is representation-independent: a snapshot taken under the
-        fast path restores into a legacy hierarchy and vice versa.
-        """
-        return {
-            "levels": [
-                {
-                    "cache": level.cache.snapshot(),
-                    "mshr": level.mshr.snapshot(),
-                    "outstanding": list(level.outstanding.items()),
-                }
-                for level in self._levels()
-            ],
-            "dram": self.dram.snapshot(),
-            "itlb": self.itlb.snapshot(),
-            "dtlb": self.dtlb.snapshot(),
-            "prefetcher": self.prefetcher.snapshot(),
-            "prefetches_issued": self.prefetches_issued,
-            "fill_events": list(self._fill_events),
-        }
-
-    def restore(self, state: dict) -> None:
-        """Inverse of :meth:`snapshot`.
-
-        Every sub-object is mutated in place (never reassigned): the
-        replay engine and the simulator hold live references to the
-        caches, their stats, the TLBs, the DRAM model and the prefetcher.
-        """
-        for level, saved in zip(self._levels(), state["levels"]):
-            level.cache.restore(saved["cache"])
-            level.mshr.restore(saved["mshr"])
-            level.outstanding.clear()
-            level.outstanding.update(saved["outstanding"])
-        self.dram.restore(state["dram"])
-        self.itlb.restore(state["itlb"])
-        self.dtlb.restore(state["dtlb"])
-        self.prefetcher.restore(state["prefetcher"])
-        self.prefetches_issued = state["prefetches_issued"]
-        self._fill_events[:] = state["fill_events"]
-
     # -- statistics --------------------------------------------------------------
 
     def stats(self) -> dict[str, dict[str, float]]:

@@ -6,7 +6,7 @@ representation of the simulators' ``reference=True`` mode
 insertion order is the LRU order.  The flat-array :class:`repro.memory.cache.Cache`
 and :class:`repro.memory.tlb.Tlb` must stay bitwise interchangeable with
 these — same hit/miss/eviction decisions, same statistics, same
-``fingerprint``/``snapshot`` schema — which the memory differential suite
+``fingerprint`` schema — which the memory differential suite
 checks access-by-access and run-by-run.
 """
 
@@ -118,43 +118,6 @@ class LegacyCache:
             tuple(tuple(s.values()) for s in self._sets),
         )
 
-    def snapshot(self) -> dict:
-        """Picklable full state: tags + dirty bits in LRU order per set,
-        the occupancy count, and every statistics counter."""
-        return {
-            "sets": [list(s.items()) for s in self._sets],
-            "occupancy": self._occupancy,
-            "stats": {
-                "accesses": self.stats.accesses,
-                "hits": self.stats.hits,
-                "misses": self.stats.misses,
-                "evictions": self.stats.evictions,
-                "dirty_evictions": self.stats.dirty_evictions,
-                "prefetch_fills": self.stats.prefetch_fills,
-            },
-        }
-
-    def restore(self, state: dict) -> None:
-        """Inverse of :meth:`snapshot`.
-
-        Mutates the existing set dicts and ``stats`` object in place —
-        the replay engine holds live references to ``stats`` — and
-        rebuilds each set's dict in saved order so LRU behaviour (and
-        thus every later eviction) is bitwise reproduced.  Accepts
-        snapshots written by the flat-array :class:`Cache` (same schema).
-        """
-        for cache_set, saved in zip(self._sets, state["sets"]):
-            cache_set.clear()
-            cache_set.update(saved)
-        self._occupancy = state["occupancy"]
-        stats = state["stats"]
-        self.stats.accesses = stats["accesses"]
-        self.stats.hits = stats["hits"]
-        self.stats.misses = stats["misses"]
-        self.stats.evictions = stats["evictions"]
-        self.stats.dirty_evictions = stats["dirty_evictions"]
-        self.stats.prefetch_fills = stats["prefetch_fills"]
-
     def mark_dirty(self, line: int) -> None:
         """Set the dirty bit if the line is present."""
         cache_set = self._set_for(line)
@@ -211,22 +174,6 @@ class LegacyTlb:
         """Entry set in LRU order (the replay engine's fixed-point check);
         counters are excluded (delta-advanced)."""
         return tuple(self._entries)
-
-    def snapshot(self) -> dict:
-        """Picklable full state (entries in LRU order + counters)."""
-        return {
-            "entries": list(self._entries),
-            "accesses": self.accesses,
-            "misses": self.misses,
-        }
-
-    def restore(self, state: dict) -> None:
-        """Inverse of :meth:`snapshot`; rebuilds LRU order in place."""
-        self._entries.clear()
-        for page in state["entries"]:
-            self._entries[page] = None
-        self.accesses = state["accesses"]
-        self.misses = state["misses"]
 
     @property
     def miss_rate(self) -> float:

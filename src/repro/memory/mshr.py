@@ -75,27 +75,6 @@ class MshrFile:
             if t > now:
                 busy[i] = t + delta
 
-    def snapshot(self) -> dict:
-        """Picklable full state.
-
-        The busy heap is saved verbatim (not sorted): restoring the exact
-        internal layout reproduces the same pop order tie-breaking, so a
-        resumed run is bitwise identical, not just behaviourally close.
-        """
-        return {
-            "busy": list(self._busy),
-            "acquisitions": self.acquisitions,
-            "total_wait": self.total_wait,
-            "max_wait": self.max_wait,
-        }
-
-    def restore(self, state: dict) -> None:
-        """Inverse of :meth:`snapshot`; mutates the heap list in place."""
-        self._busy[:] = state["busy"]
-        self.acquisitions = state["acquisitions"]
-        self.total_wait = state["total_wait"]
-        self.max_wait = state["max_wait"]
-
     def outstanding(self, now: float) -> int:
         """Number of slots still busy at ``now`` (diagnostic)."""
         return sum(1 for t in self._busy if t > now)

@@ -109,31 +109,5 @@ class StreamPrefetcher:
             for region, s in self._streams.items()
         )
 
-    def snapshot(self) -> dict:
-        """Picklable full state (stream table in LRU order + counters)."""
-        return {
-            "streams": [
-                (region, s.last_line, s.direction, s.confidence, s.frontier)
-                for region, s in self._streams.items()
-            ],
-            "issued": self.issued,
-            "triggers": self.triggers,
-        }
-
-    def restore(self, state: dict) -> None:
-        """Inverse of :meth:`snapshot`; mutates in place (LRU preserved)."""
-        self._streams.clear()
-        for region, last_line, direction, confidence, frontier in state[
-            "streams"
-        ]:
-            self._streams[region] = _Stream(
-                last_line=last_line,
-                direction=direction,
-                confidence=confidence,
-                frontier=frontier,
-            )
-        self.issued = state["issued"]
-        self.triggers = state["triggers"]
-
     def reset(self) -> None:
         self._streams.clear()

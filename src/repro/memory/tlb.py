@@ -58,21 +58,6 @@ class Tlb:
         counters are excluded (delta-advanced)."""
         return tuple(self._entries)
 
-    def snapshot(self) -> dict:
-        """Picklable full state (entries in LRU order + counters);
-        schema-stable with :class:`repro.memory.legacy.LegacyTlb`."""
-        return {
-            "entries": list(self._entries),
-            "accesses": self.accesses,
-            "misses": self.misses,
-        }
-
-    def restore(self, state: dict) -> None:
-        """Inverse of :meth:`snapshot`; rebuilds LRU order in place."""
-        self._entries[:] = state["entries"]
-        self.accesses = state["accesses"]
-        self.misses = state["misses"]
-
     @property
     def miss_rate(self) -> float:
         if self.accesses == 0:

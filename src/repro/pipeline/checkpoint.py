@@ -13,14 +13,19 @@ schema, length and checksum before unpickling anything, so a torn or
 bit-flipped file is always detected as :class:`CheckpointError` — never
 silently resumed into wrong data.
 
-The payload holds mutable simulator state only, never the input trace.
-It is a plain pickled envelope (program identities, config, construction
-kwargs) around a separately pickled state blob in which every trace
-:class:`~repro.isa.instructions.Instruction` is stored as a
-``(program, position)`` reference.  The caller supplies the program(s)
-on restore; :func:`unpack_snapshot` compares them with the identities in
-the envelope before the state blob is resolved against them, so a
-checkpoint never resumes into a different trace.
+The payload is the pickled simulator itself, never the input trace: two
+pickles back to back, the program identities and then the
+:class:`~repro.pipeline.core.CoreSimulator` (or
+:class:`~repro.pipeline.multicore.MulticoreSimulator`) as one object
+graph.  Each :class:`~repro.isa.instructions.Program`, its instruction
+list and every trace :class:`~repro.isa.instructions.Instruction` are
+written as references (``(program, position)`` for an instruction), and
+so are the simulator's identity-compared sentinels.  The caller supplies
+the program(s) on restore; :func:`unpack_snapshot` compares them with
+the saved identities before the simulator pickle is resolved against
+them, so a checkpoint never resumes into a different trace.  The format
+follows the in-memory representation: any change to a simulator class's
+attributes bumps :data:`CHECKPOINT_SCHEMA`.
 
 Writes are atomic: payload lands in a same-directory temp file which is
 fsynced and then ``os.replace``d over the final name (the same discipline
@@ -76,7 +81,6 @@ __all__ = [
     "checkpoint_root",
     "clear_checkpoints",
     "drain_reaper",
-    "instruction_refs",
     "latest_valid_checkpoint",
     "list_case_checkpoints",
     "list_checkpoints",
@@ -98,7 +102,9 @@ __all__ = [
 #: three per-engine switches.
 #: 5: the frontend state drops its decode rows; restore derives the
 #: expansion from the pending instruction.
-CHECKPOINT_SCHEMA = 5
+#: 6: the payload is the pickled simulator, with the programs, their
+#: instruction lists and the sentinels as references.
+CHECKPOINT_SCHEMA = 6
 
 #: First line of every checkpoint file.
 MAGIC = b"REPRO-CKPT\n"
@@ -188,12 +194,26 @@ def _check_identity(saved: Sequence[dict], supplied: Sequence[dict]) -> None:
             )
 
 
-def instruction_refs(programs: Sequence[Program]) -> dict[int, tuple]:
-    """``id(instruction) -> (program index, position)`` for every
-    instruction of ``programs``: the references :func:`pack_snapshot`
-    writes in place of the instructions themselves."""
-    refs: dict[int, tuple] = {}
+def _sentinels() -> tuple:
+    """The simulator's identity-compared module constants, in reference
+    order: a pickled copy would compare unequal by identity."""
+    from repro.pipeline.core import _PENDING, _UNSCHED_SIG
+
+    return (_PENDING, _UNSCHED_SIG)
+
+
+def _snapshot_refs(programs: Sequence[Program]) -> dict[int, tuple]:
+    """``id(object) -> reference`` for everything :func:`pack_snapshot`
+    writes as a reference instead of a value: each program (``(p,
+    "program")``), its instruction list (``(p, "instructions")``), each
+    of its instructions (``(p, position)``) and each sentinel
+    (``("sentinel", index)``)."""
+    refs: dict[int, tuple] = {
+        id(obj): ("sentinel", s) for s, obj in enumerate(_sentinels())
+    }
     for p, program in enumerate(programs):
+        refs[id(program)] = (p, "program")
+        refs[id(program.instructions)] = (p, "instructions")
         refs.update(
             (id(instr), (p, i)) for i, instr in enumerate(program.instructions)
         )
@@ -201,22 +221,20 @@ def instruction_refs(programs: Sequence[Program]) -> dict[int, tuple]:
 
 
 class _SnapshotPickler(pickle.Pickler):
-    """Pickles snapshot payloads with trace instructions as references."""
+    """Pickles a simulator with its trace and sentinels as references."""
 
     def __init__(self, file, refs: dict[int, tuple]) -> None:
         super().__init__(file)
         self._refs = refs
 
     def persistent_id(self, obj):
-        if type(obj) is Instruction:
-            ref = self._refs.get(id(obj))
-            if ref is None:
-                raise CheckpointError(
-                    f"state references an instruction at pc {obj.pc:#x} "
-                    "that is not in the simulated program"
-                )
-            return ref
-        return None
+        ref = self._refs.get(id(obj))
+        if ref is None and type(obj) in (Instruction, Program):
+            raise CheckpointError(
+                f"state references a {type(obj).__name__} that is not "
+                "one of the simulated programs"
+            )
+        return ref
 
 
 class _SnapshotUnpickler(pickle.Unpickler):
@@ -227,43 +245,52 @@ class _SnapshotUnpickler(pickle.Unpickler):
         self._programs = programs
 
     def persistent_load(self, ref):
-        p, i = ref
-        return self._programs[p].instructions[i]
+        where, what = ref
+        if where == "sentinel":
+            return _sentinels()[what]
+        program = self._programs[where]
+        if what == "program":
+            return program
+        if what == "instructions":
+            return program.instructions
+        return program.instructions[what]
 
 
-def pack_snapshot(
-    envelope: dict, identities: list[dict], state, refs: dict[int, tuple]
-) -> bytes:
-    """Serialize one snapshot payload.
+def pack_snapshot(sim, programs: Sequence[Program]) -> bytes:
+    """Serialize a simulator that runs ``programs`` into one payload.
 
-    ``state`` is pickled in one pass (the memo keeps shared objects such
-    as in-flight micro-ops shared) with each trace instruction written as
-    its ``refs`` entry; the resulting blob and the program ``identities``
-    join the plain-data ``envelope`` (config, construction kwargs).
+    The payload is two pickles back to back: the programs' identities,
+    then ``sim`` itself in one pass (the memo keeps shared objects such
+    as in-flight micro-ops shared), with every :func:`_snapshot_refs`
+    object written as its reference.  The reference table is built once
+    per simulator and memoized on its ``_instruction_refs``.
     """
-    def dump(obj) -> bytes:
-        buffer = io.BytesIO()
-        _SnapshotPickler(buffer, refs).dump(obj)
-        return buffer.getvalue()
+    if sim._instruction_refs is None:
+        sim._instruction_refs = _snapshot_refs(programs)
+    buffer = io.BytesIO()
+    pickle.dump([program_identity(p) for p in programs], buffer)
+    _SnapshotPickler(buffer, sim._instruction_refs).dump(sim)
+    return buffer.getvalue()
 
-    return dump({**envelope, "programs": identities, "state": dump(state)})
 
-
-def unpack_snapshot(
-    payload: bytes, programs: Sequence[Program]
-) -> tuple[dict, object]:
+def unpack_snapshot(payload: bytes, programs: Sequence[Program], kind: type):
     """Inverse of :func:`pack_snapshot` against caller-supplied programs.
 
-    Returns ``(envelope, state)``.  Raises :class:`CheckpointError`
-    before touching the state blob if any program differs from the one
-    the snapshot was taken with.
+    Returns the simulator, which must be a ``kind``.  Raises
+    :class:`CheckpointError` before touching the simulator pickle if any
+    program differs from the one the snapshot was taken with, and after
+    it if the payload holds another kind of simulator.
     """
-    envelope = pickle.loads(payload)
+    stream = io.BytesIO(payload)
     _check_identity(
-        envelope["programs"], [program_identity(p) for p in programs]
+        pickle.load(stream), [program_identity(p) for p in programs]
     )
-    state = _SnapshotUnpickler(io.BytesIO(envelope["state"]), programs).load()
-    return envelope, state
+    sim = _SnapshotUnpickler(stream, programs).load()
+    if type(sim) is not kind:
+        raise CheckpointError(
+            f"checkpoint holds a {type(sim).__name__}, not a {kind.__name__}"
+        )
+    return sim
 
 
 # ---------------------------------------------------------------------------

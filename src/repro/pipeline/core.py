@@ -106,14 +106,6 @@ _PENDING = object()
 #: handful of signatures, re-filling ~30 observation fields each time.
 _SIG_CACHE_CAP = 8192
 
-#: Serialized stand-in for the :data:`_PENDING` sentinel in a checkpoint
-#: payload.  The sentinel is compared by identity, so it cannot survive a
-#: pickle round trip; snapshot/restore swap it for this token and back.
-#: (Resolving it instead would mutate the ``_nonready`` queues, diverging
-#: from the uninterrupted run.)
-_PENDING_TOKEN = "__repro_pending__"
-
-
 class CoreSimulator:
     """Simulates one program on one core configuration."""
 
@@ -136,12 +128,11 @@ class CoreSimulator:
         if config.memory is None:
             raise ValueError("core configuration needs a memory hierarchy")
         self.program = program
-        #: Checkpoint-only instruction references, computed on the first
-        #: snapshot (see :meth:`snapshot`).
+        #: Checkpoint-only reference table, built on the first snapshot
+        #: (see :meth:`snapshot`).
         self._instruction_refs: dict[int, tuple] | None = None
         self.config = config
         self.mode = mode
-        self._seed = seed
         # ``reference=True`` is the per-cycle differential oracle: the
         # dict-backed memory walk (:mod:`repro.memory.legacy`), no
         # quiescent-cycle fast-forward, no periodic replay and no squashed
@@ -406,10 +397,10 @@ class CoreSimulator:
             )
         start = time.perf_counter()
         step = self._step_event if self._event else self._step
-        # _finished inlined, cheapest-reject first: on almost every cycle
-        # the ROB (or the dispatch queue) is non-empty, so the check costs
-        # one truthiness test instead of three calls (method + two
-        # frontend properties).
+        # :meth:`unfinished` inlined (a standalone core never parks at a
+        # barrier), cheapest-reject first: on almost every cycle the ROB
+        # (or the dispatch queue) is non-empty, so the check costs one
+        # truthiness test instead of a method call.
         frontend = self.frontend
         rob = self.rob
         queue = self.uop_queue
@@ -525,15 +516,6 @@ class CoreSimulator:
         ]
         return self.fused_results[0]
 
-    def _finished(self) -> bool:
-        return (
-            self.frontend.idle
-            and not self.rob
-            and not self.uop_queue
-            and self.unsched_remaining == 0
-            and not self.barrier_waiting
-        )
-
     def unfinished(self) -> bool:
         """True while stepping this core can still make progress.
 
@@ -579,197 +561,28 @@ class CoreSimulator:
         }
 
     def snapshot(self) -> bytes:
-        """Serialize the mutable simulation state into one payload.
+        """Serialize this simulator, mid-run, into one payload.
 
-        The state is pickled in a *single* pass so the pickle memo
+        The simulator is pickled as one object graph, so the pickle memo
         preserves object identity: an :class:`InflightUop` reachable
         from the ROB, a scheduler deque, ``last_writer`` and a dependence
         edge is stored once and restored as one shared object, exactly
         like the live pipeline.  Only taken between cycles (never
-        mid-``_step``), so per-cycle scratch (``self._obs``, the FU pool's
-        free-slot counters, the uop free list — a fresh record is
-        field-identical to a recycled one) is deliberately excluded.
-
-        The program is an input, not state: the payload stores its
-        identity, and every trace instruction the state references is
-        written as its position (see
+        mid-``_step``).  The program is an input, not state: the payload
+        stores its identity, and the program, its instructions and the
+        identity-compared sentinels (:data:`_PENDING`,
+        :data:`_UNSCHED_SIG`) are written as references (see
         :func:`repro.pipeline.checkpoint.pack_snapshot`).
-
-        The :data:`_PENDING` sentinel is identity-compared and cannot
-        survive pickling; it is tokenized here and re-interned by
-        :meth:`_restore_state`.  It must *not* be resolved instead:
-        :meth:`_resolve_issue_obs` pops from the ``_nonready`` deques,
-        which would diverge from the uninterrupted run.
         """
-        if self._instruction_refs is None:
-            self._instruction_refs = _ckpt.instruction_refs([self.program])
-        return _ckpt.pack_snapshot(
-            {
-                "config": self.config,
-                "kwargs": {
-                    "mode": self.mode,
-                    "seed": self._seed,
-                    "warmup_instructions": self.warmup_instructions,
-                    "reference": self._reference,
-                    "legacy_issue_scan": not self._event,
-                    # The full collector-spec tuple: restoring a fused
-                    # run must bring back *all* attached collectors.
-                    "collectors": self._collector_specs,
-                },
-            },
-            [_ckpt.program_identity(self.program)],
-            self._state_dict(),
-            self._instruction_refs,
-        )
+        return _ckpt.pack_snapshot(self, [self.program])
 
-    def _state_dict(self) -> dict:
-        """The picklable mutable-state mapping :meth:`snapshot` wraps.
-
-        Exposed separately so the multi-core engine can compose per-core
-        states into one engine-level snapshot (one pickling pass for
-        identity preservation) without duplicating config/kwargs per
-        core.
-        """
-        obs_cache = tuple(
-            _PENDING_TOKEN if value is _PENDING else value
-            for value in self._issue_obs_cache
-        )
-        bat_sig = self._bat_sig
-        state = {
-            "rob": self.rob,
-            "rs": self.rs,
-            "uop_queue": self.uop_queue,
-            "last_writer": self.last_writer,
-            "pending_stores": self.pending_stores,
-            "completions": self.completions,
-            "sq_count": self.sq_count,
-            "cycle": self.cycle,
-            "committed_uops": self.committed_uops,
-            "committed_instrs": self.committed_instrs,
-            "unsched_remaining": self.unsched_remaining,
-            "barrier_waiting": self.barrier_waiting,
-            "warmed": self._warmed,
-            "measure_cycle0": self._measure_cycle0,
-            "measure_uops0": self._measure_uops0,
-            "rs_dirty": self._rs_dirty,
-            "rs_quiet": self._rs_quiet,
-            "has_correct_waiting": self._has_correct_waiting,
-            "issue_obs_cache": obs_cache,
-            "ready": self._ready,
-            "nonready": self._nonready,
-            "nonready_vfp": self._nonready_vfp,
-            "rs_count": self._rs_count,
-            "rs_correct": self._rs_correct,
-            "rs_vfp": self._rs_vfp,
-            "parked": self._parked,
-            "ff_windows": self.ff_windows,
-            "ff_cycles_skipped": self.ff_cycles_skipped,
-            "bat_sig": bat_sig,
-            "bat_k": self._bat_k,
-            "bat_cur": self._bat_cur,
-            "bat_spare": self._bat_spare,
-            "replay_windows": self.replay_windows,
-            "replay_cycles_skipped": self.replay_cycles_skipped,
-            "replay_rec": self._replay_rec,
-            "collectors": self.collectors,
-            "replay": (
-                self._replay.snapshot() if self._replay is not None else None
-            ),
-            "hierarchy": self.hierarchy.snapshot(),
-            "predictor": self.predictor.snapshot(),
-            "frontend": self.frontend.snapshot(),
-            "fu": self.fu.snapshot(),
-        }
+    def __getstate__(self) -> dict:
+        """Pickled state: everything but the checkpoint reference table
+        and the signature -> observation cache, both rebuilt on demand."""
+        state = self.__dict__.copy()
+        state["_instruction_refs"] = None
+        state["_sig_cache"] = {}
         return state
-
-    def _restore_state(self, state: dict) -> None:
-        """Inverse of :meth:`snapshot` on a freshly constructed simulator.
-
-        Components are mutated *in place* — the replay engine's shift
-        sites and the frontend hold live references to the hierarchy,
-        predictor, cache-statistics and counter objects built by
-        ``__init__``, so none of them may be replaced wholesale.
-        """
-        self.rob.clear()
-        self.rob.extend(state["rob"])
-        self.rs[:] = state["rs"]
-        self.uop_queue.clear()
-        self.uop_queue.extend(state["uop_queue"])
-        self.last_writer[:] = state["last_writer"]
-        self.pending_stores.clear()
-        self.pending_stores.update(state["pending_stores"])
-        self.completions.clear()
-        self.completions.update(state["completions"])
-        self.sq_count = state["sq_count"]
-        self.cycle = state["cycle"]
-        self.committed_uops = state["committed_uops"]
-        self.committed_instrs = state["committed_instrs"]
-        self.unsched_remaining = state["unsched_remaining"]
-        self.barrier_waiting = state["barrier_waiting"]
-        self._warmed = state["warmed"]
-        self._measure_cycle0 = state["measure_cycle0"]
-        self._measure_uops0 = state["measure_uops0"]
-        self._rs_dirty = state["rs_dirty"]
-        self._rs_quiet = state["rs_quiet"]
-        self._has_correct_waiting = state["has_correct_waiting"]
-        # Re-intern the module-level _PENDING sentinel (identity-compared
-        # by _resolve_issue_obs); InflightUop/bool/None values compare
-        # unequal to the token string, so the test is exact.
-        self._issue_obs_cache = tuple(
-            _PENDING if value == _PENDING_TOKEN else value
-            for value in state["issue_obs_cache"]
-        )
-        self._ready[:] = state["ready"]
-        self._nonready.clear()
-        self._nonready.extend(state["nonready"])
-        self._nonready_vfp.clear()
-        self._nonready_vfp.extend(state["nonready_vfp"])
-        self._rs_count = state["rs_count"]
-        self._rs_correct = state["rs_correct"]
-        self._rs_vfp = state["rs_vfp"]
-        self._parked = state["parked"]
-        self.ff_windows = state["ff_windows"]
-        self.ff_cycles_skipped = state["ff_cycles_skipped"]
-        # Re-intern the _UNSCHED_SIG sentinel (identity-compared in the
-        # fused step); no accountant signature equals it — ordinary
-        # signatures are longer observation-field tuples.
-        bat_sig = state["bat_sig"]
-        if bat_sig == _UNSCHED_SIG:
-            bat_sig = _UNSCHED_SIG
-        self._bat_sig = bat_sig
-        self._bat_k = state["bat_k"]
-        # The buffers themselves may be swapped wholesale: they are read
-        # at call time only and note_cycle always copies, so nothing
-        # retains a reference to the constructor-built pair.
-        self._bat_cur = state["bat_cur"]
-        self._bat_spare = state["bat_spare"]
-        self.replay_windows = state["replay_windows"]
-        self.replay_cycles_skipped = state["replay_cycles_skipped"]
-        self._replay_rec = state["replay_rec"]
-        # The pickled collectors (one slot per spec, None for detached
-        # members) carry every accountant's mid-run counters; the hot-path
-        # view is rebuilt rather than pickled so single/fan-out wrapping
-        # stays an implementation detail of this class.
-        self.collectors = list(state["collectors"])
-        self._rewrap_collector()
-        if state["replay"] is not None and self._replay is not None:
-            self._replay.restore(state["replay"])
-        elif state["replay"] is not None:
-            # The checkpoint carries engine state but this simulator has
-            # no engine (e.g. a production checkpoint restored under
-            # ``reference=True``).  Dropping it is sound — replay never
-            # changes results, only skips work — but any in-flight
-            # recording is gone, so clear the recording flag with it.
-            self._replay_rec = False
-        elif self._replay is not None:
-            # Conversely the checkpoint was taken with no engine; reset
-            # this simulator's engine to its idle state (it attempts
-            # recording afresh after the restore).
-            self._replay.rearm()
-        self.hierarchy.restore(state["hierarchy"])
-        self.predictor.restore(state["predictor"])
-        self.frontend.restore(state["frontend"])
-        self.fu.restore(state["fu"])
 
     @classmethod
     def from_snapshot(cls, payload: bytes, program: Program) -> "CoreSimulator":
@@ -779,10 +592,7 @@ class CoreSimulator:
         identity is checked first, and a mismatch raises
         :class:`repro.pipeline.checkpoint.CheckpointError`.
         """
-        data, state = _ckpt.unpack_snapshot(payload, [program])
-        sim = cls(program, data["config"], **data["kwargs"])
-        sim._restore_state(state)
-        return sim
+        return _ckpt.unpack_snapshot(payload, [program], cls)
 
     @classmethod
     def resume(cls, path: str | Path, program: Program) -> "CoreSimulator":

@@ -67,8 +67,7 @@ class Frontend:
         #: pool (a private one when constructed standalone in tests).
         self._pool = UopPool() if pool is None else pool
         # Current macro-op expansion state: an index cursor over the
-        # micro-ops of the current instruction (see _start_instr).
-        self._decoded: tuple[MicroOp, ...] = ()
+        # micro-ops of ``_pending_instr`` (see _start_instr).
         self._decoded_idx = 0
         self._decoded_len = 0
         self._pending_instr: Instruction | None = None
@@ -229,68 +228,6 @@ class Frontend:
             self._rng.getstate(),
         )
 
-    def snapshot(self) -> dict:
-        """Picklable full state for the checkpoint engine.
-
-        Everything mutable goes in: trace/decode position, stall state,
-        wrong-path machinery (including the RNG via ``getstate``), sync
-        barrier, and the delivery counters.  The in-flight uop references
-        (``resolving_branch``, ``waiting_sync``) are stored as live
-        objects — the simulator pickles its whole state in one pass, so
-        the memo keeps them identical to the ROB/scheduler entries.
-        The ``_wp_uop_cache`` memo is deliberately excluded: it is
-        rebuilt on demand and carries no behaviour.  So is ``_decoded``,
-        which is always the pending instruction's micro-ops: restore
-        derives it, and a mid-expansion cursor resumes on the same uops.
-        """
-        return {
-            "idx": self._idx,
-            "decoded_idx": self._decoded_idx,
-            "decoded_len": self._decoded_len,
-            "pending_instr": self._pending_instr,
-            "seq": self.seq,
-            "block": self.block,
-            "stall_until": self._stall_until,
-            "stall_reason": self._stall_reason,
-            "last_reason": self._last_reason,
-            "last_line": self._last_line,
-            "wrong_path": self.wrong_path,
-            "resolving_branch": self.resolving_branch,
-            "wp_prev_dst": self._wp_prev_dst,
-            "wp_counter": self._wp_counter,
-            "wp_data_addr": self._wp_data_addr,
-            "rng": self._rng.getstate(),
-            "waiting_sync": self.waiting_sync,
-            "delivered": self.delivered,
-            "delivered_wrong": self.delivered_wrong,
-            "icache_stall_cycles": self.icache_stall_cycles,
-        }
-
-    def restore(self, state: dict) -> None:
-        """Inverse of :meth:`snapshot`; mutates this frontend in place."""
-        self._idx = state["idx"]
-        self._decoded_idx = state["decoded_idx"]
-        self._decoded_len = state["decoded_len"]
-        self._pending_instr = state["pending_instr"]
-        pending = self._pending_instr
-        self._decoded = () if pending is None else pending.uops
-        self.seq = state["seq"]
-        self.block = state["block"]
-        self._stall_until = state["stall_until"]
-        self._stall_reason = state["stall_reason"]
-        self._last_reason = state["last_reason"]
-        self._last_line = state["last_line"]
-        self.wrong_path = state["wrong_path"]
-        self.resolving_branch = state["resolving_branch"]
-        self._wp_prev_dst = state["wp_prev_dst"]
-        self._wp_counter = state["wp_counter"]
-        self._wp_data_addr = state["wp_data_addr"]
-        self._rng.setstate(state["rng"])
-        self.waiting_sync = state["waiting_sync"]
-        self.delivered = state["delivered"]
-        self.delivered_wrong = state["delivered_wrong"]
-        self.icache_stall_cycles = state["icache_stall_cycles"]
-
     def shift(
         self, cycle: int, cycles: int, instrs: int, seqs: int, blocks: int
     ) -> None:
@@ -307,7 +244,6 @@ class Frontend:
         """Mispredicted branch resolved: flush and refetch correct path."""
         self.wrong_path = False
         self.resolving_branch = None
-        self._decoded = ()
         self._decoded_idx = 0
         self._decoded_len = 0
         self._pending_instr = None
@@ -364,7 +300,7 @@ class Frontend:
             if instr is not None:
                 # Drain the current expansion through a local cursor: the
                 # per-uop attribute churn on self showed in profiles.
-                uops = self._decoded
+                uops = instr.uops
                 dlen = self._decoded_len
                 idx = self._decoded_idx
                 microcoded = instr.microcoded
@@ -448,7 +384,7 @@ class Frontend:
             # previous fetch, not microcoded.  When the whole expansion
             # also fits this cycle's remaining budget — the common case
             # for 1-3 uop instructions under a 4-wide decoder — the uops
-            # are minted right here, bypassing the ``_decoded`` cursor
+            # are minted right here, bypassing the expansion cursor
             # state entirely.
             instr = self._instructions[i]
             if (
@@ -459,7 +395,6 @@ class Frontend:
                 uops = instr.uops
                 dlen = len(uops)
                 if dlen > budget:
-                    self._decoded = uops
                     self._decoded_idx = 0
                     self._decoded_len = dlen
                     self._pending_instr = instr
@@ -539,7 +474,6 @@ class Frontend:
                 self._stall(result.complete, Component.ICACHE)
                 return False
         self._idx += 1
-        self._decoded = instr.uops
         self._decoded_idx = 0
         self._decoded_len = len(instr.uops)
         self._pending_instr = instr

@@ -102,7 +102,7 @@ class MulticoreSimulator:
 
     Guarantee: a 1-core engine is bitwise identical to a standalone
     :class:`CoreSimulator` with the same arguments — same stacks, same
-    telemetry, same snapshot bytes modulo the engine wrapper.
+    telemetry.
     """
 
     def __init__(
@@ -183,18 +183,8 @@ class MulticoreSimulator:
         #: currently parked at the pending barrier.
         self._barrier_wait: dict[int, tuple[int, int]] = {}
         self._done = [False] * n
-        #: Checkpoint-only instruction references, built on first snapshot.
+        #: Checkpoint-only reference table, built on the first snapshot.
         self._instruction_refs: dict[int, tuple] | None = None
-        # Construction arguments, snapshotted verbatim so a checkpoint
-        # restores under the same engine switches (mirrors CoreSimulator).
-        self._engine_kwargs = {
-            "mode": mode,
-            "seeds": seeds,
-            "warmup_instructions": warmups,
-            "reference": reference,
-            "legacy_issue_scan": legacy_issue_scan,
-            "collectors": self.cores[0]._collector_specs,
-        }
 
     # -- barrier protocol --------------------------------------------------------
 
@@ -337,31 +327,22 @@ class MulticoreSimulator:
         }
 
     def snapshot(self) -> bytes:
-        """Serialize the mutable engine state into one payload.
+        """Serialize the engine, mid-run, into one payload.
 
-        Every core's state is pickled in one pass, for the same
-        identity-preservation reason as :meth:`CoreSimulator.snapshot`.
-        The programs are inputs: the payload holds one identity per core
-        (memoized on its program) and writes trace instructions
-        as ``(core, position)`` references.  The shared L3/DRAM state
-        appears once per core (each hierarchy snapshot includes its
-        shared tail level); the copies are equal at the snapshot instant
-        and restore writes the same data N times — consistent by
-        idempotence.
+        The engine is pickled as one object graph, for the same
+        identity-preservation reason as :meth:`CoreSimulator.snapshot`:
+        the shared L3/DRAM back end is stored once, however many cores
+        reference it.  The programs are inputs: the payload holds one
+        identity per core (memoized on its program) and writes each
+        program and its instructions as references.
         """
-        if self._instruction_refs is None:
-            self._instruction_refs = _ckpt.instruction_refs(self.programs)
-        return _ckpt.pack_snapshot(
-            {
-                "engine": "multicore",
-                "config": self.config,
-                "kwargs": self._engine_kwargs,
-                "barrier_wait": dict(self._barrier_wait),
-            },
-            [_ckpt.program_identity(program) for program in self.programs],
-            [core._state_dict() for core in self.cores],
-            self._instruction_refs,
-        )
+        return _ckpt.pack_snapshot(self, self.programs)
+
+    def __getstate__(self) -> dict:
+        """Pickled state: everything but the checkpoint reference table."""
+        state = self.__dict__.copy()
+        state["_instruction_refs"] = None
+        return state
 
     @classmethod
     def from_snapshot(
@@ -373,14 +354,7 @@ class MulticoreSimulator:
         with, in core order; a count or identity mismatch raises
         :class:`repro.pipeline.checkpoint.CheckpointError`.
         """
-        programs = list(programs)
-        data, states = _ckpt.unpack_snapshot(payload, programs)
-        engine = cls(programs, data["config"], **data["kwargs"])
-        for core, state in zip(engine.cores, states):
-            core._restore_state(state)
-        engine._barrier_wait.clear()
-        engine._barrier_wait.update(data["barrier_wait"])
-        return engine
+        return _ckpt.unpack_snapshot(payload, list(programs), cls)
 
     @classmethod
     def resume(

@@ -296,9 +296,8 @@ class ReplayEngine:
     def rearm(self) -> None:
         """Drop any recording and return to the constructor state.
 
-        Called at the warmup boundary — accountants attach there, so a
-        recording begun during warmup holds no observation runs — and on
-        restoring a checkpoint that carries no engine state.
+        Called at the warmup boundary: accountants attach there, so a
+        recording begun during warmup holds no observation runs.
         """
         self._recording = False
         self._sim._replay_rec = False
@@ -322,51 +321,6 @@ class ReplayEngine:
             return
         buf = self._copy_buffer(self._sim._bat_cur)
         runs.append([sig, k, buf])
-
-    # -- checkpoint support ------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """Picklable engine state for the checkpoint engine.
-
-        A checkpoint may land mid-recording, so the anchor state
-        (``_t0``/``_idx0``/..., the baseline fingerprint and counter
-        snapshot, and the recorded runs) all travel.  ``_sim`` and
-        ``_sites`` are excluded — they are live references rebuilt by the
-        engine's constructor against the resumed simulator — and
-        ``_spares`` is a pure allocation cache.
-        """
-        return {
-            "recording": self._recording,
-            "disabled": self._disabled,
-            "next_attempt": self._next_attempt,
-            "backoff": self._backoff,
-            "t0": self._t0,
-            "idx0": self._idx0,
-            "seq0": self._seq0,
-            "block0": self._block0,
-            "fp0": self._fp0,
-            "counts0": self._counts0,
-            "floats0": self._floats0,
-            "checks": self._checks,
-            "runs": [[sig, k, buf] for sig, k, buf in self._runs],
-        }
-
-    def restore(self, state: dict) -> None:
-        """Inverse of :meth:`snapshot`; mutates this engine in place."""
-        self._recording = state["recording"]
-        self._disabled = state["disabled"]
-        self._next_attempt = state["next_attempt"]
-        self._backoff = state["backoff"]
-        self._t0 = state["t0"]
-        self._idx0 = state["idx0"]
-        self._seq0 = state["seq0"]
-        self._block0 = state["block0"]
-        self._fp0 = state["fp0"]
-        self._counts0 = state["counts0"]
-        self._floats0 = state["floats0"]
-        self._checks = state["checks"]
-        self._recycle_runs()
-        self._runs[:] = [[sig, k, buf] for sig, k, buf in state["runs"]]
 
     # -- recording lifecycle -----------------------------------------------------
 

@@ -122,15 +122,5 @@ class FunctionalUnitPool:
             if b > cycle:
                 busy[i] = b + delta
 
-    def snapshot(self) -> dict:
-        """Picklable persistent state.  Exactly the multiply busy times:
-        ``_free``/``_issue_free`` are per-cycle scratch rebuilt by
-        :meth:`begin_issue` before the next issue walk reads them."""
-        return {"mul_busy_until": list(self._mul_busy_until)}
-
-    def restore(self, state: dict) -> None:
-        """Inverse of :meth:`snapshot`; mutates the list in place."""
-        self._mul_busy_until[:] = state["mul_busy_until"]
-
     def reset(self) -> None:
         self._mul_busy_until = [0] * self.config.mul_units

@@ -8,7 +8,8 @@ import pytest
 
 from repro.config.presets import broadwell, knights_landing, tiny_core
 from repro.isa import decoder as asm
-from repro.isa.instructions import Program
+from repro.isa.instructions import Instruction, Program
+from repro.pipeline import checkpoint as ckpt
 from repro.workloads.base import DATA_BASE, TraceBuilder
 
 
@@ -64,6 +65,29 @@ def _isolated_checkpoint_dir(tmp_path_factory):
         os.environ.pop("REPRO_CHECKPOINT_DIR", None)
     else:
         os.environ["REPRO_CHECKPOINT_DIR"] = previous
+
+
+class _StrictPickler(ckpt._SnapshotPickler):
+    """Refuses to serialize a program, an instruction list or an
+    instruction by value: each must be written as a reference."""
+
+    def persistent_id(self, obj):
+        ref = self._refs.get(id(obj))
+        if ref is None:
+            if isinstance(obj, (Instruction, Program)):
+                kind = type(obj).__name__
+            elif type(obj) is list and obj and isinstance(obj[0], Instruction):
+                kind = "instruction list"
+            else:
+                return None
+            raise AssertionError(f"snapshot payload serializes a {kind}")
+        return ref
+
+
+@pytest.fixture
+def strict_pickler(monkeypatch):
+    """Checkpoint payloads pickled through :class:`_StrictPickler`."""
+    monkeypatch.setattr(ckpt, "_SnapshotPickler", _StrictPickler)
 
 
 @pytest.fixture

@@ -41,9 +41,11 @@ from repro.experiments.parallel import run_cases
 from repro.experiments.runner import clear_cache, lookup_cached
 from repro.pipeline import checkpoint as ckpt
 from repro.pipeline.checkpoint import CheckpointError
-from repro.isa.instructions import Instruction, Program
+from repro.isa.instructions import Program
+from repro.pipeline import core as core_module
 from repro.pipeline.core import CoreSimulator
-from repro.workloads.registry import make_trace
+from repro.pipeline.multicore import MulticoreSimulator
+from repro.workloads.registry import make_threaded_traces, make_trace
 
 N = 2_000
 
@@ -453,12 +455,13 @@ def test_resume_bitwise_identical_across_machines(workload, preset):
     ("conv-vgg-2-fwd", broadwell),
     ("gemm-train-1760-knl", knights_landing),
 ])
-def test_resume_mid_expansion_is_bitwise_identical(tmp_path, workload,
-                                                   preset):
+def test_resume_mid_expansion_is_bitwise_identical(tmp_path, strict_pickler,
+                                                   workload, preset):
     """A checkpoint taken while an instruction is half delivered (the
-    frontend cursor inside its micro-ops) stores no decode rows: restore
-    re-derives the expansion from the pending instruction and the run
-    finishes bit for bit like an uninterrupted one."""
+    frontend cursor inside its micro-ops) stores the pending instruction
+    as a reference, never its decode rows: the resumed cursor walks the
+    trace's own instruction and the run finishes bit for bit like an
+    uninterrupted one."""
     trace = make_trace(workload, N, 1)
     config = preset()
     expected = CoreSimulator(trace, config).run()
@@ -473,15 +476,48 @@ def test_resume_mid_expansion_is_bitwise_identical(tmp_path, workload,
         sim._step_event()
     else:
         pytest.fail("no cycle ended with a half-delivered instruction")
-    assert "decoded" not in fe.snapshot()
     path = tmp_path / "mid-expansion.rck"
     ckpt.save_checkpoint(path, sim.snapshot(), sim.checkpoint_meta())
     resumed = CoreSimulator.resume(path, trace)
     rfe = resumed.frontend
-    assert rfe._decoded is rfe._pending_instr.uops
+    assert rfe._pending_instr is fe._pending_instr
     assert (rfe._decoded_idx, rfe._decoded_len) == (
         fe._decoded_idx, fe._decoded_len
     )
+    assert _comparable(resumed.run()) == _comparable(expected)
+
+
+#: Sentinel -> (trace, which of a simulator's fields hold the sentinel).
+_SENTINEL_CASES = {
+    # Lazy producer fields of the issue-observation cache.
+    "pending": (
+        lambda: make_trace("mcf", N, 1),
+        lambda sim: [v is core_module._PENDING for v in sim._issue_obs_cache],
+    ),
+    # A descheduled batch, at the closing barrier of one socket thread.
+    "unsched": (
+        lambda: make_threaded_traces("conv-vgg-2-fwd", 2, 4000, seed=3)[0],
+        lambda sim: [sim._bat_sig is core_module._UNSCHED_SIG],
+    ),
+}
+
+
+@pytest.mark.parametrize("sentinel", sorted(_SENTINEL_CASES))
+def test_sentinel_resumes_by_identity(sentinel):
+    """A checkpoint taken while a field holds one of the simulator's
+    identity-compared sentinels restores the module's own sentinel (an
+    equal copy would fail the identity test), and the run finishes bit
+    for bit like an uninterrupted one."""
+    build, held = _SENTINEL_CASES[sentinel]
+    trace = build()
+    config = broadwell()
+    expected = CoreSimulator(trace, config).run()
+    sim = CoreSimulator(trace, config)
+    while not (sim.committed_instrs >= len(trace) // 4 and any(held(sim))):
+        assert sim.unfinished(), "no cycle ended holding the sentinel"
+        sim._step_event()
+    resumed = CoreSimulator.from_snapshot(sim.snapshot(), trace)
+    assert held(resumed) == held(sim)
     assert _comparable(resumed.run()) == _comparable(expected)
 
 
@@ -526,10 +562,9 @@ def test_mid_warmup_checkpoint_holds_no_collector(workload, preset):
                 on_checkpoint=hook)
     (path,) = ckpt.list_case_checkpoints(key)
     payload, _meta = ckpt.load_checkpoint(path)
-    _data, state = ckpt.unpack_snapshot(payload, [trace])
-    assert not state["warmed"]
-    assert state["collectors"] == [None]
     resumed = CoreSimulator.from_snapshot(payload, trace)
+    assert not resumed._warmed
+    assert resumed.collectors == [None]
     assert resumed.collector is None
     result = resumed.run()
     assert resumed._warmed and resumed.collector is not None
@@ -569,30 +604,28 @@ def test_checkpointing_itself_does_not_perturb_the_run():
 # ---------------------------------------------------------------------------
 
 
-class _StrictPickler(ckpt._SnapshotPickler):
-    """Refuses to serialize an input trace or any of its instructions."""
-
-    def reducer_override(self, obj):
-        if isinstance(obj, (Instruction, Program)):
-            raise AssertionError(
-                f"snapshot payload serializes a {type(obj).__name__}"
-            )
-        return NotImplemented
-
-
-@pytest.fixture
-def strict_pickler(monkeypatch):
-    monkeypatch.setattr(ckpt, "_SnapshotPickler", _StrictPickler)
-
-
-def test_strict_pickler_catches_a_program(strict_pickler):
-    """The payload checks below are not vacuous: a program anywhere in
-    the envelope or the state trips the strict pickler."""
+@pytest.mark.parametrize("kind,foreign", [
+    pytest.param("Program", lambda trace, other: other, id="Program"),
+    pytest.param(
+        "instruction list", lambda trace, other: list(trace.instructions),
+        id="instruction-list",
+    ),
+    pytest.param(
+        "Instruction", lambda trace, other: other.instructions[0],
+        id="Instruction",
+    ),
+])
+def test_strict_pickler_catches_a_trace_by_value(strict_pickler, kind,
+                                                 foreign):
+    """The payload checks below are not vacuous: a program, a copied
+    instruction list or an instruction that is not one of the simulated
+    program's references trips the strict pickler."""
     trace = make_trace("mcf", 100, 1)
-    with pytest.raises(AssertionError, match="Program"):
-        ckpt.pack_snapshot({"program": trace}, [], {}, {})
-    with pytest.raises(AssertionError, match="Program"):
-        ckpt.pack_snapshot({}, [], {"program": trace}, {})
+    sim = CoreSimulator(trace, broadwell())
+    ckpt.pack_snapshot(sim, [trace])
+    sim.foreign = foreign(trace, make_trace("mcf", 100, 2))
+    with pytest.raises(AssertionError, match=f"serializes a {kind}$"):
+        ckpt.pack_snapshot(sim, [trace])
 
 
 def test_single_core_payload_holds_no_program(strict_pickler):
@@ -629,6 +662,51 @@ def test_fused_payload_holds_no_program(strict_pickler):
     assert [_comparable(r) for r in resumed.fused_results] == (
         [_comparable(r) for r in reference.fused_results]
     )
+
+
+def test_checkpoint_memos_stay_out_of_the_payload():
+    """The reference table and the signature -> observation cache are
+    rebuilt on demand, so the pickled simulator leaves them out: the
+    resumed copy starts without them while the live run keeps its own."""
+    trace = make_trace("mcf", N, 1)
+    sim = CoreSimulator(trace, broadwell())
+
+    def hook(path, instrs):
+        raise _Interrupted
+
+    with pytest.raises(_Interrupted):
+        sim.run(
+            checkpoint_interval=INTERVAL, checkpoint_key="memos",
+            on_checkpoint=hook,
+        )
+    assert sim._instruction_refs and sim._sig_cache
+    (path,) = ckpt.list_case_checkpoints("memos")
+    resumed = CoreSimulator.resume(path, trace)
+    assert resumed._instruction_refs is None
+    assert resumed._sig_cache == {}
+    assert sim._instruction_refs and sim._sig_cache
+
+
+@pytest.mark.parametrize("build,kind", [
+    pytest.param(
+        lambda trace: CoreSimulator(trace, broadwell()), MulticoreSimulator,
+        id="core-as-socket",
+    ),
+    pytest.param(
+        lambda trace: MulticoreSimulator([trace], broadwell()), CoreSimulator,
+        id="socket-as-core",
+    ),
+])
+def test_resume_into_another_kind_of_simulator_is_refused(build, kind):
+    """A one-program payload passes the identity check for either
+    simulator class; the class check after unpickling still refuses it."""
+    trace = make_trace("mcf", 200, 1)
+    sim = build(trace)
+    with pytest.raises(
+        CheckpointError,
+        match=f"holds a {type(sim).__name__}, not a {kind.__name__}$",
+    ):
+        ckpt.unpack_snapshot(sim.snapshot(), [trace], kind)
 
 
 def test_restored_state_references_the_supplied_trace():
@@ -854,14 +932,27 @@ def test_content_shared_job_resumes_bitwise():
 # ---------------------------------------------------------------------------
 
 
+def _kill_one_crash_other(specs) -> dict:
+    """A fault plan that SIGKILLs ``specs[0]`` at its first checkpoint.
+
+    The dead worker breaks the pool, which fails whatever case runs
+    beside it at an arbitrary point, so ``specs[1]`` crashes before it
+    simulates anything: its retry then restarts fresh, and exactly one
+    case (the killed one) resumes.
+    """
+    return {
+        specs[0].key(): {"kind": "sigkill_mid_case", "times": 1},
+        specs[1].key(): {"kind": "crash", "times": 1},
+    }
+
+
 def test_sigkill_mid_case_recovers_by_resuming_pool():
     specs = [_spec(seed) for seed in (1, 2)]
     clean = [_comparable(r) for r in run_cases(specs, jobs=1)]
     clear_cache()
     TELEMETRY.reset()
-    supervisor.fault_plan = {
-        specs[0].label(): {"kind": "sigkill_mid_case", "times": 1}
-    }
+    supervisor.fault_plan = _kill_one_crash_other(specs)
+    mark = parallel.telemetry_mark()
     results = run_cases(
         specs, jobs=2, mp_start_method=_start_method(), retry_backoff=0,
         checkpoint_interval=400,
@@ -871,12 +962,13 @@ def test_sigkill_mid_case_recovers_by_resuming_pool():
     )
     stats = parallel.LAST_BATCH
     assert stats.failures == 0
-    assert stats.resumes >= 1, "the retry resumed instead of restarting"
+    assert stats.retries == 2, "each case's first attempt failed"
+    assert stats.resumes == 1, "the killed case resumed, the other restarted"
     assert stats.resumed_instructions >= 400
-    assert TELEMETRY.resume_events >= 1, (
+    assert TELEMETRY.resume_events == 1, (
         "the parent re-records resumes its dead worker could not report"
     )
-    assert "resumed" in stats.summary()
+    assert "| 1 checkpoint resumes (" in parallel.summarize_since(mark)
     for spec in specs:
         assert ckpt.list_case_checkpoints(spec.key()) == [], (
             "checkpoints are dead weight once the result is published"
@@ -1176,13 +1268,12 @@ def test_sigkill_recovery_under_spawn():
     clean = [_comparable(r) for r in run_cases(specs, jobs=1)]
     clear_cache()
     TELEMETRY.reset()
-    supervisor.fault_plan = {
-        specs[0].label(): {"kind": "sigkill_mid_case", "times": 1}
-    }
+    supervisor.fault_plan = _kill_one_crash_other(specs)
     results = run_cases(
         specs, jobs=2, mp_start_method="spawn", retry_backoff=0,
         checkpoint_interval=400,
     )
     assert [_comparable(r) for r in results] == clean
-    assert parallel.LAST_BATCH.resumes >= 1
+    assert parallel.LAST_BATCH.retries == 2
+    assert parallel.LAST_BATCH.resumes == 1
     assert parallel.LAST_BATCH.failures == 0

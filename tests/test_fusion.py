@@ -347,12 +347,13 @@ def test_summary_line_reports_fusion():
     from repro.experiments import parallel
 
     specs = _variant_specs()
+    mark = parallel.telemetry_mark()
     run_cases(specs, jobs=1, use_cache=False, fuse=True)
     batch = parallel.LAST_BATCH
     assert batch is not None
     assert batch.fused_groups == 1
     assert batch.fused_runs_saved == len(specs) - 1
-    assert "1 fused groups (3 runs saved)" in batch.summary()
+    assert "1 fused groups (3 runs saved)" in parallel.summarize_since(mark)
     assert TELEMETRY.counters()["fused_groups"] == 1
     assert TELEMETRY.counters()["fused_runs_saved"] == 3
 

@@ -14,9 +14,7 @@ Four layers of evidence:
    warmup × fusion × seeds × issue scheduler, production vs reference,
    bit for bit.
 2. **Mid-run checkpoint/resume** — an interrupted production run resumed
-   from disk equals the reference uninterrupted run; a snapshot written
-   by one mode restores into the *other* (the snapshot schema is
-   representation-stable).
+   from disk equals the reference uninterrupted run.
 3. **Structure-level differential** — randomized op sequences through
    the flat ``Cache``/``Tlb`` and the dict-backed ``LegacyCache``/
    ``LegacyTlb`` oracles, comparing fingerprints and stats at every step.
@@ -30,7 +28,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import pickle
 import random
 
 import pytest
@@ -156,7 +153,7 @@ def test_fast_path_identical_across_seeds():
 
 
 # ---------------------------------------------------------------------------
-# 2. mid-run checkpoint/resume through the representation-stable snapshot
+# 2. mid-run checkpoint/resume
 # ---------------------------------------------------------------------------
 
 
@@ -196,46 +193,6 @@ def test_checkpoint_resume_fast_path_equals_legacy(workload):
     resumed = _interrupted_resumed(trace, broadwell(), reference=False)
     legacy = CoreSimulator(trace, broadwell(), reference=True).run()
     assert _comparable(resumed) == _comparable(legacy)
-
-
-def _mid_run_snapshot(trace, config, **kwargs) -> bytes:
-    """Snapshot bytes captured at the first checkpoint due point."""
-    sim = CoreSimulator(trace, config, **kwargs)
-    captured: list[bytes] = []
-
-    def hook(path, instrs):
-        captured.append(ckpt.load_checkpoint(path)[0])
-        raise _Interrupted
-
-    try:
-        sim.run(
-            checkpoint_interval=300, checkpoint_key="hotpath-cross",
-            on_checkpoint=hook,
-        )
-    except _Interrupted:
-        pass
-    assert captured, "no checkpoint was written"
-    return captured[0]
-
-
-@pytest.mark.parametrize("workload", ["mcf", "exchange2"])
-@pytest.mark.parametrize("src_ref,dst_ref", [(False, True), (True, False)])
-def test_snapshot_restores_across_representations(src_ref, dst_ref, workload):
-    """A snapshot written by one mode finishes the run under the other —
-    the snapshot schema is representation-stable — and still matches
-    the straight-through reference.  On the periodic exchange2 trace,
-    production -> reference drops the replay engine's state (the
-    reference has no engine) and reference -> production rearms the
-    engine from idle."""
-    trace = make_trace(workload, N, 1)
-    payload = _mid_run_snapshot(trace, broadwell(), reference=src_ref)
-    data = pickle.loads(payload)
-    assert data["kwargs"]["reference"] is src_ref
-    data["kwargs"]["reference"] = dst_ref
-    crossed = CoreSimulator.from_snapshot(pickle.dumps(data), trace)
-    assert type(crossed.hierarchy.l1d) is (LegacyCache if dst_ref else Cache)
-    reference = CoreSimulator(trace, broadwell(), reference=True).run()
-    assert _comparable(crossed.run()) == _comparable(reference)
 
 
 # ---------------------------------------------------------------------------
@@ -325,36 +282,6 @@ def test_tlb_differential_random_ops(entries):
             assert flat.fingerprint() == legacy.fingerprint(), step
     assert flat.fingerprint() == legacy.fingerprint()
     assert flat.miss_rate == legacy.miss_rate
-
-
-def test_cache_snapshot_schema_stable_across_representations():
-    """Flat and legacy snapshots interchange: each restores the other."""
-    cfg = CacheConfig(2048, 2, line_bytes=64, latency=2)
-    flat, legacy = Cache(cfg, "T"), LegacyCache(cfg, "T")
-    for i in range(200):
-        flat.insert((i * 13) % 96, dirty=(i % 4 == 0))
-        legacy.insert((i * 13) % 96, dirty=(i % 4 == 0))
-    assert flat.fingerprint() == legacy.fingerprint()
-    flat2 = Cache(cfg, "T")
-    flat2.restore(legacy.snapshot())
-    assert flat2.fingerprint() == flat.fingerprint()
-    legacy2 = LegacyCache(cfg, "T")
-    legacy2.restore(flat.snapshot())
-    assert legacy2.fingerprint() == legacy.fingerprint()
-
-
-def test_tlb_snapshot_schema_stable_across_representations():
-    cfg = TlbConfig(entries=32, miss_penalty=7)
-    flat, legacy = Tlb(cfg), LegacyTlb(cfg)
-    for i in range(500):
-        flat.access((i * 4099) % (1 << 20))
-        legacy.access((i * 4099) % (1 << 20))
-    flat2 = Tlb(cfg)
-    flat2.restore(legacy.snapshot())
-    assert flat2.fingerprint() == legacy.fingerprint() == flat.fingerprint()
-    legacy2 = LegacyTlb(cfg)
-    legacy2.restore(flat.snapshot())
-    assert legacy2.fingerprint() == flat.fingerprint()
 
 
 # ---------------------------------------------------------------------------

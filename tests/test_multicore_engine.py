@@ -106,6 +106,8 @@ def test_one_core_engine_checkpoint_resume_is_identical(tmp_path):
     )
     assert saved, "no checkpoint was ever taken"
     path, _instrs = saved[0]
+    with pytest.raises(ckpt.CheckpointError, match="MulticoreSimulator"):
+        CoreSimulator.resume(path, trace)
     resumed = MulticoreSimulator.resume(path, [trace]).run()
     assert _per_core_comparable(resumed.per_core) == (
         _per_core_comparable(baseline.per_core)
@@ -191,21 +193,11 @@ def _socket_checkpoint(traces, config, key: str):
     return seen[-1]
 
 
-def test_four_core_payload_holds_no_program(monkeypatch):
-    """A socket snapshot carries state only: every trace instruction is
-    a reference, and no Program or Instruction is pickled."""
-    from repro.isa.instructions import Instruction, Program
+def test_four_core_payload_holds_no_program(strict_pickler):
+    """A socket snapshot carries state only: every program, instruction
+    list and trace instruction is a reference, never a pickled value."""
     from repro.pipeline import checkpoint as ckpt
 
-    class Strict(ckpt._SnapshotPickler):
-        def reducer_override(self, obj):
-            if isinstance(obj, (Instruction, Program)):
-                raise AssertionError(
-                    f"snapshot payload serializes a {type(obj).__name__}"
-                )
-            return NotImplemented
-
-    monkeypatch.setattr(ckpt, "_SnapshotPickler", Strict)
     config = tiny_core()
     traces = make_threaded_traces("conv-vgg-2-fwd", 4, 4000, seed=3)
     baseline = MulticoreSimulator(traces, config, seed=11).run()
