@@ -235,8 +235,10 @@ def _group_jobs(pending: dict[str, CaseSpec], fuse: bool) -> list[Job]:
 
     Fusing, the parent builds every pending trace (forked workers
     inherit them) and groups cases sharing the name-free timing key and
-    equal traces, compared instruction for instruction.  A duplicate
-    trace built here leaves the memo: one trace per content stays.
+    equal traces, compared instruction for instruction: the decoder
+    interns instructions, so equal traces share their objects and the
+    comparison is a walk of identity checks.  A duplicate trace built
+    here leaves the memo: one trace per content stays.
     """
     if not fuse:
         return [Job((spec,), (key,)) for key, spec in pending.items()]

@@ -27,6 +27,7 @@ from repro.experiments.cache import (
     Job,
     get_disk_cache,
 )
+from repro.isa.decoder import clear_intern_table
 from repro.isa.instructions import Program
 from repro.pipeline import checkpoint as ckpt
 from repro.pipeline.core import CoreSimulator
@@ -58,11 +59,14 @@ _result_cache: dict[str, SimResult] = {}
 
 
 def clear_cache(*, disk: bool = True) -> int:
-    """Drop all memoized traces and results.
+    """Drop all memoized traces and results, and the decoder's intern
+    table (its lifetime is the trace memo's: traces built after this
+    share no instruction objects with traces built before).
 
     With ``disk=True`` (the default) the persistent on-disk cache is
     purged as well; returns the number of disk entries removed.
     """
+    clear_intern_table()
     _trace_cache.clear()
     _threaded_trace_cache.clear()
     _result_cache.clear()

@@ -16,7 +16,7 @@ conventions the paper relies on:
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.isa.instructions import Instruction
 from repro.isa.registers import FIRST_VEC_REG, NO_REG, NUM_VEC_REGS
@@ -25,24 +25,50 @@ from repro.isa.uops import MicroOp, UopClass
 #: Default macro-instruction length in bytes (x86 average is ~4).
 DEFAULT_LENGTH = 4
 
-#: Per-static-instruction decode memo: ``pc -> (argument key, instruction)``.
-#: Workload generators re-decode the same pc with the same arguments on
-#: every loop iteration; :class:`Instruction`/:class:`MicroOp` are frozen
-#: and built for sharing, so the builders return the cached object when
-#: the full argument key matches.  One entry per pc (replaced on an
-#: argument mismatch, e.g. a branch whose resolved direction alternates)
-#: keeps the memo bounded by the static code footprint.
-_DECODE_MEMO: dict[int, tuple[tuple, Instruction]] = {}
+#: Entries the intern table holds before a miss clears it.  Every
+#: registry workload at 3,000 instructions (a paper pass's length)
+#: decodes 13,793 distinct instructions; the cap bounds a long-lived
+#: process that never clears the table.
+INTERN_CAP = 65_536
+
+#: Intern table of decoded instructions: ``(build, pc, *arguments) ->
+#: Instruction``.  :class:`Instruction`/:class:`MicroOp` are frozen and
+#: built for sharing, so every builder returns the interned object when
+#: the pc and all its arguments match: a loop re-decoding a pc with the
+#: same arguments, and two workloads emitting the same trace, share one
+#: object per distinct instruction (equal traces then compare by
+#: identity, element for element).  The key is the whole decode, so a
+#: memory-operand instruction whose address changes per iteration gets
+#: one entry per address.  The table is bounded by :data:`INTERN_CAP`
+#: and by the trace memo's lifetime:
+#: :func:`repro.experiments.runner.clear_cache` clears both.
+_INTERNED: dict[tuple, Instruction] = {}
 
 
-def clear_decode_memo() -> None:
-    """Drop every memoized decode (test isolation hook)."""
-    _DECODE_MEMO.clear()
+def clear_intern_table() -> None:
+    """Drop every interned instruction (traces keep their own)."""
+    _INTERNED.clear()
 
 
-def decode_memo_size() -> int:
-    """Number of pcs currently memoized."""
-    return len(_DECODE_MEMO)
+def intern_table_size() -> int:
+    """Number of distinct decodes currently interned."""
+    return len(_INTERNED)
+
+
+def _interned(build: Callable[..., Instruction], *args) -> Instruction:
+    """``build(*args)``, interned by the builder and its full arguments.
+
+    A miss builds (and so validates) a fresh instruction; a full table is
+    cleared first, so it never holds more than :data:`INTERN_CAP`.
+    """
+    key = (build, *args)
+    instr = _INTERNED.get(key)
+    if instr is None:
+        if len(_INTERNED) >= INTERN_CAP:
+            _INTERNED.clear()
+        instr = _INTERNED[key] = build(*args)
+    return instr
+
 
 #: Vector registers reserved as load-op / microcode temporaries.  Rotating
 #: through a pool avoids serializing unrelated load-op instructions on a
@@ -56,15 +82,16 @@ def _temp_reg(pc: int, slot: int = 0) -> int:
     return _TEMP_BASE + ((pc >> 2) + slot) % _TEMP_POOL_SIZE
 
 
+def _build_single(
+    pc: int, uclass: UopClass, dst: int, srcs: tuple, length: int
+) -> Instruction:
+    uop = MicroOp(uclass, srcs=srcs, dst=dst)
+    return Instruction(pc=pc, length=length, uops=(uop,))
+
+
 def nop(pc: int, *, length: int = DEFAULT_LENGTH) -> Instruction:
     """A no-op macro instruction (still occupies pipeline slots)."""
-    key = ("nop", length)
-    entry = _DECODE_MEMO.get(pc)
-    if entry is not None and entry[0] == key:
-        return entry[1]
-    instr = Instruction(pc=pc, length=length, uops=(MicroOp(UopClass.NOP),))
-    _DECODE_MEMO[pc] = (key, instr)
-    return instr
+    return _interned(_build_single, pc, UopClass.NOP, NO_REG, (), length)
 
 
 def alu(
@@ -75,15 +102,9 @@ def alu(
     length: int = DEFAULT_LENGTH,
 ) -> Instruction:
     """Single-cycle integer ALU instruction."""
-    srcs = tuple(srcs)
-    key = ("alu", dst, srcs, length)
-    entry = _DECODE_MEMO.get(pc)
-    if entry is not None and entry[0] == key:
-        return entry[1]
-    uop = MicroOp(UopClass.ALU, srcs=srcs, dst=dst)
-    instr = Instruction(pc=pc, length=length, uops=(uop,))
-    _DECODE_MEMO[pc] = (key, instr)
-    return instr
+    return _interned(
+        _build_single, pc, UopClass.ALU, dst, tuple(srcs), length
+    )
 
 
 def mul(
@@ -94,15 +115,9 @@ def mul(
     length: int = DEFAULT_LENGTH,
 ) -> Instruction:
     """Multi-cycle integer multiply."""
-    srcs = tuple(srcs)
-    key = ("mul", dst, srcs, length)
-    entry = _DECODE_MEMO.get(pc)
-    if entry is not None and entry[0] == key:
-        return entry[1]
-    uop = MicroOp(UopClass.MUL, srcs=srcs, dst=dst)
-    instr = Instruction(pc=pc, length=length, uops=(uop,))
-    _DECODE_MEMO[pc] = (key, instr)
-    return instr
+    return _interned(
+        _build_single, pc, UopClass.MUL, dst, tuple(srcs), length
+    )
 
 
 def div(
@@ -113,15 +128,18 @@ def div(
     length: int = DEFAULT_LENGTH,
 ) -> Instruction:
     """Long-latency integer divide."""
-    srcs = tuple(srcs)
-    key = ("div", dst, srcs, length)
-    entry = _DECODE_MEMO.get(pc)
-    if entry is not None and entry[0] == key:
-        return entry[1]
-    uop = MicroOp(UopClass.DIV, srcs=srcs, dst=dst)
-    instr = Instruction(pc=pc, length=length, uops=(uop,))
-    _DECODE_MEMO[pc] = (key, instr)
-    return instr
+    return _interned(
+        _build_single, pc, UopClass.DIV, dst, tuple(srcs), length
+    )
+
+
+def _build_load(
+    pc: int, dst: int, addr: int, addr_srcs: tuple, size: int, length: int
+) -> Instruction:
+    uop = MicroOp(
+        UopClass.LOAD, srcs=addr_srcs, dst=dst, addr=addr, size=size
+    )
+    return Instruction(pc=pc, length=length, uops=(uop,))
 
 
 def load(
@@ -134,17 +152,22 @@ def load(
     length: int = DEFAULT_LENGTH,
 ) -> Instruction:
     """Scalar load from ``addr`` into ``dst``."""
-    addr_srcs = tuple(addr_srcs)
-    key = ("load", dst, addr, addr_srcs, size, length)
-    entry = _DECODE_MEMO.get(pc)
-    if entry is not None and entry[0] == key:
-        return entry[1]
-    uop = MicroOp(
-        UopClass.LOAD, srcs=addr_srcs, dst=dst, addr=addr, size=size
+    return _interned(
+        _build_load, pc, dst, addr, tuple(addr_srcs), size, length
     )
-    instr = Instruction(pc=pc, length=length, uops=(uop,))
-    _DECODE_MEMO[pc] = (key, instr)
-    return instr
+
+
+def _build_store(
+    pc: int, src: int, addr: int, addr_srcs: tuple, size: int, length: int
+) -> Instruction:
+    uop = MicroOp(
+        UopClass.STORE,
+        srcs=(src, *addr_srcs),
+        dst=NO_REG,
+        addr=addr,
+        size=size,
+    )
+    return Instruction(pc=pc, length=length, uops=(uop,))
 
 
 def store(
@@ -157,21 +180,22 @@ def store(
     length: int = DEFAULT_LENGTH,
 ) -> Instruction:
     """Scalar store of ``src`` to ``addr``."""
-    addr_srcs = tuple(addr_srcs)
-    key = ("store", src, addr, addr_srcs, size, length)
-    entry = _DECODE_MEMO.get(pc)
-    if entry is not None and entry[0] == key:
-        return entry[1]
-    uop = MicroOp(
-        UopClass.STORE,
-        srcs=(src, *addr_srcs),
-        dst=NO_REG,
-        addr=addr,
-        size=size,
+    return _interned(
+        _build_store, pc, src, addr, tuple(addr_srcs), size, length
     )
-    instr = Instruction(pc=pc, length=length, uops=(uop,))
-    _DECODE_MEMO[pc] = (key, instr)
-    return instr
+
+
+def _build_branch(
+    pc: int, taken: bool, target: int, srcs: tuple, length: int
+) -> Instruction:
+    return Instruction(
+        pc=pc,
+        length=length,
+        uops=(MicroOp(UopClass.BRANCH, srcs=srcs),),
+        is_branch=True,
+        taken=taken,
+        target=target,
+    )
 
 
 def branch(
@@ -183,47 +207,23 @@ def branch(
     length: int = DEFAULT_LENGTH,
 ) -> Instruction:
     """Conditional branch with resolved direction and target."""
-    srcs = tuple(srcs)
-    key = ("branch", taken, target, srcs, length)
-    entry = _DECODE_MEMO.get(pc)
-    if entry is not None and entry[0] == key:
-        return entry[1]
-    uop = MicroOp(UopClass.BRANCH, srcs=srcs)
-    instr = Instruction(
-        pc=pc,
-        length=length,
-        uops=(uop,),
-        is_branch=True,
-        taken=taken,
-        target=target,
+    return _interned(
+        _build_branch, pc, taken, target, tuple(srcs), length
     )
-    _DECODE_MEMO[pc] = (key, instr)
-    return instr
 
 
-def _vector_compute(
-    uclass: UopClass,
+def _build_vector(
     pc: int,
+    uclass: UopClass,
     dst: int,
-    srcs: Sequence[int],
-    *,
+    srcs: tuple,
     lanes: int,
     width_lanes: int,
     mem_addr: int | None,
-    addr_srcs: Sequence[int],
+    addr_srcs: tuple,
     mem_size: int,
     length: int,
 ) -> Instruction:
-    """Shared builder for vector FP / vector int compute instructions."""
-    srcs = tuple(srcs)
-    addr_srcs = tuple(addr_srcs)
-    key = (
-        "vec", uclass, dst, srcs, lanes, width_lanes,
-        mem_addr, addr_srcs, mem_size, length,
-    )
-    entry = _DECODE_MEMO.get(pc)
-    if entry is not None and entry[0] == key:
-        return entry[1]
     if mem_addr is None:
         uop = MicroOp(
             uclass,
@@ -232,9 +232,7 @@ def _vector_compute(
             lanes=lanes,
             width_lanes=width_lanes,
         )
-        instr = Instruction(pc=pc, length=length, uops=(uop,))
-        _DECODE_MEMO[pc] = (key, instr)
-        return instr
+        return Instruction(pc=pc, length=length, uops=(uop,))
     # Memory-operand form: decode splits into load + compute micro-ops.
     temp = _temp_reg(pc)
     load_uop = MicroOp(
@@ -251,9 +249,27 @@ def _vector_compute(
         lanes=lanes,
         width_lanes=width_lanes,
     )
-    instr = Instruction(pc=pc, length=length, uops=(load_uop, compute))
-    _DECODE_MEMO[pc] = (key, instr)
-    return instr
+    return Instruction(pc=pc, length=length, uops=(load_uop, compute))
+
+
+def _vector_compute(
+    uclass: UopClass,
+    pc: int,
+    dst: int,
+    srcs: Sequence[int],
+    *,
+    lanes: int,
+    width_lanes: int,
+    mem_addr: int | None,
+    addr_srcs: Sequence[int],
+    mem_size: int,
+    length: int,
+) -> Instruction:
+    """Shared builder for vector FP / vector int compute instructions."""
+    return _interned(
+        _build_vector, pc, uclass, dst, tuple(srcs), lanes, width_lanes,
+        mem_addr, tuple(addr_srcs), mem_size, length,
+    )
 
 
 def fp_add(
@@ -330,21 +346,48 @@ def vec_int(
     length: int = DEFAULT_LENGTH,
 ) -> Instruction:
     """Integer SIMD op: occupies a vector unit but performs zero FLOPs."""
-    srcs = tuple(srcs)
-    key = ("vec_int", dst, srcs, lanes, width_lanes, length)
-    entry = _DECODE_MEMO.get(pc)
-    if entry is not None and entry[0] == key:
-        return entry[1]
-    uop = MicroOp(
-        UopClass.VEC_INT,
-        srcs=srcs,
+    return _vector_compute(
+        UopClass.VEC_INT, pc, dst, srcs,
+        lanes=lanes, width_lanes=width_lanes, mem_addr=None,
+        addr_srcs=(), mem_size=0, length=length,
+    )
+
+
+def _build_broadcast(
+    pc: int,
+    dst: int,
+    srcs: tuple,
+    width_lanes: int,
+    mem_addr: int | None,
+    addr_srcs: tuple,
+    mem_size: int,
+    length: int,
+) -> Instruction:
+    if mem_addr is None:
+        uop = MicroOp(
+            UopClass.BROADCAST,
+            srcs=srcs,
+            dst=dst,
+            lanes=width_lanes,
+            width_lanes=width_lanes,
+        )
+        return Instruction(pc=pc, length=length, uops=(uop,))
+    temp = _temp_reg(pc)
+    load_uop = MicroOp(
+        UopClass.LOAD,
+        srcs=addr_srcs,
+        dst=temp,
+        addr=mem_addr,
+        size=mem_size,
+    )
+    bcast = MicroOp(
+        UopClass.BROADCAST,
+        srcs=(temp,),
         dst=dst,
-        lanes=lanes,
+        lanes=width_lanes,
         width_lanes=width_lanes,
     )
-    instr = Instruction(pc=pc, length=length, uops=(uop,))
-    _DECODE_MEMO[pc] = (key, instr)
-    return instr
+    return Instruction(pc=pc, length=length, uops=(load_uop, bcast))
 
 
 def broadcast(
@@ -362,44 +405,35 @@ def broadcast(
 
     With ``mem_addr`` set, decodes into load + broadcast micro-ops.
     """
-    srcs = tuple(srcs)
-    addr_srcs = tuple(addr_srcs)
-    key = (
-        "broadcast", dst, srcs, width_lanes,
-        mem_addr, addr_srcs, mem_size, length,
+    return _interned(
+        _build_broadcast, pc, dst, tuple(srcs), width_lanes,
+        mem_addr, tuple(addr_srcs), mem_size, length,
     )
-    entry = _DECODE_MEMO.get(pc)
-    if entry is not None and entry[0] == key:
-        return entry[1]
-    if mem_addr is None:
-        uop = MicroOp(
-            UopClass.BROADCAST,
-            srcs=srcs,
-            dst=dst,
-            lanes=width_lanes,
-            width_lanes=width_lanes,
-        )
-        instr = Instruction(pc=pc, length=length, uops=(uop,))
-        _DECODE_MEMO[pc] = (key, instr)
-        return instr
-    temp = _temp_reg(pc)
-    load_uop = MicroOp(
-        UopClass.LOAD,
-        srcs=addr_srcs,
-        dst=temp,
-        addr=mem_addr,
-        size=mem_size,
+
+
+def _build_microcoded_fp(
+    pc: int,
+    dst: int,
+    srcs: tuple,
+    n_uops: int,
+    decode_cycles: int | None,
+    length: int,
+) -> Instruction:
+    uops: list[MicroOp] = []
+    prev = NO_REG
+    for slot in range(n_uops):
+        uclass = UopClass.FP_MUL if slot % 2 == 0 else UopClass.FP_ADD
+        uop_srcs = srcs if prev == NO_REG else (prev,)
+        uop_dst = dst if slot == n_uops - 1 else _temp_reg(pc, slot)
+        uops.append(MicroOp(uclass, srcs=uop_srcs, dst=uop_dst))
+        prev = uop_dst
+    return Instruction(
+        pc=pc,
+        length=length,
+        uops=tuple(uops),
+        microcoded=True,
+        decode_cycles=n_uops if decode_cycles is None else decode_cycles,
     )
-    bcast = MicroOp(
-        UopClass.BROADCAST,
-        srcs=(temp,),
-        dst=dst,
-        lanes=width_lanes,
-        width_lanes=width_lanes,
-    )
-    instr = Instruction(pc=pc, length=length, uops=(load_uop, bcast))
-    _DECODE_MEMO[pc] = (key, instr)
-    return instr
 
 
 def microcoded_fp(
@@ -419,28 +453,22 @@ def microcoded_fp(
     """
     if n_uops < 2:
         raise ValueError("a microcoded instruction needs at least 2 micro-ops")
-    srcs = tuple(srcs)
-    key = ("microcoded_fp", dst, srcs, n_uops, decode_cycles, length)
-    entry = _DECODE_MEMO.get(pc)
-    if entry is not None and entry[0] == key:
-        return entry[1]
-    uops: list[MicroOp] = []
-    prev = NO_REG
-    for slot in range(n_uops):
-        uclass = UopClass.FP_MUL if slot % 2 == 0 else UopClass.FP_ADD
-        uop_srcs = tuple(srcs) if prev == NO_REG else (prev,)
-        uop_dst = dst if slot == n_uops - 1 else _temp_reg(pc, slot)
-        uops.append(MicroOp(uclass, srcs=uop_srcs, dst=uop_dst))
-        prev = uop_dst
-    instr = Instruction(
+    return _interned(
+        _build_microcoded_fp, pc, dst, tuple(srcs), n_uops, decode_cycles,
+        length,
+    )
+
+
+def _build_sync(
+    pc: int, cycles: int, barrier: bool, length: int
+) -> Instruction:
+    return Instruction(
         pc=pc,
         length=length,
-        uops=tuple(uops),
-        microcoded=True,
-        decode_cycles=n_uops if decode_cycles is None else decode_cycles,
+        uops=(MicroOp(UopClass.SYNC),),
+        yield_cycles=cycles,
+        barrier=barrier,
     )
-    _DECODE_MEMO[pc] = (key, instr)
-    return instr
 
 
 def sync_yield(
@@ -456,18 +484,7 @@ def sync_yield(
     """
     if cycles <= 0:
         raise ValueError("yield must cover at least one cycle")
-    key = ("sync_yield", cycles, length)
-    entry = _DECODE_MEMO.get(pc)
-    if entry is not None and entry[0] == key:
-        return entry[1]
-    instr = Instruction(
-        pc=pc,
-        length=length,
-        uops=(MicroOp(UopClass.SYNC),),
-        yield_cycles=cycles,
-    )
-    _DECODE_MEMO[pc] = (key, instr)
-    return instr
+    return _interned(_build_sync, pc, cycles, False, length)
 
 
 def barrier(
@@ -486,16 +503,4 @@ def barrier(
     """
     if cycles <= 0:
         raise ValueError("a barrier must cover at least one cycle")
-    key = ("barrier", cycles, length)
-    entry = _DECODE_MEMO.get(pc)
-    if entry is not None and entry[0] == key:
-        return entry[1]
-    instr = Instruction(
-        pc=pc,
-        length=length,
-        uops=(MicroOp(UopClass.SYNC),),
-        yield_cycles=cycles,
-        barrier=True,
-    )
-    _DECODE_MEMO[pc] = (key, instr)
-    return instr
+    return _interned(_build_sync, pc, cycles, True, length)

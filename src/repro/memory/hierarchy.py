@@ -21,9 +21,7 @@ are bitwise identical, which ``tests/test_memory_hotpath.py`` proves.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from heapq import heappop, heappush
 
 from repro.config.cores import MemoryConfig
 from repro.memory.cache import Cache
@@ -144,9 +142,6 @@ class MemoryHierarchy:
         self._ichain = [_Level(self.l1i), *shared_levels]
         self._dchain = [_Level(self.l1d), *shared_levels]
         self.prefetches_issued = 0
-        #: Min-heap of scheduled fill completion times (all levels), for
-        #: the fast-forward engine's ``next_event`` query.
-        self._fill_events: list[float] = []
         # Hot-path scalars and per-chain level-name tuples, precomputed
         # once (the name of a serving level is a pure function of its
         # chain position — recomputing the string per access showed up in
@@ -225,7 +220,6 @@ class MemoryHierarchy:
         )
         level.mshr.hold_until(complete)
         level.outstanding[line] = complete
-        heappush(self._fill_events, complete)
         # Evicted-free fill: only a dirty victim's line comes back (clean
         # evictions allocate nothing — no writeback consumes bandwidth).
         victim_line = cache.fill(line, prefetch=prefetch)
@@ -285,7 +279,6 @@ class MemoryHierarchy:
         )
         level.mshr.hold_until(complete)
         level.outstanding[line] = complete
-        heappush(self._fill_events, complete)
         victim = cache.insert(line, prefetch=prefetch)
         if victim is not None and victim.dirty:
             self._writeback_legacy(chain, idx + 1, victim.line, complete)
@@ -482,22 +475,6 @@ class MemoryHierarchy:
                 return pending
         return now + latency + self.dram.config.latency
 
-    def next_event(self, cycle: float) -> float:
-        """Earliest in-flight fill completion strictly after ``cycle``.
-
-        Purely observational (the fast-forward engine's memory bound):
-        access timing is computed at request time, so a completing fill
-        never mutates state on its own — including fills in the skip
-        bound only shortens windows, never changes results.  Expired
-        times are popped lazily; the ``outstanding`` dicts themselves are
-        untouched (their lazy-deletion semantics are load-bearing for
-        miss merging and prefetch suppression).
-        """
-        events = self._fill_events
-        while events and events[0] <= cycle:
-            heappop(events)
-        return events[0] if events else math.inf
-
     def _levels(self) -> list[_Level]:
         """Every distinct level once (L2/L3 are shared by both chains)."""
         return [self._ichain[0], self._dchain[0], *self._ichain[1:]]
@@ -507,11 +484,10 @@ class MemoryHierarchy:
 
         Composes every cache's tag/LRU state, busy MSHR slots and live
         outstanding fills (times relative to ``now``), DRAM queue headroom,
-        both TLBs and the prefetcher table.  Counters and ``_fill_events``
-        are excluded: the former are delta-advanced by the engine, the
-        latter is purely observational (see :meth:`next_event`).  The
-        per-cache format is identical across the flat-array and legacy
-        representations, so replay fixed points survive the gate.
+        both TLBs and the prefetcher table.  Counters are excluded: the
+        engine delta-advances them.  The per-cache format is identical
+        across the flat-array and legacy representations, so replay fixed
+        points survive the gate.
         """
         levels = tuple(
             (
@@ -550,12 +526,6 @@ class MemoryHierarchy:
                 if t > now:
                     outstanding[line] = t + delta
         self.dram.shift_time(now, delta)
-        # Identity below ``now``, +delta above: monotone, so the heap
-        # invariant survives an in-place rewrite.
-        events = self._fill_events
-        for i, t in enumerate(events):
-            if t > now:
-                events[i] = t + delta
 
     # -- statistics --------------------------------------------------------------
 

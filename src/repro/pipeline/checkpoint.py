@@ -104,7 +104,8 @@ __all__ = [
 #: expansion from the pending instruction.
 #: 6: the payload is the pickled simulator, with the programs, their
 #: instruction lists and the sentinels as references.
-CHECKPOINT_SCHEMA = 6
+#: 7: the memory hierarchy drops its fill-completion heap.
+CHECKPOINT_SCHEMA = 7
 
 #: First line of every checkpoint file.
 MAGIC = b"REPRO-CKPT\n"

@@ -1588,13 +1588,13 @@ class CoreSimulator:
 
         ``k`` is bounded by the earliest future event — a completion or
         the frontend stall's expiry — so the window never crosses a cycle
-        where anything could change.  In-flight memory fills
-        (:meth:`MemoryHierarchy.next_event`) are deliberately *not* part
-        of the bound: access timing is computed at request time and no
-        memory query happens inside a quiescent window, so a completing
-        fill cannot change anything the window observes; demand-miss
-        fills coincide with the load's completion event anyway, and
-        prefetch fills would only split windows for no reason.  Commit is
+        where anything could change.  In-flight memory fills are
+        deliberately *not* part of the bound: access timing is computed
+        at request time and no memory query happens inside a quiescent
+        window, so a completing fill cannot change anything the window
+        observes; demand-miss fills coincide with the load's completion
+        event anyway, and prefetch fills would only split windows for no
+        reason.  Commit is
         the only place warmup can end, and quiescent windows commit
         nothing, so a window can never cross the warmup boundary.
         """

@@ -610,8 +610,11 @@ def test_checkpointing_itself_does_not_perturb_the_run():
         "instruction list", lambda trace, other: list(trace.instructions),
         id="instruction-list",
     ),
+    # The decoder interns instructions, so another trace's instructions
+    # can be the simulated trace's own objects; a fresh copy never is.
     pytest.param(
-        "Instruction", lambda trace, other: other.instructions[0],
+        "Instruction",
+        lambda trace, other: dataclasses.replace(other.instructions[0]),
         id="Instruction",
     ),
 ])
@@ -624,6 +627,8 @@ def test_strict_pickler_catches_a_trace_by_value(strict_pickler, kind,
     sim = CoreSimulator(trace, broadwell())
     ckpt.pack_snapshot(sim, [trace])
     sim.foreign = foreign(trace, make_trace("mcf", 100, 2))
+    referenced = (trace, trace.instructions, *trace.instructions)
+    assert all(obj is not sim.foreign for obj in referenced)
     with pytest.raises(AssertionError, match=f"serializes a {kind}$"):
         ckpt.pack_snapshot(sim, [trace])
 

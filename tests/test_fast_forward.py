@@ -28,7 +28,6 @@ from repro.core.multistage import MultiStageCollector
 from repro.core.observation import CycleObservation
 from repro.core.topdown import TopDownAccountant
 from repro.core.wrongpath import WrongPathMode
-from repro.memory.hierarchy import MemoryHierarchy
 from repro.pipeline.core import CoreSimulator
 from repro.workloads.registry import make_trace
 
@@ -240,13 +239,3 @@ def test_frontend_next_event_states():
     fe._decoded_idx = fe._decoded_len
     assert fe.next_event(100) == math.inf
 
-
-def test_hierarchy_next_event_tracks_fills():
-    hierarchy = MemoryHierarchy(broadwell().memory)
-    assert hierarchy.next_event(0) == math.inf
-    result = hierarchy.dload(0x1000_0000, 0)
-    assert not result.l1_hit
-    event = hierarchy.next_event(0)
-    assert 0 < event <= result.complete
-    # Past the last fill, the queue drains back to +inf.
-    assert hierarchy.next_event(int(result.complete) + 1_000) == math.inf

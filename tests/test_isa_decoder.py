@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.experiments import runner
 from repro.isa import decoder as asm
 from repro.isa.registers import NO_REG
 from repro.isa.uops import UopClass
+from repro.workloads.registry import make_trace
 
 
 def test_alu_single_uop():
@@ -107,3 +109,148 @@ def test_masked_fma_lanes():
     instr = asm.fma(0, dst=40, srcs=(40,), lanes=5, width_lanes=16)
     assert instr.uops[0].lanes == 5
     assert instr.uops[0].flops == 10
+
+
+# ---------------------------------------------------------------------------
+# The intern table: one object per distinct decode
+# ---------------------------------------------------------------------------
+
+#: Every builder with a full set of arguments, all passed by keyword.
+BUILDERS = {
+    "nop": (asm.nop, dict(pc=0x40, length=4)),
+    "alu": (asm.alu, dict(pc=0x40, dst=3, srcs=(1, 2), length=4)),
+    "mul": (asm.mul, dict(pc=0x40, dst=3, srcs=(1, 2), length=4)),
+    "div": (asm.div, dict(pc=0x40, dst=3, srcs=(1, 2), length=4)),
+    "load": (asm.load, dict(
+        pc=0x40, dst=3, addr=0x1000, addr_srcs=(5,), size=8, length=4,
+    )),
+    "store": (asm.store, dict(
+        pc=0x40, src=3, addr=0x1000, addr_srcs=(5,), size=8, length=4,
+    )),
+    "branch": (asm.branch, dict(
+        pc=0x40, taken=True, target=0x200, srcs=(1, 2), length=4,
+    )),
+    **{
+        name: (builder, dict(
+            pc=0x40, dst=3, srcs=(1, 2), lanes=8, width_lanes=16,
+            mem_addr=0x2000, addr_srcs=(5,), mem_size=64, length=4,
+        ))
+        for name, builder in (
+            ("fp_add", asm.fp_add), ("fp_mul", asm.fp_mul), ("fma", asm.fma),
+        )
+    },
+    "vec_int": (asm.vec_int, dict(
+        pc=0x40, dst=3, srcs=(1, 2), lanes=8, width_lanes=16, length=4,
+    )),
+    # The memory form reads only its load's temporary, never ``srcs``.
+    "broadcast": (asm.broadcast, dict(
+        pc=0x40, dst=3, width_lanes=16, mem_addr=0x2000, addr_srcs=(5,),
+        mem_size=8, length=4,
+    )),
+    "broadcast-reg": (asm.broadcast, dict(
+        pc=0x40, dst=3, srcs=(1, 2), width_lanes=16, length=4,
+    )),
+    "microcoded_fp": (asm.microcoded_fp, dict(
+        pc=0x40, dst=3, srcs=(1, 2), n_uops=4, decode_cycles=None, length=8,
+    )),
+    "sync_yield": (asm.sync_yield, dict(pc=0x40, cycles=100, length=4)),
+    "barrier": (asm.barrier, dict(pc=0x40, cycles=100, length=4)),
+}
+
+#: Per argument, values that differ from every base value above.
+CHANGED = {
+    "pc": (0x44,),
+    "dst": (9,),
+    "src": (9,),
+    "srcs": ((1, 9), ()),
+    "addr": (0x1040,),
+    "addr_srcs": ((9,), ()),
+    "size": (4,),
+    "taken": (False,),
+    "target": (0x300,),
+    "lanes": (5,),
+    "width_lanes": (32,),
+    "mem_addr": (0x2040, None),
+    "mem_size": (32,),
+    "n_uops": (5,),
+    "decode_cycles": (2,),
+    "cycles": (101,),
+    "length": (6,),
+}
+
+
+@pytest.fixture
+def empty_table():
+    asm.clear_intern_table()
+    yield
+    asm.clear_intern_table()
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_same_arguments_return_the_same_object(empty_table, name):
+    builder, kwargs = BUILDERS[name]
+    first = builder(**kwargs)
+    assert builder(**kwargs) is first
+    # Sequences are keyed by content, not by type.
+    as_lists = {
+        k: list(v) if isinstance(v, tuple) else v for k, v in kwargs.items()
+    }
+    assert builder(**as_lists) is first
+
+
+@pytest.mark.parametrize("name,arg,value", [
+    pytest.param(name, arg, value, id=f"{name}-{arg}={value!r}")
+    for name, (_builder, kwargs) in sorted(BUILDERS.items())
+    for arg in kwargs
+    for value in CHANGED[arg]
+])
+def test_any_changed_argument_is_a_new_unequal_instruction(
+    empty_table, name, arg, value
+):
+    builder, kwargs = BUILDERS[name]
+    base = builder(**kwargs)
+    changed = builder(**{**kwargs, arg: value})
+    assert changed is not base
+    assert changed != base
+    assert builder(**kwargs) is base, "the base entry survives"
+
+
+def test_clear_cache_empties_the_intern_table(empty_table):
+    first = asm.alu(0x40, dst=3, srcs=(1, 2))
+    runner.get_trace("mcf", 200, 1)
+    assert asm.intern_table_size() > 0
+    runner.clear_cache(disk=False)
+    assert asm.intern_table_size() == 0
+    again = asm.alu(0x40, dst=3, srcs=(1, 2))
+    assert again is not first and again == first
+
+
+def test_table_never_grows_past_its_cap(empty_table, monkeypatch):
+    monkeypatch.setattr(asm, "INTERN_CAP", 16)
+    reference = []
+    for i in range(100):
+        reference.append(asm.load(0x40 + 4 * i, dst=3, addr=0x1000 + 64 * i))
+        assert asm.intern_table_size() <= 16
+    rebuilt = [
+        asm.load(0x40 + 4 * i, dst=3, addr=0x1000 + 64 * i)
+        for i in range(100)
+    ]
+    assert rebuilt == reference
+    assert any(a is not b for a, b in zip(rebuilt, reference)), (
+        "overflow cleared the table"
+    )
+    assert asm.intern_table_size() <= 16
+
+
+def test_equal_traces_share_every_instruction_object(empty_table):
+    """The sgemm kernels of one code style emit one trace: built in one
+    table's lifetime they share every object, so comparing them is an
+    identity walk; a build after a clear is equal but not shared."""
+    train = make_trace("gemm-train-1760-knl", 1500, 1)
+    infer = make_trace("gemm-infer-512-knl", 1500, 1)
+    assert len(train) == len(infer)
+    assert all(a is b for a, b in zip(train, infer))
+    asm.clear_intern_table()
+    again = make_trace("gemm-train-1760-knl", 1500, 1)
+    assert again.instructions == train.instructions
+    assert all(a is not b for a, b in zip(again, train))

@@ -18,16 +18,14 @@ Four layers of evidence:
 3. **Structure-level differential** — randomized op sequences through
    the flat ``Cache``/``Tlb`` and the dict-backed ``LegacyCache``/
    ``LegacyTlb`` oracles, comparing fingerprints and stats at every step.
-4. **Edge cases** for :meth:`MemoryHierarchy.next_event` and
+4. **Edge cases** for queued-MSHR completion ordering and
    :meth:`MemoryHierarchy.probe_latency`, previously only exercised
-   indirectly (empty outstanding maps, L3-less configs, queued-MSHR
-   completion ordering).
+   indirectly (empty outstanding maps, L3-less configs).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 import random
 
 import pytest
@@ -285,7 +283,7 @@ def test_tlb_differential_random_ops(entries):
 
 
 # ---------------------------------------------------------------------------
-# 4. next_event / probe_latency edge cases
+# 4. MSHR ordering / probe_latency edge cases
 # ---------------------------------------------------------------------------
 
 
@@ -303,49 +301,20 @@ def small_memory(l2_mshrs=4, prefetch=False):
 
 
 @pytest.mark.parametrize("fast_path", [True, False])
-def test_next_event_empty_hierarchy_is_inf(fast_path):
-    h = MemoryHierarchy(small_memory(), fast_path=fast_path)
-    assert h.next_event(0) == math.inf
-    assert h.next_event(10**9) == math.inf
-
-
-@pytest.mark.parametrize("fast_path", [True, False])
-def test_next_event_tracks_earliest_fill_and_expires(fast_path):
-    """L3-less config: a demand miss schedules fills; the earliest one
-    strictly after ``cycle`` is reported, and expired times are dropped
-    without disturbing the outstanding maps' lazy-deletion semantics."""
-    h = MemoryHierarchy(small_memory(), fast_path=fast_path)
-    result = h.dload(0x4000, 0)
-    first = h.next_event(0)
-    assert 0 < first <= result.complete
-    # Outstanding maps keep the in-flight entry even after the event
-    # heap is drained past it (lazy deletion is load-bearing).
-    line = h.l1d.line_of(0x4000)
-    assert h.next_event(result.complete) == math.inf
-    assert line in h._dchain[0].outstanding
-    assert h.next_event(result.complete) == math.inf  # idempotent
-
-
-@pytest.mark.parametrize("fast_path", [True, False])
-def test_next_event_queued_mshr_completions_stay_ordered(fast_path):
+def test_queued_mshr_completions_stay_ordered(fast_path):
     """With a single L2 MSHR, misses queue behind the busy slot; each
-    later miss completes no earlier, and next_event always reports the
-    earliest still-pending completion."""
+    later miss completes strictly later, and every level's outstanding
+    map records each line's completion."""
     h = MemoryHierarchy(small_memory(l2_mshrs=1), fast_path=fast_path)
-    results = [h.dload(0x10000 + i * 4096, 0) for i in range(4)]
+    addrs = [0x10000 + i * 4096 for i in range(4)]
+    results = [h.dload(addr, 0) for addr in addrs]
     completes = [r.complete for r in results]
     assert completes == sorted(completes), "queued completions reordered"
     assert len(set(completes)) == len(completes), "MSHR queue collapsed"
-    seen = []
-    cursor = 0.0
-    while True:
-        nxt = h.next_event(cursor)
-        if nxt == math.inf:
-            break
-        seen.append(nxt)
-        cursor = nxt
-    assert seen == sorted(seen)
-    assert set(completes) <= set(seen)
+    for level in h._dchain:
+        assert [
+            level.outstanding[level.cache.line_of(addr)] for addr in addrs
+        ] == completes
 
 
 @pytest.mark.parametrize("fast_path", [True, False])
