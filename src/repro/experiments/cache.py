@@ -11,7 +11,9 @@ module gives those cases a durable identity:
   seeds, the *resolved* config's fields, idealization, wrong-path mode,
   warmup fraction, and the accounting schema version), so the key is a
   content address: equal inputs map to the same key in every process and
-  every session.
+  every session.  Each distinct machine (preset or explicit config, plus
+  idealization) is walked and serialized once per process and spliced
+  into every key that names it.
 * :class:`Job` — the harness's unit of work: one or more cases served by
   one timing run (a single case, a fused group or an N-core socket).
 * :class:`DiskCache` — a pickle-per-entry store under
@@ -51,6 +53,41 @@ ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 
 #: Timing-fingerprint fields that name a trace rather than describe it.
 TRACE_NAME_FIELDS = ("workload", "instructions", "trace_seed")
+
+#: Machine memo: ``(preset name or id of the explicit config,
+#: idealization) -> (explicit config or None, idealization JSON, config
+#: JSON)``, the canonical texts of each distinct machine this process has
+#: keyed.  Cleared by :func:`repro.experiments.runner.clear_cache`, so a
+#: preset name names one config for the memo's lifetime; bounded by
+#: :data:`MACHINE_MEMO_CAP` (a miss at the cap clears it).
+_MACHINES: dict[tuple, tuple[CoreConfig | None, str, str]] = {}
+
+#: A paper pass keys 14 distinct machines; the cap bounds a long-lived
+#: process keying ever new explicit configs.
+MACHINE_MEMO_CAP = 1024
+
+#: Placeholders for the machine fields in a fingerprint under
+#: construction, and their JSON text (what :meth:`CaseSpec._digest`
+#: replaces with the memoized machine texts).
+_IDEALIZATION_SLOT = "\x00idealization\x00"
+_CONFIG_SLOT = "\x00config\x00"
+_IDEALIZATION_TEXT = json.dumps(_IDEALIZATION_SLOT)
+_CONFIG_TEXT = json.dumps(_CONFIG_SLOT)
+
+
+def _canonical(value: object) -> str:
+    """The canonical JSON text every key hashes."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def clear_machine_memo() -> None:
+    """Drop every memoized machine (keys computed later walk afresh)."""
+    _MACHINES.clear()
+
+
+def machine_memo_size() -> int:
+    """Number of distinct machines currently memoized."""
+    return len(_MACHINES)
 
 
 def default_cache_dir() -> Path:
@@ -124,13 +161,39 @@ class CaseSpec:
             accounting_width=self.accounting_width,
         )
 
-    def timing_fingerprint(self) -> dict:
-        """Canonical identity of the *timing* this case needs: trace,
-        machine config, wrong-path mode, warmup and seeds — everything
-        except the accounting configuration.  Cases sharing this
-        fingerprint are provably served by one pipeline run (collectors
-        are observational), which is what fused execution exploits.
+    def _machine(self) -> tuple[str, str]:
+        """Canonical JSON text of this case's idealization and resolved
+        config fingerprints, from the process-wide machine memo.
+
+        One pass holds a handful of distinct machines but hashes every
+        case, and walking a whole :class:`CoreConfig` is most of a key's
+        cost, so each distinct machine is walked and serialized once.
         """
+        owner = self.config
+        memo_key = (
+            self.preset if owner is None else id(owner), self.idealization
+        )
+        entry = _MACHINES.get(memo_key)
+        if entry is None:
+            ideal = (
+                self.idealization.fingerprint()
+                if self.idealization is not None
+                else None
+            )
+            if len(_MACHINES) >= MACHINE_MEMO_CAP:
+                _MACHINES.clear()
+            # The entry holds the explicit config, so no other object
+            # can take its id while the entry lives.
+            entry = _MACHINES[memo_key] = (
+                owner,
+                _canonical(ideal),
+                _canonical(self.resolved_config().fingerprint()),
+            )
+        return entry[1], entry[2]
+
+    def _timing_slots(self) -> dict:
+        """:meth:`timing_fingerprint` with the idealization and config
+        left as slots, which :meth:`_filled` and :meth:`_digest` fill."""
         fp = {
             "schema": ACCOUNTING_SCHEMA_VERSION,
             "workload": self.workload,
@@ -139,12 +202,8 @@ class CaseSpec:
             "sim_seed": self.simulate_seed,
             "mode": self.mode.value,
             "warmup_fraction": self.warmup_fraction,
-            "idealization": (
-                self.idealization.fingerprint()
-                if self.idealization is not None
-                else None
-            ),
-            "config": self.resolved_config().fingerprint(),
+            "idealization": _IDEALIZATION_SLOT,
+            "config": _CONFIG_SLOT,
         }
         if self.cores > 1:
             # Multicore identity fields appear ONLY for cores > 1, so
@@ -156,29 +215,15 @@ class CaseSpec:
             fp["multicore_schema"] = 1
         return fp
 
-    def timing_key(self, *, by_name: bool = True) -> str:
-        """SHA-256 content address of :meth:`timing_fingerprint`.
-
-        With ``by_name=False`` the fields that only name the trace
-        (:data:`TRACE_NAME_FIELDS`) are left out: cases sharing that key
-        and equal traces, compared by content, need one timing run.
-        """
-        fp = self.timing_fingerprint()
-        if not by_name:
-            for name in TRACE_NAME_FIELDS:
-                del fp[name]
-        text = json.dumps(fp, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-    def fingerprint(self) -> dict:
-        """Canonical JSON-able identity of this case (hashed into the key).
+    def _case_slots(self) -> dict:
+        """:meth:`fingerprint` with the machine fields left as slots.
 
         Accounting fields are included only when they differ from the
         historical defaults, so every pre-existing cache key (default
         multi-stage accounting) is byte-identical to what it always was —
         fused execution never invalidates a warm cache.
         """
-        fp = self.timing_fingerprint()
+        fp = self._timing_slots()
         if not self.accounting:
             fp["accounting"] = False
         if self.topdown:
@@ -187,12 +232,71 @@ class CaseSpec:
             fp["accounting_width"] = self.accounting_width
         return fp
 
+    def _member_slots(self, core: int) -> dict:
+        """:meth:`member_fingerprint` with the machine fields as slots."""
+        fp = self._case_slots()
+        if self.cores > 1:
+            fp["multicore_member"] = core
+        return fp
+
+    def _filled(self, fp: dict) -> dict:
+        """``fp`` with its slots replaced by freshly decoded copies of the
+        memoized machine fingerprints: the caller owns every level of the
+        returned dict, so editing it can never reach the memo."""
+        ideal, config = self._machine()
+        fp["idealization"] = json.loads(ideal)
+        fp["config"] = json.loads(config)
+        return fp
+
+    def _digest(self, fp: dict) -> str:
+        """SHA-256 over the canonical JSON of ``fp`` with its slots
+        filled, byte for byte what dumping :meth:`_filled` gives: the
+        memoized machine texts are spliced in place of the slots."""
+        text = _canonical(fp)
+        if (
+            text.count(_IDEALIZATION_TEXT) == 1
+            and text.count(_CONFIG_TEXT) == 1
+        ):
+            ideal, config = self._machine()
+            text = text.replace(_IDEALIZATION_TEXT, ideal).replace(
+                _CONFIG_TEXT, config
+            )
+        else:
+            # A name field spelled like a slot: dump the filled dict.
+            text = _canonical(self._filled(fp))
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    def timing_fingerprint(self) -> dict:
+        """Canonical identity of the *timing* this case needs: trace,
+        machine config, wrong-path mode, warmup and seeds — everything
+        except the accounting configuration.  Cases sharing this
+        fingerprint are provably served by one pipeline run (collectors
+        are observational), which is what fused execution exploits.
+        """
+        return self._filled(self._timing_slots())
+
+    def timing_key(self, *, by_name: bool = True) -> str:
+        """SHA-256 content address of :meth:`timing_fingerprint`.
+
+        With ``by_name=False`` the fields that only name the trace
+        (:data:`TRACE_NAME_FIELDS`) are left out: cases sharing that key
+        and equal traces, compared by content, need one timing run.
+        """
+        fp = self._timing_slots()
+        if not by_name:
+            for name in TRACE_NAME_FIELDS:
+                del fp[name]
+        return self._digest(fp)
+
+    def fingerprint(self) -> dict:
+        """Canonical JSON-able identity of this case (hashed into the key):
+        :meth:`timing_fingerprint` plus the non-default accounting fields.
+        """
+        return self._filled(self._case_slots())
+
     def key(self) -> str:
         """Content address: SHA-256 of the canonical fingerprint."""
-        text = json.dumps(
-            self.fingerprint(), sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+        return self._digest(self._case_slots())
 
     def label(self) -> str:
         """Short human-readable tag for telemetry and logs."""
@@ -212,10 +316,7 @@ class CaseSpec:
         For ``cores == 1`` it is :meth:`fingerprint`, as the member key is
         the case key, so single-core cache entries keep their bytes.
         """
-        fp = self.fingerprint()
-        if self.cores > 1:
-            fp["multicore_member"] = core
-        return fp
+        return self._filled(self._member_slots(core))
 
     def member_key(self, core: int) -> str:
         """Cache key for core ``core``'s result of a multi-core case.
@@ -226,11 +327,7 @@ class CaseSpec:
         """
         if self.cores == 1 and core == 0:
             return self.key()
-        text = json.dumps(
-            self.member_fingerprint(core), sort_keys=True,
-            separators=(",", ":"),
-        )
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+        return self._digest(self._member_slots(core))
 
     def member_keys(self, key: str) -> list[str]:
         """Every core's cache key, in core order, given this case's own

@@ -25,6 +25,7 @@ from repro.experiments.cache import (
     TELEMETRY,
     CaseSpec,
     Job,
+    clear_machine_memo,
     get_disk_cache,
 )
 from repro.isa.decoder import clear_intern_table
@@ -59,14 +60,16 @@ _result_cache: dict[str, SimResult] = {}
 
 
 def clear_cache(*, disk: bool = True) -> int:
-    """Drop all memoized traces and results, and the decoder's intern
-    table (its lifetime is the trace memo's: traces built after this
-    share no instruction objects with traces built before).
+    """Drop all memoized traces and results, the decoder's intern table
+    (its lifetime is the trace memo's: traces built after this share no
+    instruction objects with traces built before) and the cache keys'
+    machine memo.
 
     With ``disk=True`` (the default) the persistent on-disk cache is
     purged as well; returns the number of disk entries removed.
     """
     clear_intern_table()
+    clear_machine_memo()
     _trace_cache.clear()
     _threaded_trace_cache.clear()
     _result_cache.clear()

@@ -65,6 +65,7 @@ import shutil
 import threading
 import time
 from array import array
+from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -105,7 +106,8 @@ __all__ = [
 #: 6: the payload is the pickled simulator, with the programs, their
 #: instruction lists and the sentinels as references.
 #: 7: the memory hierarchy drops its fill-completion heap.
-CHECKPOINT_SCHEMA = 7
+#: 8: program identities digest every instruction and micro-op field.
+CHECKPOINT_SCHEMA = 8
 
 #: First line of every checkpoint file.
 MAGIC = b"REPRO-CKPT\n"
@@ -149,28 +151,67 @@ def checkpoint_interval_default() -> int | None:
 # Program identity and state payloads
 
 
-def program_identity(program: Program) -> dict:
-    """Cheap content identity of an input trace.
+#: Every scalar field of an :class:`Instruction` and of a
+#: :class:`~repro.isa.uops.MicroOp`, in identity-encoding order; the
+#: remaining fields (``Instruction.uops``, ``MicroOp.srcs``) are tuples,
+#: encoded as their length and then their elements.
+INSTRUCTION_SCALARS = (
+    "pc", "length", "is_branch", "taken", "target", "microcoded",
+    "decode_cycles", "yield_cycles", "barrier",
+)
+MICRO_OP_SCALARS = ("uclass", "dst", "addr", "size", "lanes", "width_lanes")
 
-    Name, instruction count, micro-op count, and a SHA-256 over the
-    machine-native ``array('q')`` bytes of every instruction's pc and
-    every micro-op's address (checkpoints are host-local files).  Two
-    traces from different workloads, lengths or seeds differ here.
-    Memoized on the program (dropped by :meth:`Program.extend`), so a
-    trace is hashed once however many engines snapshot or restore it.
+_instruction_scalars = attrgetter(*INSTRUCTION_SCALARS)
+_micro_op_scalars = attrgetter(*MICRO_OP_SCALARS)
+
+
+def _encode_instruction(instr: Instruction) -> tuple[int, ...]:
+    """Every field of ``instr`` and of its micro-ops as integers; the
+    encoding is self-delimiting, so a concatenation of encodings splits
+    back into instructions one way only."""
+    out = [*_instruction_scalars(instr), len(instr.uops)]
+    for uop in instr.uops:
+        out.extend(_micro_op_scalars(uop))
+        out.append(len(uop.srcs))
+        out.extend(uop.srcs)
+    return tuple(out)
+
+
+def program_identity(program: Program) -> dict:
+    """Content identity of an input trace: equal exactly when the traces
+    compare equal.
+
+    Name, instruction count, micro-op count, and a SHA-256 over every
+    field of every instruction and micro-op, as machine-native
+    ``array('q')`` bytes (checkpoints are host-local files).  The digest
+    covers a table of the distinct instruction encodings, in order of
+    first appearance, and then each instruction's position in that table.
+    The decoder interns instructions, so equal instructions are mostly
+    one object: each distinct object is encoded once, and equal objects
+    built apart still share one table entry.  Memoized on the program
+    (dropped by :meth:`Program.extend`), so a trace is hashed once
+    however many engines snapshot or restore it.
     """
     if program._identity is None:
-        instrs = program.instructions
-        pcs = array("q", [instr.pc for instr in instrs])
-        addrs = array(
-            "q", [uop.addr for instr in instrs for uop in instr.uops]
-        )
-        digest = hashlib.sha256(pcs.tobytes())
-        digest.update(addrs.tobytes())
+        table: dict[tuple[int, ...], int] = {}
+        position_of: dict[int, int] = {}
+        positions = array("q")
+        for instr in program.instructions:
+            position = position_of.get(id(instr))
+            if position is None:
+                encoding = _encode_instruction(instr)
+                position = table.setdefault(encoding, len(table))
+                position_of[id(instr)] = position
+            positions.append(position)
+        encodings = array("q", [len(table)])
+        for encoding in table:
+            encodings.extend(encoding)
+        digest = hashlib.sha256(encodings.tobytes())
+        digest.update(positions.tobytes())
         program._identity = {
             "name": program.name,
-            "instructions": len(pcs),
-            "uops": len(addrs),
+            "instructions": len(positions),
+            "uops": program.uop_count,
             "sha256": digest.hexdigest(),
         }
     return program._identity

@@ -41,7 +41,8 @@ from repro.experiments.parallel import run_cases
 from repro.experiments.runner import clear_cache, lookup_cached
 from repro.pipeline import checkpoint as ckpt
 from repro.pipeline.checkpoint import CheckpointError
-from repro.isa.instructions import Program
+from repro.isa.instructions import Instruction, Program
+from repro.isa.uops import MicroOp, UopClass
 from repro.pipeline import core as core_module
 from repro.pipeline.core import CoreSimulator
 from repro.pipeline.multicore import MulticoreSimulator
@@ -781,6 +782,80 @@ def test_program_identity_separates_traces():
     assert identity["uops"] == trace.uop_count
     assert identity != ckpt.program_identity(make_trace("mcf", N, 2))
     assert identity != ckpt.program_identity(_altered_pc(trace))
+
+
+def _fma_program(lanes: int) -> Program:
+    """A one-instruction program ``k``: one FMA with ``lanes`` of 16."""
+    fma = MicroOp(UopClass.FMA, srcs=(1, 2), dst=3, lanes=lanes,
+                  width_lanes=16)
+    return Program("k", [Instruction(pc=0x400, length=4, uops=(fma,))])
+
+
+def test_programs_differing_only_in_lanes_are_refused():
+    """Equal names, pcs and addresses do not make equal traces: a
+    checkpoint of the 16-lane FMA never resumes into the 5-lane one."""
+    full, masked = _fma_program(16), _fma_program(5)
+    assert full != masked
+    assert ckpt.program_identity(full) != ckpt.program_identity(masked)
+    payload = CoreSimulator(full, broadwell()).snapshot()
+    with pytest.raises(CheckpointError, match="does not match"):
+        CoreSimulator.from_snapshot(payload, masked)
+    assert CoreSimulator.from_snapshot(payload, full).committed_instrs == 0
+
+
+def test_program_identity_encodes_every_field():
+    """The identity encoding names every Instruction and MicroOp field,
+    so a field added later cannot escape it silently."""
+    assert {*ckpt.INSTRUCTION_SCALARS, "uops"} == {
+        f.name for f in dataclasses.fields(Instruction)
+    }
+    assert {*ckpt.MICRO_OP_SCALARS, "srcs"} == {
+        f.name for f in dataclasses.fields(MicroOp)
+    }
+
+
+_BASE_UOPS = (
+    MicroOp(UopClass.FMA, srcs=(1, 2), dst=3, lanes=16, width_lanes=16),
+    MicroOp(UopClass.BRANCH),
+)
+_BASE_INSTR = Instruction(pc=0x400, length=4, uops=_BASE_UOPS, yield_cycles=1)
+
+
+@pytest.mark.parametrize("change", [
+    pytest.param({"pc": 0x404}, id="pc"),
+    pytest.param({"length": 8}, id="length"),
+    pytest.param({"is_branch": True}, id="is_branch"),
+    pytest.param({"taken": True}, id="taken"),
+    pytest.param({"target": 0x500}, id="target"),
+    pytest.param({"microcoded": True}, id="microcoded"),
+    pytest.param({"decode_cycles": 2}, id="decode_cycles"),
+    pytest.param({"yield_cycles": 3}, id="yield_cycles"),
+    pytest.param({"barrier": True}, id="barrier"),
+    pytest.param({"uops": _BASE_UOPS[:1]}, id="uops"),
+    pytest.param({"uclass": UopClass.FP_MUL}, id="uclass"),
+    pytest.param({"srcs": (1,)}, id="srcs"),
+    pytest.param({"dst": 4}, id="dst"),
+    pytest.param({"addr": 64}, id="addr"),
+    pytest.param({"size": 8}, id="size"),
+    pytest.param({"lanes": 5}, id="lanes"),
+    pytest.param({"width_lanes": 32}, id="width_lanes"),
+])
+def test_program_identity_covers_each_field(change):
+    """Changing any one field of one instruction (or of its first
+    micro-op) moves the identity, exactly as it breaks trace equality;
+    an equal copy built apart keeps it."""
+    instr_fields = {f.name for f in dataclasses.fields(Instruction)}
+    if change.keys() <= instr_fields:
+        other = dataclasses.replace(_BASE_INSTR, **change)
+    else:
+        uop = dataclasses.replace(_BASE_UOPS[0], **change)
+        other = dataclasses.replace(_BASE_INSTR, uops=(uop, _BASE_UOPS[1]))
+    base = Program("k", [_BASE_INSTR, _BASE_INSTR])
+    changed = Program("k", [_BASE_INSTR, other])
+    copied = Program("k", [_BASE_INSTR, dataclasses.replace(_BASE_INSTR)])
+    assert changed != base and copied == base
+    assert ckpt.program_identity(changed) != ckpt.program_identity(base)
+    assert ckpt.program_identity(copied) == ckpt.program_identity(base)
 
 
 # ---------------------------------------------------------------------------
