@@ -338,12 +338,12 @@ def _cmd_failures(args: argparse.Namespace) -> int:
         removed = supervisor.clear_failures()
         print(
             f"removed {removed} failure report(s) from "
-            f"{supervisor.failures_dir()}"
+            f"{supervisor.FAILURE_STORE.root}"
         )
         return 0
     records = supervisor.list_failures()
     if not records:
-        print(f"no failure reports under {supervisor.failures_dir()}")
+        print(f"no failure reports under {supervisor.FAILURE_STORE.root}")
         return 0
     rows = [
         {
@@ -369,13 +369,13 @@ def _cmd_checkpoints(args: argparse.Namespace) -> int:
         removed = pipeline_checkpoint.clear_checkpoints()
         print(
             f"removed {removed} checkpoint(s) from "
-            f"{pipeline_checkpoint.checkpoint_root()}"
+            f"{pipeline_checkpoint.STORE.root}"
         )
         return 0
     rows = pipeline_checkpoint.list_checkpoints()
     if not rows:
         print(
-            f"no checkpoints under {pipeline_checkpoint.checkpoint_root()}"
+            f"no checkpoints under {pipeline_checkpoint.STORE.root}"
         )
         return 0
     print(

@@ -16,11 +16,11 @@ module gives those cases a durable identity:
   into every key that names it.
 * :class:`Job` — the harness's unit of work: one or more cases served by
   one timing run (a single case, a fused group or an N-core socket).
-* :class:`DiskCache` — a pickle-per-entry store under
-  ``results/.cache/`` (override with ``REPRO_CACHE_DIR``), sharded by the
-  first two hex digits of the key.  Entries are written atomically and a
-  truncated/corrupt/stale-schema entry is treated as a miss and deleted,
-  never raised.
+* :class:`DiskCache` — a pickle-per-entry :class:`~repro.store.Store`
+  under ``results/.cache/`` (override with ``REPRO_CACHE_DIR``), sharded
+  by the first two hex digits of the key.  Entries are written
+  atomically and a truncated/corrupt/stale-schema entry is treated as a
+  miss and deleted, never raised.
 * :class:`HarnessTelemetry` — process-wide hit/miss/simulation counters
   (the "zero simulator invocations on a warm cache" guarantee is asserted
   against :attr:`HarnessTelemetry.sim_invocations`).
@@ -30,9 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import pickle
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -43,6 +41,7 @@ from repro.config.presets import get_preset
 from repro.core.multistage import CollectorSpec
 from repro.core.wrongpath import WrongPathMode
 from repro.pipeline.result import ACCOUNTING_SCHEMA_VERSION, SimResult
+from repro.store import Store
 
 #: Fraction of the trace used to warm caches/TLBs/predictor before the
 #: measured region begins (the paper fast-forwards 10B instructions).
@@ -88,14 +87,6 @@ def clear_machine_memo() -> None:
 def machine_memo_size() -> int:
     """Number of distinct machines currently memoized."""
     return len(_MACHINES)
-
-
-def default_cache_dir() -> Path:
-    """Resolve the cache root: ``$REPRO_CACHE_DIR`` or ``results/.cache``."""
-    env = os.environ.get(ENV_CACHE_DIR)
-    if env:
-        return Path(env)
-    return Path(__file__).resolve().parents[3] / "results" / ".cache"
 
 
 @dataclass(frozen=True)
@@ -515,18 +506,22 @@ class HarnessTelemetry:
 TELEMETRY = HarnessTelemetry()
 
 
-class DiskCache:
+class DiskCache(Store):
     """Pickle-per-entry content-addressed store, shared across processes.
 
     Layout: ``<root>/<key[:2]>/<key>.pkl`` where each payload is
     ``{"schema": int, "spec": fingerprint, "result": SimResult.to_dict()}``.
-    Writes go through an atomic rename so concurrent pool workers (or
-    parallel pytest sessions) can never expose a torn entry; any
+    Writes are atomic (:meth:`Store.write`), so concurrent pool workers
+    (or parallel pytest sessions) can never expose a torn entry; any
     unreadable or stale-schema entry is deleted and reported as a miss.
+    Entries are not fsynced: every entry is validated on read, so an
+    entry torn by a machine crash is only a miss.
     """
 
     def __init__(self, root: Path | str | None = None) -> None:
-        self.root = Path(root) if root is not None else default_cache_dir()
+        super().__init__(
+            ENV_CACHE_DIR, ".cache", "??/*.pkl", fsync=False, root=root
+        )
 
     def path_for(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.pkl"
@@ -566,76 +561,20 @@ class DiskCache:
             return None
 
     def put(self, key: str, spec_fingerprint: dict, result: SimResult) -> None:
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         payload = {
             "schema": ACCOUNTING_SCHEMA_VERSION,
             "spec": spec_fingerprint,
             "result": result.to_dict(),
         }
-        tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
+        data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
         try:
-            with open(tmp, "wb") as fh:
-                pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
+            self.write(self.path_for(key), data)
         except OSError:
             # A read-only cache directory degrades to write-through misses.
             pass
-        finally:
-            # The temp file must not survive ANY exit path — including
-            # interrupts and non-OSError failures mid-pickle.  After a
-            # successful rename the unlink is a no-op FileNotFoundError.
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
 
-    def purge_tmp(self, *, max_age_seconds: float = 0.0) -> int:
-        """Sweep stale ``*.tmp<pid>`` files left behind by killed writers.
-
-        With ``max_age_seconds`` > 0 only files older than that are
-        removed (so a concurrent writer's in-flight temp file survives).
-        Returns how many were deleted.
-        """
-        if not self.root.is_dir():
-            return 0
-        removed = 0
-        now = time.time()
-        for path in self.root.glob("??/*.pkl.tmp*"):
-            try:
-                if (
-                    max_age_seconds > 0
-                    and now - path.stat().st_mtime < max_age_seconds
-                ):
-                    continue
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
-
-    def entries(self) -> list[Path]:
-        if not self.root.is_dir():
-            return []
-        return sorted(self.root.glob("??/*.pkl"))
-
-    def purge(self) -> int:
-        """Delete every cache entry; returns how many were removed."""
-        removed = 0
-        for path in self.entries():
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        self.purge_tmp()
-        if self.root.is_dir():
-            for shard in self.root.glob("??"):
-                try:
-                    shard.rmdir()  # only empty shards; non-empty raise
-                except OSError:
-                    pass
-        return removed
+    #: Every entry's path, sorted (the cache's name for :meth:`files`).
+    entries = Store.files
 
     def stats(self) -> dict[str, object]:
         """On-disk footprint plus this process's hit/miss counters."""

@@ -115,11 +115,11 @@ def _resume_or_build(key: str, interval: int | None, restore, build):
     newest valid checkpoint is handed to ``restore(payload)``, which
     rebuilds the simulator over the trace(s) the caller already holds.
     A checkpoint taken with a different program fails the identity check
-    (:class:`~repro.pipeline.checkpoint.CheckpointError`); it is evicted
-    like a corrupt rung and the ladder continues with the next older
-    file.  With no usable checkpoint, ``build()`` starts afresh.  Returns
-    ``(simulator, resumed_from)``; ``resumed_from`` is the committed
-    instruction count restored, or None for a fresh start.
+    (:class:`~repro.pipeline.checkpoint.CheckpointError`); it is
+    discarded like a corrupt rung and the ladder continues with the next
+    older file.  With no usable checkpoint, ``build()`` starts afresh.
+    Returns ``(simulator, resumed_from)``; ``resumed_from`` is the
+    committed instruction count restored, or None for a fresh start.
     """
     while interval:
         found = ckpt.latest_valid_checkpoint(key)
@@ -129,7 +129,7 @@ def _resume_or_build(key: str, interval: int | None, restore, build):
         try:
             sim = restore(payload)
         except ckpt.CheckpointError:
-            path.unlink(missing_ok=True)
+            ckpt.STORE.discard(path)
             continue
         return sim, int(meta.get("committed_instrs", 0))
     return build(), None

@@ -57,6 +57,7 @@ from repro.experiments import runner
 from repro.experiments.cache import CaseSpec, Job
 from repro.pipeline import checkpoint as ckpt
 from repro.pipeline.result import SimResult
+from repro.store import Store
 
 #: Environment variable: one deadline (seconds) for every case.
 ENV_CASE_TIMEOUT = "REPRO_CASE_TIMEOUT"
@@ -136,7 +137,7 @@ class BatchFailure(RuntimeError):
     """A batch ended with unrecovered case failures (``keep_going=False``).
 
     Carries the per-key :class:`FailureReport` mapping; the same reports
-    are persisted under :func:`failures_dir` before this is raised.
+    are persisted in :data:`FAILURE_STORE` before this is raised.
     """
 
     def __init__(self, failures: dict[str, "FailureReport"]) -> None:
@@ -149,7 +150,7 @@ class BatchFailure(RuntimeError):
             summary += ", ..."
         super().__init__(
             f"{len(self.failures)} case(s) failed after supervision: "
-            f"{summary}; reports persisted under {failures_dir()} "
+            f"{summary}; reports persisted under {FAILURE_STORE.root} "
             "(see `repro failures list`; rerun with keep_going=True / "
             "--keep-going for partial results)"
         )
@@ -162,7 +163,7 @@ class IncompleteBatch(RuntimeError):
     results are meaningless without specific cases (a study without its
     baseline, a socket aggregate missing a thread).  Experiments raise
     this instead of returning a silently-wrong artifact; the failed
-    cases' reports are already persisted under :func:`failures_dir`.
+    cases' reports are already persisted in :data:`FAILURE_STORE`.
     """
 
 
@@ -225,16 +226,13 @@ class SupervisionOutcome:
 # failure-report store (results/failures/<key>.json)
 
 
-def failures_dir() -> Path:
-    """Failure-record root: ``$REPRO_FAILURES_DIR`` or ``results/failures``."""
-    env = os.environ.get(ENV_FAILURES_DIR)
-    if env:
-        return Path(env)
-    return Path(__file__).resolve().parents[3] / "results" / "failures"
+#: The failure-report store.  Writes are fsynced: a report records
+#: attempts that cannot be recomputed cheaply.
+FAILURE_STORE = Store(ENV_FAILURES_DIR, "failures", "*.json", fsync=True)
 
 
 def failure_path(key: str) -> Path:
-    return failures_dir() / f"{key}.json"
+    return FAILURE_STORE.root / f"{key}.json"
 
 
 def max_failures() -> int:
@@ -253,75 +251,48 @@ def max_failures() -> int:
         ) from None
 
 
-def _evict_old_failures(cap: int) -> None:
-    """Keep only the newest ``cap`` reports (by mtime, ties by name)."""
-    root = failures_dir()
-    if cap <= 0 or not root.is_dir():
-        return
-    paths = []
-    for path in root.glob("*.json"):
-        try:
-            paths.append((path.stat().st_mtime, path.name, path))
-        except OSError:  # pragma: no cover - racing unlink
-            pass
-    if len(paths) <= cap:
-        return
-    paths.sort()
-    for _, _, path in paths[: len(paths) - cap]:
-        try:
-            path.unlink()
-        except OSError:  # pragma: no cover - racing unlink
-            pass
-
-
 def save_failure(report: FailureReport) -> None:
     """Persist one report atomically (rename over any older record).
 
-    The temp file is fsynced before the rename so a machine-level crash
-    cannot publish a torn record, and the store is capped afterwards:
-    only the newest :func:`max_failures` reports survive, so an unlucky
-    month of sweeps cannot grow ``results/failures/`` without bound.
+    The store is capped afterwards: only the newest :func:`max_failures`
+    reports survive, so an unlucky month of sweeps cannot grow
+    ``results/failures/`` without bound.
     """
-    path = failure_path(report.key)
-    tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
+    text = json.dumps(report.to_json_dict(), indent=2)
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(report.to_json_dict(), handle, indent=2)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
+        FAILURE_STORE.write(failure_path(report.key), text.encode("utf-8"))
     except OSError:
         pass
-    finally:
-        try:
-            tmp.unlink()
-        except OSError:
-            pass
-    _evict_old_failures(max_failures())
+    FAILURE_STORE.keep_newest(max_failures())
+
+
+def _read_failure(path: Path) -> dict | None:
+    """The record at ``path``, or ``None`` if it is unreadable or of
+    another :data:`FAILURE_SCHEMA`."""
+    try:
+        record = json.loads(path.read_text())
+    except (OSError, ValueError):
+        return None
+    if (
+        isinstance(record, dict)
+        and record.get("schema") == FAILURE_SCHEMA
+        and "key" in record
+    ):
+        return record
+    return None
 
 
 def load_failure(key: str) -> dict | None:
     """The persisted record for one case key, or ``None``."""
-    try:
-        return json.loads(failure_path(key).read_text())
-    except (OSError, ValueError):
-        return None
+    return _read_failure(failure_path(key))
 
 
 def list_failures() -> list[dict]:
-    """Every readable failure record, newest first (by save time)."""
-    root = failures_dir()
-    if not root.is_dir():
-        return []
-    records = []
-    for path in sorted(root.glob("*.json")):
-        try:
-            record = json.loads(path.read_text())
-        except (OSError, ValueError):
-            continue
-        if isinstance(record, dict) and "key" in record:
-            records.append(record)
+    """Every readable current-schema record, newest first (by save time)."""
+    records = [
+        record for path in FAILURE_STORE.files()
+        if (record := _read_failure(path)) is not None
+    ]
     return sorted(
         records,
         key=lambda r: (-float(r.get("saved_unix", 0.0)),
@@ -344,17 +315,7 @@ def discard_failure(key: str) -> None:
 
 def clear_failures() -> int:
     """Delete every failure record; returns how many were removed."""
-    root = failures_dir()
-    if not root.is_dir():
-        return 0
-    removed = 0
-    for path in root.glob("*.json"):
-        try:
-            path.unlink()
-            removed += 1
-        except OSError:
-            pass
-    return removed
+    return FAILURE_STORE.purge()
 
 
 # ---------------------------------------------------------------------------

@@ -27,42 +27,33 @@ them, so a checkpoint never resumes into a different trace.  The format
 follows the in-memory representation: any change to a simulator class's
 attributes bumps :data:`CHECKPOINT_SCHEMA`.
 
-Writes are atomic: payload lands in a same-directory temp file which is
-fsynced and then ``os.replace``d over the final name (the same discipline
-as ``DiskCache.put``), so a crash mid-write leaves either the old
-checkpoint or none, never a partial one.
-
-Checkpoints live under ``results/.checkpoints/<case-key>/`` (override with
+Checkpoints live in :data:`STORE` (a :class:`repro.store.Store`) under
+``results/.checkpoints/<case-key>/`` (override with
 ``REPRO_CHECKPOINT_DIR``), one subdirectory per case, one file per
-snapshot named ``ckpt_<committed-instructions>.rck``.  Recovery walks the
-ladder newest -> older -> fresh start, unlinking any checkpoint whose
-checksum fails on the way down.
+snapshot named ``ckpt_<committed-instructions>.rck``.  Writes are atomic
+and fsynced, so a crash mid-write leaves either the old checkpoint or
+none, never a partial one.  Recovery walks the ladder newest -> older ->
+fresh start, discarding any checkpoint that fails its checks on the way
+down.
 
-Once a case's result is published, :func:`clear_checkpoints` renames its
-directory to ``<root>/.reaping/<key>-<pid>-<n>`` and one background
-reaper thread per process deletes it from a queue.  On ext4, unlinking a
-file whose data was fsynced measured 36-62 ms and removing its directory
-~36 ms, while the rename costs ~0 ms, so the caller never waits on the
-deletion.  The case's path is free at once: a rerun of the same case
-writes fresh checkpoints while the old ones are still being deleted.
+Once a case's result is published, :func:`clear_checkpoints` discards
+its directory: the store renames it into ``.reaping`` and its
+background reaper deletes it, so the caller never waits on the unlinks
+and the case's path is free at once (a rerun of the same case writes
+fresh checkpoints while the old ones are still being deleted).
 Recovery and listing never read ``.reaping``, so a crash mid-deletion
 leaves only ``.reaping`` debris (swept by ``clear_checkpoints()``),
-never a resumable stale checkpoint.  An ``atexit`` hook drains the
-reaper, and a forked child starts with fresh reaper state.
+never a resumable stale checkpoint.
 """
 
 from __future__ import annotations
 
-import atexit
 import hashlib
 import io
 import itertools
 import json
 import os
 import pickle
-import queue
-import shutil
-import threading
 import time
 from array import array
 from operator import attrgetter
@@ -70,18 +61,17 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.isa.instructions import Instruction, Program
+from repro.store import Store
 
 __all__ = [
     "CHECKPOINT_SCHEMA",
     "CheckpointError",
     "ENV_CHECKPOINT_DIR",
     "ENV_CHECKPOINT_INTERVAL",
-    "REAPING_DIR",
+    "STORE",
     "checkpoint_dir_for",
     "checkpoint_interval_default",
-    "checkpoint_root",
     "clear_checkpoints",
-    "drain_reaper",
     "latest_valid_checkpoint",
     "list_case_checkpoints",
     "list_checkpoints",
@@ -120,6 +110,13 @@ ENV_CHECKPOINT_DIR = "REPRO_CHECKPOINT_DIR"
 
 _FILE_PREFIX = "ckpt_"
 _FILE_SUFFIX = ".rck"
+
+#: The checkpoint store.  Writes are fsynced: a lost checkpoint costs
+#: the simulation it saved.
+STORE = Store(
+    ENV_CHECKPOINT_DIR, ".checkpoints", f"*/{_FILE_PREFIX}*{_FILE_SUFFIX}",
+    fsync=True,
+)
 
 
 class CheckpointError(RuntimeError):
@@ -355,20 +352,7 @@ def save_checkpoint(path: Path, payload: bytes, meta: dict) -> None:
         + b"\n"
         + payload
     )
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.parent / f"{path.name}.tmp{os.getpid()}"
-    try:
-        with open(tmp, "wb") as handle:
-            handle.write(blob)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    finally:
-        if tmp.exists():  # pragma: no cover - only on a failed write
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
+    STORE.write(path, blob)
 
 
 def load_checkpoint(path: Path) -> tuple[bytes, dict]:
@@ -419,17 +403,9 @@ def load_checkpoint(path: Path) -> tuple[bytes, dict]:
 # Per-case checkpoint store
 
 
-def checkpoint_root() -> Path:
-    """Directory holding per-case checkpoint subdirectories."""
-    env = os.environ.get(ENV_CHECKPOINT_DIR)
-    if env:
-        return Path(env)
-    return Path(__file__).resolve().parents[3] / "results" / ".checkpoints"
-
-
 def checkpoint_dir_for(key: str) -> Path:
     """Subdirectory holding one case's checkpoints (not created here)."""
-    return checkpoint_root() / key
+    return STORE.root / key
 
 
 def checkpoint_path(key: str, committed_instrs: int) -> Path:
@@ -440,25 +416,17 @@ def checkpoint_path(key: str, committed_instrs: int) -> Path:
 
 
 def _progress_of(path: Path) -> int | None:
-    name = path.name
-    if not (name.startswith(_FILE_PREFIX) and name.endswith(_FILE_SUFFIX)):
-        return None
-    digits = name[len(_FILE_PREFIX):-len(_FILE_SUFFIX)]
+    """The progress in a checkpoint file's name, if it holds one."""
+    digits = path.name[len(_FILE_PREFIX):-len(_FILE_SUFFIX)]
     return int(digits) if digits.isdigit() else None
 
 
 def list_case_checkpoints(key: str) -> list[Path]:
-    """One case's checkpoint files, oldest (least progress) first."""
-    directory = checkpoint_dir_for(key)
-    if not directory.is_dir():
-        return []
-    found = [
-        (progress, path)
-        for path in directory.iterdir()
-        if (progress := _progress_of(path)) is not None
-    ]
-    found.sort()
-    return [path for _, path in found]
+    """One case's checkpoint files, oldest (least progress) first: the
+    progress in a name is zero-padded, so name order is progress order."""
+    return sorted(
+        checkpoint_dir_for(key).glob(f"{_FILE_PREFIX}*{_FILE_SUFFIX}")
+    )
 
 
 def newest_progress(key: str) -> int | None:
@@ -475,7 +443,7 @@ def latest_valid_checkpoint(key: str) -> tuple[Path, bytes, dict] | None:
     """Newest checkpoint for ``key`` that passes verification.
 
     The recovery ladder: try the newest file; if it is corrupt or
-    truncated, unlink it and fall back to the next-newest; with none
+    truncated, discard it and fall back to the next-newest; with none
     left, return ``None`` (fresh start).  Corruption is never an error
     here — only a rung down the ladder.
     """
@@ -483,147 +451,37 @@ def latest_valid_checkpoint(key: str) -> tuple[Path, bytes, dict] | None:
         try:
             payload, meta = load_checkpoint(path)
         except CheckpointError:
-            try:
-                path.unlink()
-            except OSError:  # pragma: no cover - racing unlink
-                pass
+            STORE.discard(path)
             continue
         return path, payload, meta
     return None
 
 
-# ---------------------------------------------------------------------------
-# Background reaper (see the module docstring)
-
-#: Subdirectory of the checkpoint root holding directories awaiting
-#: deletion.  Recovery and listing never look inside it.
-REAPING_DIR = ".reaping"
-
-_reaper_lock = threading.Lock()
-_reaper_queue: queue.Queue | None = None
-_aside_serial = itertools.count(1)
-
-
-def _reaper_loop(work: queue.Queue) -> None:
-    while True:
-        path = work.get()
-        try:
-            shutil.rmtree(path, ignore_errors=True)
-        finally:
-            work.task_done()
-
-
-def _reap(path: Path) -> None:
-    """Queue ``path`` for deletion, starting the reaper on first use."""
-    global _reaper_queue
-    with _reaper_lock:
-        if _reaper_queue is None:
-            _reaper_queue = queue.Queue()
-            threading.Thread(
-                target=_reaper_loop, args=(_reaper_queue,),
-                name="checkpoint-reaper", daemon=True,
-            ).start()
-        _reaper_queue.put(path)
-
-
-def drain_reaper() -> None:
-    """Block until every directory queued for deletion is gone."""
-    with _reaper_lock:
-        work = _reaper_queue
-    if work is not None:
-        work.join()
-
-
-def _reset_reaper_in_child() -> None:
-    """A forked child has no reaper thread, and may have inherited its
-    locks held: give it fresh state (the parent still deletes what it
-    queued)."""
-    global _reaper_lock, _reaper_queue
-    _reaper_lock = threading.Lock()
-    _reaper_queue = None
-
-
-atexit.register(drain_reaper)
-os.register_at_fork(after_in_child=_reset_reaper_in_child)
-
-
-def _delete_in_place(directory: Path) -> int:
-    """Synchronously delete one case directory's checkpoint and temp
-    files, then the directory if that left it empty; returns the
-    checkpoint files removed."""
-    removed = 0
-    try:
-        paths = list(directory.iterdir())
-    except OSError:
-        return 0
-    for path in paths:
-        is_ckpt = _progress_of(path) is not None
-        is_tmp = f"{_FILE_SUFFIX}.tmp" in path.name
-        if not (is_ckpt or is_tmp):
-            continue
-        try:
-            path.unlink()
-        except OSError:  # pragma: no cover - racing unlink
-            continue
-        if is_ckpt:
-            removed += 1
-    try:
-        directory.rmdir()
-    except OSError:
-        pass
-    return removed
-
-
 def clear_checkpoints(key: str | None = None) -> int:
     """Delete checkpoints (one case's, or all); returns files removed.
 
-    One case's directory is renamed into :data:`REAPING_DIR` and deleted
-    there by the background reaper (:func:`drain_reaper` waits for it):
-    the case's path is free at once, and the caller never waits on the
-    unlinks.  If the rename fails, the files are deleted in place.
-    Clearing every case stays synchronous: it deletes in place, drains
-    the reaper and sweeps whatever a crashed process left in
-    :data:`REAPING_DIR`.  Leftover temp files go too, so an interrupted
-    writer never accumulates garbage.
+    One case's directory is discarded (:meth:`Store.discard`): its path
+    is free at once, and the caller never waits on the unlinks.
+    Clearing every case purges the store synchronously, with the
+    ``.reaping`` debris and the temp files of interrupted writers.
     """
     if key is None:
-        root = checkpoint_root()
-        removed = 0
-        if root.is_dir():
-            for directory in root.iterdir():
-                if directory.name != REAPING_DIR and directory.is_dir():
-                    removed += _delete_in_place(directory)
-        drain_reaper()
-        shutil.rmtree(root / REAPING_DIR, ignore_errors=True)
-        return removed
+        return STORE.purge()
     directory = checkpoint_dir_for(key)
     if not directory.is_dir():
         return 0
     removed = len(list_case_checkpoints(key))
-    aside = directory.parent / REAPING_DIR / (
-        f"{key}-{os.getpid()}-{next(_aside_serial)}"
-    )
-    try:
-        aside.parent.mkdir(exist_ok=True)
-        os.rename(directory, aside)
-    except OSError:
-        return _delete_in_place(directory)
-    _reap(aside)
+    STORE.discard(directory)
     return removed
 
 
 def list_checkpoints() -> list[dict]:
     """Summaries for ``repro checkpoints list``: one row per case."""
-    root = checkpoint_root()
-    if not root.is_dir():
-        return []
     rows: list[dict] = []
-    for directory in sorted(
-        p for p in root.iterdir() if p.is_dir() and p.name != REAPING_DIR
+    for key, group in itertools.groupby(
+        STORE.files(), key=lambda path: path.parent.name
     ):
-        paths = list_case_checkpoints(directory.name)
-        if not paths:
-            continue
+        paths = list(group)
         newest = paths[-1]
         meta: dict = {}
         try:
@@ -632,7 +490,7 @@ def list_checkpoints() -> list[dict]:
             pass
         rows.append(
             {
-                "key": directory.name,
+                "key": key,
                 "checkpoints": len(paths),
                 "newest_instrs": _progress_of(newest) or 0,
                 "case": meta.get("case", "?"),

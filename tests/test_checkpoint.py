@@ -32,6 +32,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import store
 from repro.config.presets import broadwell, knights_landing
 from repro.core.multistage import CollectorSpec
 from repro.core.wrongpath import WrongPathMode
@@ -139,7 +140,6 @@ def test_save_load_roundtrip(tmp_path):
     payload, loaded_meta = ckpt.load_checkpoint(path)
     assert payload == b"\x00payload bytes\xff"
     assert loaded_meta == meta
-    assert not list(path.parent.glob("*.tmp*")), "atomic write leaves no tmp"
 
 
 def test_load_rejects_missing_and_bad_magic(tmp_path):
@@ -272,7 +272,7 @@ def test_clear_checkpoints_sweeps_temp_files():
 
 
 def _reaping() -> Path:
-    return ckpt.checkpoint_root() / ckpt.REAPING_DIR
+    return ckpt.STORE.root / store.REAPING_DIR
 
 
 def _leftovers() -> list[Path]:
@@ -290,7 +290,7 @@ def held_reaper(monkeypatch):
     rmtree, owner = shutil.rmtree, os.getpid()
 
     def held(path, *args, **kwargs):
-        if os.getpid() == owner and ckpt.REAPING_DIR in Path(path).parts:
+        if os.getpid() == owner and store.REAPING_DIR in Path(path).parts:
             entered.set()
             release.wait(60)
         return rmtree(path, *args, **kwargs)
@@ -298,7 +298,7 @@ def held_reaper(monkeypatch):
     monkeypatch.setattr(shutil, "rmtree", held)
     yield entered, release
     release.set()
-    ckpt.drain_reaper()
+    store.drain_reaper()
 
 
 def test_clear_one_case_counts_files_and_frees_its_path(held_reaper):
@@ -318,7 +318,7 @@ def test_clear_one_case_counts_files_and_frees_its_path(held_reaper):
     ]
     assert [row["key"] for row in ckpt.list_checkpoints()] == [key]
     release.set()
-    ckpt.drain_reaper()
+    store.drain_reaper()
     assert _leftovers() == []
     assert ckpt.latest_valid_checkpoint(key)[1] == b"q"
 
@@ -352,7 +352,7 @@ def _clear_in_child(key: str) -> None:
     """Write, clear and drain one case in a child process."""
     ckpt.save_checkpoint(ckpt.checkpoint_path(key, 300), b"p", {})
     assert ckpt.clear_checkpoints(key) == 1
-    ckpt.drain_reaper()
+    store.drain_reaper()
     assert not ckpt.checkpoint_dir_for(key).exists()
 
 
@@ -385,7 +385,7 @@ def test_pool_round_completes_while_the_reaper_is_mid_delete(held_reaper):
     assert not hung, "the child's drain waited on the parent's reaper"
     assert child.exitcode == 0
     release.set()
-    ckpt.drain_reaper()
+    store.drain_reaper()
     assert _leftovers() == []
     for spec in specs:
         assert ckpt.list_case_checkpoints(spec.key()) == []
@@ -1229,15 +1229,6 @@ def _report(key: str, label: str = "mcf@tiny") -> supervisor.FailureReport:
     )
 
 
-def test_save_failure_is_atomic_and_leaves_no_temp_files():
-    report = _report("aa" * 32)
-    supervisor.save_failure(report)
-    root = supervisor.failures_dir()
-    assert not list(root.glob("*.tmp*"))
-    loaded = supervisor.load_failure(report.key)
-    assert loaded is not None and loaded["resumed_from"] is None
-
-
 def test_failure_store_caps_to_newest(monkeypatch):
     monkeypatch.setenv(supervisor.ENV_MAX_FAILURES, "3")
     keys = [f"{chr(ord('a') + i) * 2}" * 32 for i in range(5)]
@@ -1284,7 +1275,7 @@ def test_max_failures_env_resolution(monkeypatch):
 
 
 def _assert_no_orphan_files():
-    root = ckpt.checkpoint_root()
+    root = ckpt.STORE.root
     if root.is_dir():
         assert not list(root.rglob("*.tmp*")), "no torn snapshot survives"
 

@@ -410,17 +410,24 @@ def test_failure_store_roundtrip_and_clear():
     assert loaded is not None
     assert loaded["schema"] == supervisor.FAILURE_SCHEMA
     assert loaded["attempts"][0]["error"] == "boom"
+    assert loaded["resumed_from"] is None
     assert [r["key"] for r in supervisor.list_failures()] == [report.key]
     assert supervisor.clear_failures() == 1
     assert supervisor.list_failures() == []
     assert supervisor.load_failure(report.key) is None
 
 
-def test_list_failures_skips_unreadable_records():
-    path = supervisor.failures_dir() / "broken.json"
+@pytest.mark.parametrize(
+    "text",
+    ["{truncated", json.dumps({"schema": 99, "key": "ab" * 32})],
+    ids=["unparseable", "other-schema"],
+)
+def test_list_failures_skips_unreadable_records(text):
+    path = supervisor.failure_path("ab" * 32)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("{truncated")
+    path.write_text(text)
     assert supervisor.list_failures() == []
+    assert supervisor.load_failure("ab" * 32) is None
 
 
 # ---------------------------------------------------------------------------
