@@ -1,10 +1,10 @@
 """Shared infrastructure for the benchmark harness.
 
-Every bench regenerates one paper table or figure: it runs the experiment
-(timed through pytest-benchmark with a single round — the experiments are
-simulations, not microbenchmarks), prints the paper-shaped rows/series, and
-appends them to ``results/<bench>.txt`` so the regenerated artifacts
-survive the pytest run.
+Every bench runs one measurement or ablation (timed through
+pytest-benchmark with a single round — the experiments are simulations,
+not microbenchmarks), prints its rows, and writes them to
+``results/<bench>.txt`` so they survive the pytest run.  The paper's
+tables and figures are regenerated by ``repro paper``.
 """
 
 from __future__ import annotations
@@ -26,13 +26,6 @@ class Reporter:
 
     def emit(self, text: str = "") -> None:
         self.lines.append(text)
-
-    def emit_csv(self, suffix: str, rows) -> None:
-        """Also persist a machine-readable series for downstream plotting."""
-        from repro.viz.export import write_csv
-
-        RESULTS_DIR.mkdir(exist_ok=True)
-        write_csv(RESULTS_DIR / f"{self.name}.{suffix}.csv", rows)
 
     def flush(self) -> None:
         body = "\n".join(self.lines) + "\n"

@@ -36,7 +36,7 @@ def topdown_demo() -> None:
         f"\nTop-down charges {fractions[TopLevel.FRONTEND_BOUND]:.0%} of "
         "slots to the frontend, yet the multi-stage commit stack shows a "
         f"{commit_dcache:.2f}-CPI dcache component — and a perfect L1I "
-        "gains ~nothing here (run `python -m repro fig3 --case fig3c`).\n"
+        "gains ~nothing here (run `python -m repro paper --only fig3c`).\n"
         "That is the paper's Sec. II critique of dispatch-priority "
         "accounting, measured."
     )

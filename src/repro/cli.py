@@ -5,10 +5,8 @@ Subcommands::
     repro run --workload mcf --core bdw          # one simulation + stacks
     repro workloads                              # list the registry
     repro presets                                # list machine presets
-    repro table1 [--jobs N]                      # Table I reproduction
-    repro fig2 --core bdw [--jobs N]             # Fig. 2 error sweep
-    repro fig3 --case fig3a [--jobs N]           # one Fig. 3 case study
-    repro fig5 [--jobs N]                        # IPC vs FLOPS stacks
+    repro paper [--only NAME ...] [--jobs N]     # Table I, Figs. 1-5 + claims
+    repro socket --threads 4                     # one multi-core socket
     repro overhead                               # accounting overhead
     repro profile mcf [--core bdw]               # cProfile one simulation
     repro cache stats | clear                    # persistent result cache
@@ -39,25 +37,15 @@ from typing import Sequence
 
 from repro.config.presets import PRESETS, get_preset
 from repro.core import invariants
-from repro.core.components import FLOPS_COMPONENTS
 from repro.core.wrongpath import WrongPathMode
 from repro.experiments import supervisor
-from repro.experiments.error import figure2_errors, summarize_errors
-from repro.experiments.idealization import FIG3_CASES, fig3_case, table1_rows
-from repro.experiments.flops_study import figure5_case, figure5_socket_case
 from repro.experiments.overhead import measure_overhead
 from repro.experiments import parallel
 from repro.experiments.parallel import summarize_since, telemetry_mark
 from repro.experiments.runner import clear_cache, run_case
 from repro.experiments.cache import get_disk_cache
 from repro.pipeline import checkpoint as pipeline_checkpoint
-from repro.viz.ascii import (
-    render_boxplot_table,
-    render_cpi_stack,
-    render_flops_stack,
-    render_stack_bar,
-    render_table,
-)
+from repro.viz.ascii import render_cpi_stack, render_flops_stack, render_table
 from repro.workloads.registry import WORKLOADS
 
 
@@ -137,144 +125,19 @@ def _cmd_presets(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_table1(args: argparse.Namespace) -> int:
-    rows = table1_rows(
-        instructions=args.instructions, seed=args.seed, jobs=args.jobs,
-        keep_going=args.keep_going, case_timeout=args.case_timeout,
-    )
-    print("Table I: CPI components by idealizing structures")
-    print(render_table(rows))
-    return 0
+def _cmd_paper(args: argparse.Namespace) -> int:
+    from repro.experiments import paper
 
-
-def _cmd_fig2(args: argparse.Namespace) -> int:
-    errors = figure2_errors(
-        args.core, instructions=args.instructions, seed=args.seed,
-        jobs=args.jobs, keep_going=args.keep_going,
-        case_timeout=args.case_timeout,
+    claims = paper.run_artifacts(
+        args.only or paper.ARTIFACTS, instructions=args.instructions,
+        seed=args.seed, jobs=args.jobs, keep_going=args.keep_going,
+        case_timeout=args.case_timeout, echo=print,
     )
-    print(
-        f"Fig. 2 ({args.core.upper()}): error = predicted component - "
-        "actual CPI delta"
-    )
-    for component, points in errors.items():
-        if not points:
-            continue
-        print()
-        print(
-            f"component {component.value} "
-            f"({len(points)} benchmarks over threshold):"
-        )
-        print(render_boxplot_table(summarize_errors(points)))
-        within = sum(p.within_bounds for p in points)
-        print(
-            f"actual delta within multi-stage bounds: {within}/{len(points)}"
-        )
-    return 0
-
-
-def _cmd_fig3(args: argparse.Namespace) -> int:
-    study = fig3_case(
-        args.case, instructions=args.instructions, jobs=args.jobs,
-        keep_going=args.keep_going, case_timeout=args.case_timeout,
-    )
-    report = study.baseline.report
-    assert report is not None
-    print(
-        f"{args.case}: {study.workload} on {study.preset} "
-        f"(baseline CPI {study.baseline.cpi:.3f})"
-    )
-    for stack in (report.dispatch, report.issue, report.commit):
-        print()
-        print(render_cpi_stack(stack))
-    print()
-    for name, result in study.idealized.items():
-        print(
-            f"{name}: CPI {result.cpi:.3f} "
-            f"(delta {study.baseline.cpi - result.cpi:+.3f})"
-        )
-    return 0
-
-
-def _cmd_fig5(args: argparse.Namespace) -> int:
-    if args.cores > 1:
-        return _cmd_fig5_socket(args)
-    case = figure5_case(
-        instructions=args.instructions, jobs=args.jobs,
-        keep_going=args.keep_going, case_timeout=args.case_timeout,
-    )
-    config = get_preset(case.preset)
-    max_ipc = float(config.accounting_width)
-    for idealized, label in ((False, "baseline"), (True, "perfect Dcache")):
-        print(f"--- {label} ---")
-        print("IPC stack (height = max IPC):")
-        print(
-            render_stack_bar(
-                case.ipc_stack(idealized),
-                order=list(case.ipc_stack(idealized)),
-                scale=max_ipc,
-            )
-        )
-        print("FLOPS stack (socket GFLOPS):")
-        print(
-            render_stack_bar(
-                case.flops_stack(idealized),
-                order=FLOPS_COMPONENTS,
-                scale=config.socket_peak_gflops,
-                value_format="{:,.0f}",
-            )
-        )
-        print()
-    return 0
-
-
-def _cmd_fig5_socket(args: argparse.Namespace) -> int:
-    case = figure5_socket_case(
-        cores=args.cores, instructions=args.instructions, jobs=args.jobs,
-        keep_going=args.keep_going, case_timeout=args.case_timeout,
-        homogeneous=args.homogeneous,
-    )
-    config = get_preset(case.preset)
-    max_ipc = float(config.accounting_width)
-    model = "homogeneous clones" if args.homogeneous else (
-        "shared-memory engine (shared L3/DRAM, barrier sync)"
-    )
-    print(
-        f"Fig. 5 on a simulated {case.cores}-core socket "
-        f"({case.workload}@{case.preset}, {model})"
-    )
-    for idealized, label in ((False, "baseline"), (True, "perfect Dcache")):
-        print(f"--- {label} ---")
-        for core in range(case.cores):
-            print(f"core {core} IPC stack (height = max IPC):")
-            stack = case.core_ipc_stack(core, idealized)
-            print(
-                render_stack_bar(stack, order=list(stack), scale=max_ipc)
-            )
-        print("socket IPC stack (per-core average):")
-        print(
-            render_stack_bar(
-                case.ipc_stack(idealized),
-                order=list(case.ipc_stack(idealized)),
-                scale=max_ipc,
-            )
-        )
-        print(f"socket FLOPS stack ({case.cores}-core GFLOPS):")
-        peak = (
-            config.frequency_ghz
-            * config.peak_flops_per_cycle
-            * case.cores
-        )
-        print(
-            render_stack_bar(
-                case.flops_stack(idealized),
-                order=FLOPS_COMPONENTS,
-                scale=peak,
-                value_format="{:,.0f}",
-            )
-        )
-        print()
-    return 0
+    print(paper.render_claims(claims))
+    # The claims are stated at the artifacts' own trace lengths; with
+    # --instructions they are reported, not enforced (DESIGN.md §13).
+    held = all(claim.holds for claim in claims)
+    return 0 if held or args.instructions is not None else 1
 
 
 def _cmd_socket(args: argparse.Namespace) -> int:
@@ -408,6 +271,18 @@ def _jobs_arg(text: str) -> "int | str":
         ) from None
 
 
+def _artifact_arg(name: str) -> str:
+    """``--only`` value: a name from the paper's artifact table."""
+    from repro.experiments import paper
+
+    if name not in paper.ARTIFACTS:
+        raise argparse.ArgumentTypeError(
+            f"unknown artifact {name!r}; choose from "
+            + ", ".join(paper.ARTIFACTS)
+        )
+    return name
+
+
 def _add_harness_flags(parser: argparse.ArgumentParser) -> None:
     """Flags shared by every batch-scheduling experiment subcommand."""
     parser.add_argument(
@@ -538,42 +413,20 @@ def build_parser() -> argparse.ArgumentParser:
     pr = sub.add_parser("presets", help="list machine presets")
     pr.set_defaults(func=_cmd_presets)
 
-    t1 = sub.add_parser("table1", help="reproduce Table I")
-    t1.add_argument("--instructions", type=int, default=None)
-    t1.add_argument("--seed", type=int, default=1)
-    _add_harness_flags(t1)
-    t1.set_defaults(func=_cmd_table1)
-
-    f2 = sub.add_parser(
-        "fig2", help="reproduce Fig. 2 (component error sweep)"
+    pa = sub.add_parser(
+        "paper",
+        help="regenerate and check Table I and Figs. 1-5 "
+        "(writes results/paper/)",
     )
-    f2.add_argument("--core", default="bdw", choices=sorted(PRESETS))
-    f2.add_argument("--instructions", type=int, default=None)
-    f2.add_argument("--seed", type=int, default=1)
-    _add_harness_flags(f2)
-    f2.set_defaults(func=_cmd_fig2)
-
-    f3 = sub.add_parser("fig3", help="reproduce a Fig. 3 case study")
-    f3.add_argument("--case", default="fig3a", choices=sorted(FIG3_CASES))
-    f3.add_argument("--instructions", type=int, default=None)
-    _add_harness_flags(f3)
-    f3.set_defaults(func=_cmd_fig3)
-
-    f5 = sub.add_parser("fig5", help="reproduce Fig. 5 (IPC vs FLOPS)")
-    f5.add_argument("--instructions", type=int, default=None)
-    f5.add_argument(
-        "--cores", type=int, default=1,
-        help="simulate an N-core shared-memory socket instead of one "
-        "core (per-core stacks with contention and barrier Unsched)",
+    pa.add_argument(
+        "--only", nargs="+", type=_artifact_arg, metavar="NAME",
+        help="regenerate only these artifacts (default: all; an unknown "
+        "name lists the choices)",
     )
-    f5.add_argument(
-        "--homogeneous", action="store_true",
-        help="with --cores: run independent per-thread clones (the "
-        "paper's homogeneity premise) instead of the shared-memory "
-        "engine",
-    )
-    _add_harness_flags(f5)
-    f5.set_defaults(func=_cmd_fig5)
+    pa.add_argument("--instructions", type=int, default=None)
+    pa.add_argument("--seed", type=int, default=1)
+    _add_harness_flags(pa)
+    pa.set_defaults(func=_cmd_paper)
 
     sk = sub.add_parser(
         "socket", help="simulate a multi-core socket (paper Sec. IV)"

@@ -15,6 +15,8 @@
   single stacks vs. the multi-stage bounds (Fig. 2).
 * :mod:`repro.experiments.flops_study` — CPI-vs-FLOPS stack comparisons on
   the DeepBench-like kernels (Fig. 4, Fig. 5).
+* :mod:`repro.experiments.paper` — the artifact table behind
+  ``repro paper``: each paper table/figure's compute, render and claims.
 * :mod:`repro.experiments.overhead` — accounting overhead measurement
   (Sec. IV, "<1% simulation time" claim).
 """

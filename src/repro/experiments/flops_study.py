@@ -16,13 +16,9 @@ from dataclasses import dataclass
 
 from repro.config.idealize import PERFECT_DCACHE
 from repro.config.presets import get_preset
-from repro.core.components import (
-    CPI_COMPONENTS,
-    Component,
-    FlopsComponent,
-)
+from repro.core.components import Component, FlopsComponent
 from repro.experiments.cache import CaseSpec
-from repro.experiments.parallel import run_cases
+from repro.experiments.parallel import run_cases, run_multicore_cases
 from repro.experiments.supervisor import IncompleteBatch
 from repro.pipeline.result import SimResult
 from repro.workloads.deepbench import conv_configs, sgemm_configs
@@ -219,8 +215,7 @@ class Figure5SocketCase:
     """Per-core IPC and FLOPS stacks for a multi-core conv socket.
 
     ``baseline[i]`` / ``perfect_dcache[i]`` are core ``i``'s results from
-    the shared-memory engine (or, under the homogeneous oracle, thread
-    ``i``'s independent run).  Aggregates follow the paper's rules: IPC
+    the shared-memory engine.  Aggregates follow the paper's rules: IPC
     stacks average component per component, FLOPS-rate stacks add.
     """
 
@@ -279,52 +274,30 @@ def figure5_socket_case(
     jobs: int | None = None,
     keep_going: bool = False,
     case_timeout: float | None = None,
-    homogeneous: bool = False,
 ) -> Figure5SocketCase:
     """Run Fig. 5 on a simulated multi-core socket, +/- perfect Dcache.
 
-    By default both the baseline and the perfect-Dcache variants run as
-    one shared-memory engine each (``cores``-way threaded decomposition,
-    shared L3/DRAM, barrier sync), so the per-core stacks carry simulated
-    contention and a nonzero ``Unsched`` component on the less-loaded
-    cores.  ``homogeneous=True`` falls back to the paper's independent
-    cloning oracle (thread ``t`` seeded ``seed + t``, no sharing).
+    The baseline and the perfect-Dcache variants run as one shared-memory
+    engine each (``cores``-way threaded decomposition, shared L3/DRAM,
+    barrier sync), so the per-core stacks carry simulated contention and
+    a nonzero ``Unsched`` component on the less-loaded cores.
     """
     if cores < 1:
         raise ValueError("a Fig. 5 socket needs at least one core")
-    if homogeneous:
-        specs = [
+    baseline, ideal = run_multicore_cases(
+        [
             CaseSpec(
                 workload=workload, preset=preset,
-                idealization=ideal, instructions=instructions,
-                seed=seed + thread,
-            )
-            for ideal in (None, PERFECT_DCACHE)
-            for thread in range(cores)
-        ]
-        flat = run_cases(
-            specs, jobs=jobs, keep_going=keep_going,
-            case_timeout=case_timeout,
-        )
-        baseline, ideal = flat[:cores], flat[cores:]
-    else:
-        from repro.experiments.parallel import run_multicore_cases
-
-        pair = run_multicore_cases(
-            [
-                CaseSpec(
-                    workload=workload, preset=preset,
-                    instructions=instructions, seed=seed, cores=cores,
-                ),
-                CaseSpec(
-                    workload=workload, preset=preset,
-                    idealization=PERFECT_DCACHE,
-                    instructions=instructions, seed=seed, cores=cores,
-                ),
-            ],
-            jobs=jobs, keep_going=keep_going, case_timeout=case_timeout,
-        )
-        baseline, ideal = pair[0], pair[1]
+                instructions=instructions, seed=seed, cores=cores,
+            ),
+            CaseSpec(
+                workload=workload, preset=preset,
+                idealization=PERFECT_DCACHE,
+                instructions=instructions, seed=seed, cores=cores,
+            ),
+        ],
+        jobs=jobs, keep_going=keep_going, case_timeout=case_timeout,
+    )
     if (
         baseline is None or ideal is None
         or any(r is None for r in baseline) or any(r is None for r in ideal)
@@ -336,10 +309,3 @@ def figure5_socket_case(
     return Figure5SocketCase(
         workload, preset, cores, list(baseline), list(ideal)
     )
-
-
-def cpi_normalized(result: SimResult) -> dict[Component, float]:
-    """Normalized issue-stage CPI components (helper for reports)."""
-    assert result.report is not None
-    raw = result.report.issue.normalized()
-    return {c: raw.get(c, 0.0) for c in CPI_COMPONENTS}

@@ -57,7 +57,7 @@ from repro.experiments import runner
 from repro.experiments.cache import CaseSpec, Job
 from repro.pipeline import checkpoint as ckpt
 from repro.pipeline.result import SimResult
-from repro.store import Store
+from repro.store import Store, env_number
 
 #: Environment variable: one deadline (seconds) for every case.
 ENV_CASE_TIMEOUT = "REPRO_CASE_TIMEOUT"
@@ -239,16 +239,8 @@ def max_failures() -> int:
     """Retention cap for ``results/failures/``: ``$REPRO_MAX_FAILURES``
     or :data:`DEFAULT_MAX_FAILURES`.  Zero or negative disables eviction.
     """
-    raw = os.environ.get(ENV_MAX_FAILURES, "").strip()
-    if not raw:
-        return DEFAULT_MAX_FAILURES
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{ENV_MAX_FAILURES} must be an integer report count, "
-            f"got {raw!r}"
-        ) from None
+    cap = env_number(ENV_MAX_FAILURES, int, "an integer report count")
+    return DEFAULT_MAX_FAILURES if cap is None else cap
 
 
 def save_failure(report: FailureReport) -> None:
@@ -535,21 +527,10 @@ def resolve_case_timeout(explicit: float | None = None) -> float | None:
                 f"case timeout must be positive, got {explicit}"
             )
         return explicit
-    env = os.environ.get(ENV_CASE_TIMEOUT)
-    if env:
-        try:
-            value = float(env)
-        except ValueError:
-            raise ValueError(
-                f"{ENV_CASE_TIMEOUT} must be a number of seconds, "
-                f"got {env!r}"
-            ) from None
-        if value <= 0:
-            raise ValueError(
-                f"{ENV_CASE_TIMEOUT} must be positive, got {value}"
-            )
-        return value
-    return None
+    value = env_number(ENV_CASE_TIMEOUT, float, "a number of seconds")
+    if value is not None and value <= 0:
+        raise ValueError(f"{ENV_CASE_TIMEOUT} must be positive, got {value}")
+    return value
 
 
 def case_deadline(spec: CaseSpec, override: float | None = None) -> float:

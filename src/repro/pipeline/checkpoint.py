@@ -52,7 +52,6 @@ import hashlib
 import io
 import itertools
 import json
-import os
 import pickle
 import time
 from array import array
@@ -61,7 +60,7 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.isa.instructions import Instruction, Program
-from repro.store import Store
+from repro.store import Store, env_number
 
 __all__ = [
     "CHECKPOINT_SCHEMA",
@@ -131,17 +130,11 @@ def checkpoint_interval_default() -> int | None:
     and the offending text, so a typo'd environment surfaces at case
     start instead of as a silent no-checkpoint run.
     """
-    raw = os.environ.get(ENV_CHECKPOINT_INTERVAL, "").strip()
-    if not raw:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise CheckpointError(
-            f"{ENV_CHECKPOINT_INTERVAL} must be an integer number of "
-            f"committed instructions, got {raw!r}"
-        ) from None
-    return value if value > 0 else None
+    value = env_number(
+        ENV_CHECKPOINT_INTERVAL, int,
+        "an integer number of committed instructions", CheckpointError,
+    )
+    return value if value is not None and value > 0 else None
 
 
 # ---------------------------------------------------------------------------

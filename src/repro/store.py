@@ -29,6 +29,19 @@ REAPING_DIR = ".reaping"
 _RESULTS = Path(__file__).resolve().parents[2] / "results"
 
 
+def env_number(name: str, kind: type, what: str, error: type = ValueError):
+    """``kind($name)``, or ``None`` when the variable is unset or blank;
+    malformed text raises ``error`` naming the variable, what it holds
+    (``what``) and the text."""
+    raw = os.environ.get(name, "").strip()
+    if not raw:
+        return None
+    try:
+        return kind(raw)
+    except ValueError:
+        raise error(f"{name} must be {what}, got {raw!r}") from None
+
+
 class Store:
     """The files under ``$env`` (else ``results/<default>``) matching
     ``pattern``; ``fsync`` says whether a write reaches the disk before

@@ -7,15 +7,21 @@ from repro.core import invariants
 from repro.experiments import supervisor
 
 
+@pytest.fixture(autouse=True)
+def _scratch_cwd(tmp_path, monkeypatch):
+    """Commands write under ``results/`` of a temp working directory."""
+    monkeypatch.chdir(tmp_path)
+
+
 def test_parser_subcommands():
     parser = build_parser()
     for argv in (
         ["run", "--workload", "mcf"],
         ["workloads"],
         ["presets"],
-        ["table1"],
-        ["fig3", "--case", "fig3a"],
-        ["fig5"],
+        ["paper"],
+        ["paper", "--only", "fig3a"],
+        ["paper", "--only", "fig5", "fig5-socket"],
         ["overhead"],
         ["profile", "mcf"],
         ["profile", "mcf", "--config", "knl"],
@@ -31,13 +37,15 @@ def test_parser_subcommands():
 def test_parser_harness_flags():
     parser = build_parser()
     args = parser.parse_args(
-        ["table1", "--jobs", "2", "--case-timeout", "1.5", "--keep-going",
-         "--no-strict"]
+        ["paper", "--only", "table1", "--jobs", "2", "--case-timeout", "1.5",
+         "--keep-going", "--no-strict"]
     )
     assert args.jobs == 2
     assert args.case_timeout == 1.5
     assert args.keep_going and args.no_strict
-    defaults = parser.parse_args(["fig5"])
+    assert args.only == ["table1"]
+    defaults = parser.parse_args(["paper"])
+    assert defaults.only is None and defaults.instructions is None
     assert defaults.case_timeout is None
     assert not defaults.keep_going and not defaults.no_strict
 
@@ -84,8 +92,7 @@ def test_overhead_command(capsys):
     assert "overhead" in capsys.readouterr().out
 
 
-def test_profile_command(capsys, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
+def test_profile_command(capsys, tmp_path):
     code = main(["profile", "exchange2", "--core", "tiny",
                  "--instructions", "1500", "--top", "5"])
     assert code == 0
@@ -129,6 +136,24 @@ def test_failures_commands(capsys):
     assert supervisor.list_failures() == []
 
 
+def test_parser_rejects_unknown_artifact():
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["paper", "--only", "fig6"])
+
+
+def test_paper_command_writes_artifact_and_claims(capsys, tmp_path):
+    assert main(["paper", "--only", "fig1", "--instructions", "1500"]) == 0
+    out = capsys.readouterr().out
+    written = tmp_path / "results" / "paper"
+    assert [p.name for p in written.iterdir()] == ["fig1.txt"]
+    text = (written / "fig1.txt").read_text()
+    assert "mcf @ dispatch" in text and "frontend cycles" in text
+    assert text in out, "the rendered page is echoed"
+    for line in ("fe_dispatch > fe_commit", "be_commit > be_dispatch",
+                 "of 2 claims hold", "[harness]"):
+        assert line in out
+
+
 def test_batch_failure_exits_nonzero(capsys, monkeypatch):
     monkeypatch.setattr(
         supervisor, "fault_plan", {"*": {"kind": "crash", "times": 99}}
@@ -136,7 +161,8 @@ def test_batch_failure_exits_nonzero(capsys, monkeypatch):
     from repro.experiments.runner import clear_cache
 
     clear_cache()
-    code = main(["fig5", "--jobs", "1", "--instructions", "1500"])
+    code = main(["paper", "--only", "fig5", "--jobs", "1",
+                 "--instructions", "1500"])
     assert code == 1
     captured = capsys.readouterr()
     assert "failed after supervision" in captured.err
@@ -154,8 +180,8 @@ def test_keep_going_failed_baseline_omits_group(capsys, monkeypatch):
     from repro.experiments.runner import clear_cache
 
     clear_cache()
-    code = main(["table1", "--jobs", "1", "--instructions", "1500",
-                 "--keep-going"])
+    code = main(["paper", "--only", "table1", "--jobs", "1",
+                 "--instructions", "1500", "--keep-going"])
     assert code == 0
     out = capsys.readouterr().out
     assert "mcf on BDW" in out, "the healthy group still renders"
@@ -195,8 +221,8 @@ def test_no_strict_flag_disables_guard(capsys):
 
     previous = os.environ.pop(invariants.ENV_STRICT, None)
     try:
-        code = main(["table1", "--jobs", "1", "--instructions", "1500",
-                     "--no-strict"])
+        code = main(["paper", "--only", "table1", "--jobs", "1",
+                     "--instructions", "1500", "--no-strict"])
         assert code == 0
         assert not invariants.strict_enabled()
         assert os.environ.get(invariants.ENV_STRICT) == "0", (
@@ -210,7 +236,7 @@ def test_no_strict_flag_disables_guard(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("command", ["run", "profile", "table1"])
+@pytest.mark.parametrize("command", ["run", "profile", "paper"])
 @pytest.mark.parametrize("flag", ["--no-fast-forward", "--no-replay"])
 def test_engine_switches_are_not_cli_flags(command, flag):
     """The skip engines have one switch, ``reference=True`` in the
@@ -251,8 +277,8 @@ def test_checkpoint_interval_flag_sets_env(capsys, monkeypatch):
 
     monkeypatch.setenv(ENV_CHECKPOINT_INTERVAL, "")
     clear_cache()
-    code = main(["fig5", "--jobs", "1", "--instructions", "1500",
-                 "--checkpoint-interval", "400"])
+    code = main(["paper", "--only", "fig5", "--jobs", "1",
+                 "--instructions", "1500", "--checkpoint-interval", "400"])
     assert code == 0
     assert os.environ.get(ENV_CHECKPOINT_INTERVAL) == "400", (
         "workers must inherit the cadence via the environment"
@@ -260,3 +286,24 @@ def test_checkpoint_interval_flag_sets_env(capsys, monkeypatch):
     assert checkpoint_interval_default() == 400
     clear_cache()
     capsys.readouterr()
+
+
+def test_paper_claims_enforced_only_at_default_lengths(capsys, monkeypatch,
+                                                       tmp_path):
+    """A failed claim fails the command at the artifacts' own lengths;
+    with --instructions it is reported but not enforced."""
+    from repro.experiments import paper
+
+    failing = paper.Artifact(
+        "stub", lambda batch: batch["instructions"],
+        lambda data, emit: emit(f"instructions {data}"),
+        lambda data: {"n": data}, (), ("n == -1",),
+    )
+    monkeypatch.setattr(paper, "ARTIFACTS", {"stub": failing})
+    assert main(["paper"]) == 1
+    assert main(["paper", "--instructions", "10"]) == 0
+    out = capsys.readouterr().out
+    assert "FAILS" in out and "0 of 1 claims hold" in out
+    assert (tmp_path / "results" / "paper" / "stub.txt").read_text() == (
+        "instructions 10\n"
+    )

@@ -194,3 +194,29 @@ def test_warm_cache_rerun_is_simulation_free_with_guard():
     assert TELEMETRY.sim_invocations == 0, (
         "the guard must not break the zero-sims warm-rerun guarantee"
     )
+
+
+# ---------------------------------------------------------------------------
+# the serialization round trip
+
+
+@pytest.mark.parametrize("field, original, decoded, flagged", [
+    ("wrong_path_uops", 0, 1, True),  # a lossy decode
+    # NaN != NaN, but the JSON text of both reads alike: not a violation.
+    ("wall_seconds", float("nan"), float("nan"), False),
+])
+def test_round_trip_compares_re_encoded_payload(monkeypatch, field, original,
+                                                decoded, flagged):
+    result = execute_spec(_spec())
+    setattr(result, field, original)
+    cls = type(result)
+    decode = cls.from_dict.__func__
+
+    def from_dict(klass, data):
+        clone = decode(klass, data)
+        setattr(clone, field, decoded)
+        return clone
+
+    monkeypatch.setattr(cls, "from_dict", classmethod(from_dict))
+    checks = {v.check for v in invariants.check_result(result)}
+    assert checks == ({"round-trip"} if flagged else set())
