@@ -5,7 +5,7 @@ Subcommands::
     repro run --workload mcf --core bdw          # one simulation + stacks
     repro workloads                              # list the registry
     repro presets                                # list machine presets
-    repro paper [--only NAME ...] [--jobs N]     # Table I, Figs. 1-5 + claims
+    repro paper [--only NAME ...] [--jobs N]     # paper artifacts + claims
     repro socket --threads 4                     # one multi-core socket
     repro overhead                               # accounting overhead
     repro profile mcf [--core bdw]               # cProfile one simulation
@@ -21,11 +21,9 @@ supervision flags ``--case-timeout`` (per-case deadline in seconds;
 default scales with each case's instruction count), ``--keep-going``
 (finish the batch despite failed cases and report them instead of
 aborting), ``--no-strict`` (downgrade accounting invariant violations
-from errors to warnings), ``--checkpoint-interval`` (take a crash-safe
+from errors to warnings) and ``--checkpoint-interval`` (take a crash-safe
 snapshot every N committed instructions so retried cases resume instead
-of restarting) and ``--no-fuse`` (run every case as its own simulation
-instead of fusing cases that share a timing; fused and unfused results
-are bitwise identical).
+of restarting).
 """
 
 from __future__ import annotations
@@ -40,7 +38,6 @@ from repro.core import invariants
 from repro.core.wrongpath import WrongPathMode
 from repro.experiments import supervisor
 from repro.experiments.overhead import measure_overhead
-from repro.experiments import parallel
 from repro.experiments.parallel import summarize_since, telemetry_mark
 from repro.experiments.runner import clear_cache, run_case
 from repro.experiments.cache import get_disk_cache
@@ -291,13 +288,6 @@ def _add_harness_flags(parser: argparse.ArgumentParser) -> None:
              "(default: $REPRO_JOBS or the CPU count)",
     )
     parser.add_argument(
-        "--no-fuse", action="store_true", dest="no_fuse",
-        help="disable fused multi-accountant execution: run every case "
-             "as its own simulation even when several differ only in "
-             "accounting configuration (results are bitwise identical "
-             "either way; the fused path is the fast default)",
-    )
-    parser.add_argument(
         "--case-timeout", type=float, default=None, dest="case_timeout",
         help="per-case deadline in seconds (default: $REPRO_CASE_TIMEOUT "
              "or scaled from each case's instruction count)",
@@ -415,8 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pa = sub.add_parser(
         "paper",
-        help="regenerate and check Table I and Figs. 1-5 "
-        "(writes results/paper/)",
+        help="regenerate and check Table I, Figs. 1-5, the ablations and "
+        "the top-down critique (writes results/paper/)",
     )
     pa.add_argument(
         "--only", nargs="+", type=_artifact_arg, metavar="NAME",
@@ -511,10 +501,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         # workers inherit) every worker's guard.
         invariants.set_strict(False)
         os.environ[invariants.ENV_STRICT] = "0"
-    if getattr(args, "no_fuse", False):
-        # run_cases reads $REPRO_FUSE per batch; the env var also reaches
-        # pool workers, matching the other harness toggles.
-        os.environ[parallel.ENV_FUSE] = "0"
     interval = getattr(args, "checkpoint_interval", None)
     if interval is not None:
         # Env-var plumbing so pool workers (fork or spawn) inherit the

@@ -11,9 +11,10 @@ add up to the total cycle count."
 
 This module implements that scheme on the same per-cycle observations the
 multi-stage accountants consume, so the two representations can be
-compared head to head (see ``bench_topdown_comparison.py``).  The paper's
-critique — that the dispatch-based top level prioritizes frontend misses
-and can understate backend misses — falls out of the level-1 slot
+compared head to head (the ``topdown`` artifact of
+:mod:`repro.experiments.paper`, ``repro paper --only topdown``).  The
+paper's critique — that the dispatch-based top level prioritizes frontend
+misses and can understate backend misses — falls out of the level-1 slot
 attribution below: a cycle where the frontend delivers nothing is charged
 to Frontend Bound even when the backend is simultaneously stalled.
 """

@@ -1,8 +1,11 @@
-"""The paper's artifacts as one table: Table I and Figs. 1-5.
+"""The paper's artifacts as one table: Table I, Figs. 1-5 and the
+evidence behind the paper's design choices (the Sec. II top-down
+critique and the Sec. III ablations).
 
 Each :class:`Artifact` is one regenerated table or figure: ``compute``
-runs its simulations through the experiment harness, ``render`` writes
-its text (and any CSV series), ``facts`` derives the named numbers that
+runs its simulations (through the experiment harness; the ablations
+simulate their modified machines directly), ``render`` writes its text
+(and any CSV series), ``facts`` derives the named numbers that
 its ``summary`` lines and its ``claims`` read.  A claim is a Python
 comparison over those facts with its threshold written out, e.g.
 ``dcache_ideal_icache < 0.6 * dispatch_icache``; the claims table prints
@@ -17,12 +20,16 @@ that fail on shortened traces.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
-from repro.config.idealize import IDEALIZATIONS
-from repro.config.presets import get_preset, skylake_x
+from repro.config.idealize import (
+    IDEALIZATIONS,
+    PERFECT_DCACHE,
+    PERFECT_ICACHE,
+)
+from repro.config.presets import broadwell, get_preset, skylake_x
 from repro.core.components import (
     BACKEND_COMPONENTS,
     CPI_COMPONENTS,
@@ -32,8 +39,11 @@ from repro.core.components import (
     FlopsComponent,
 )
 from repro.core.multistage import ALL_STAGES, Stage
+from repro.core.topdown import TopLevel
+from repro.core.wrongpath import WrongPathMode
 from repro.experiments import error, flops_study, idealization, runner
 from repro.experiments.multicore import simulate_socket
+from repro.pipeline.core import CoreSimulator, simulate
 from repro.viz.ascii import (
     render_boxplot_table,
     render_cpi_stack,
@@ -389,6 +399,251 @@ def _aggregation_facts(result) -> dict[str, Any]:
 
 
 # ---------------------------------------------------------------------------
+# Ablations (Sec. III) and the top-down critique (Sec. II): direct
+# simulations of one BDW trace, warmed up over its first third
+
+
+def _trace(workload: str, batch: dict[str, Any]):
+    """The workload's trace and its warmup instruction count."""
+    trace = runner.get_trace(workload, batch["instructions"], batch["seed"])
+    return trace, len(trace) // 3
+
+
+#: L2 MSHR file sizes swept on the Fig. 3c contention case.
+MSHR_SWEEP = (4, 8, 16, 64)
+
+
+def _compute_mshr(batch: dict[str, Any]):
+    """The Fig. 3c mechanism needs a finite L2 MSHR file: the queueing
+    delay collapses as the file grows."""
+    trace, warmup = _trace("bwaves", batch)
+    out = {}
+    for mshrs in MSHR_SWEEP:
+        config = broadwell()
+        memory = replace(
+            config.memory, l2=replace(config.memory.l2, mshrs=mshrs)
+        )
+        out[mshrs] = simulate(
+            trace, replace(config, memory=memory),
+            warmup_instructions=warmup,
+        )
+    return out
+
+
+def _render_mshr(results, emit) -> None:
+    rows = []
+    for mshrs, result in results.items():
+        stats = result.memory_stats["l2_mshr"]
+        rows.append(
+            {
+                "l2 mshrs": mshrs,
+                "cpi": result.cpi,
+                "avg mshr wait": stats["avg_wait"],
+                "max mshr wait": stats["max_wait"],
+            }
+        )
+    emit("L2 MSHR sweep (bwaves on BDW):")
+    emit(render_table(rows))
+
+
+def _mshr_facts(results) -> dict[str, Any]:
+    fewest, most = results[MSHR_SWEEP[0]], results[MSHR_SWEEP[-1]]
+    return {
+        "fewest_mshrs_wait": fewest.memory_stats["l2_mshr"]["avg_wait"],
+        "most_mshrs_wait": most.memory_stats["l2_mshr"]["avg_wait"],
+        "fewest_mshrs_cpi": fewest.cpi,
+        "most_mshrs_cpi": most.cpi,
+    }
+
+
+def _compute_prefetcher(batch: dict[str, Any]):
+    """With the stream prefetcher off, bwaves pays demand latency but
+    its L2 MSHRs decongest: the prefetch-contention mechanism behind
+    Fig. 3c's 'a perfect I-cache gains nothing'."""
+    trace, warmup = _trace("bwaves", batch)
+    out = {}
+    for label, enabled in (("prefetch on", True), ("prefetch off", False)):
+        config = broadwell()
+        memory = replace(
+            config.memory,
+            prefetcher=replace(config.memory.prefetcher, enabled=enabled),
+        )
+        config = replace(config, memory=memory)
+        baseline = simulate(trace, config, warmup_instructions=warmup)
+        ideal = simulate(
+            trace,
+            replace(config, perfect_icache=True),
+            warmup_instructions=warmup,
+        )
+        out[label] = (baseline, ideal)
+    return out
+
+
+def _render_prefetcher(results, emit) -> None:
+    rows = []
+    for label, (baseline, ideal) in results.items():
+        rows.append(
+            {
+                "config": label,
+                "cpi": baseline.cpi,
+                "dcache(commit)": baseline.report.commit.component_cpi(
+                    Component.DCACHE
+                ),
+                "icache(max)": max(
+                    baseline.report.stack(s).component_cpi(
+                        Component.ICACHE
+                    )
+                    for s in baseline.report.stacks
+                ),
+                "perfect-L1I delta": baseline.cpi - ideal.cpi,
+                "l2 mshr avg wait": baseline.memory_stats["l2_mshr"][
+                    "avg_wait"
+                ],
+            }
+        )
+    emit("Prefetcher ablation (bwaves on BDW):")
+    emit(render_table(rows))
+
+
+def _prefetcher_facts(results) -> dict[str, Any]:
+    facts = {}
+    for prefix, label in (("on", "prefetch on"), ("off", "prefetch off")):
+        baseline, ideal = results[label]
+        facts[f"{prefix}_cpi"] = baseline.cpi
+        facts[f"{prefix}_delta"] = baseline.cpi - ideal.cpi
+        facts[f"{prefix}_wait"] = baseline.memory_stats["l2_mshr"]["avg_wait"]
+    return facts
+
+
+def _compute_width(batch: dict[str, Any]):
+    """Sec. III-A: the paper's min-width normalization against the
+    issue stage's native (wider) width."""
+    trace, warmup = _trace("exchange2", batch)
+    config = broadwell()  # dispatch/commit 4-wide, issue 8-wide
+    out = {}
+    for label, width in (("min-width (paper)", None),
+                         ("native issue width", config.issue_width)):
+        sim = CoreSimulator(trace, config, accounting_width=width,
+                            warmup_instructions=warmup)
+        out[label] = sim.run()
+    return out
+
+
+def _render_width(results, emit) -> None:
+    rows = []
+    for label, result in results.items():
+        issue = result.report.issue
+        rows.append(
+            {
+                "scheme": label,
+                "issue base": issue.component_cpi(Component.BASE),
+                "commit base": result.report.commit.component_cpi(
+                    Component.BASE
+                ),
+                "issue stall cycles": issue.total()
+                - issue.get(Component.BASE),
+            }
+        )
+    emit("Width normalization ablation (exchange2 on BDW: ILP-saturated)")
+    emit(render_table(rows))
+
+
+def _width_facts(results) -> dict[str, Any]:
+    """Base and stall cycles of each scheme's issue stack."""
+    facts = {}
+    for prefix, label in (("paper", "min-width (paper)"),
+                          ("naive", "native issue width")):
+        report = results[label].report
+        base = report.issue.get(Component.BASE)
+        facts[f"{prefix}_issue_base"] = base
+        facts[f"{prefix}_stalls"] = report.issue.total() - base
+    paper = results["min-width (paper)"].report
+    facts["paper_commit_base"] = paper.commit.get(Component.BASE)
+    facts["paper_issue_cycles"] = paper.issue.cycles
+    return facts
+
+
+def _compute_wrongpath(batch: dict[str, Any]):
+    """Sec. III-B: the three wrong-path discernment strategies on a
+    mispredict-heavy workload."""
+    trace, warmup = _trace("leela", batch)
+    config = broadwell()
+    return {
+        mode: simulate(trace, config, mode=mode, warmup_instructions=warmup)
+        for mode in WrongPathMode
+    }
+
+
+def _render_wrongpath(results, emit) -> None:
+    stacks = {m: r.report.dispatch for m, r in results.items()}
+    rows = []
+    for component in CPI_COMPONENTS:
+        values = {
+            m.value: stacks[m].component_cpi(component)
+            for m in WrongPathMode
+        }
+        if any(v > 0.001 for v in values.values()):
+            rows.append({"component": component.value, **values})
+    emit("Dispatch-stage CPI components by wrong-path strategy "
+         "(leela on BDW):")
+    emit(render_table(rows))
+
+
+def _wrongpath_facts(results) -> dict[str, Any]:
+    """Each hardware-feasible strategy's dispatch bpred error against
+    EXACT, and how many distinct cycle counts the modes ran."""
+    bpred = {
+        mode: result.report.dispatch.component_cpi(Component.BPRED)
+        for mode, result in results.items()
+    }
+    exact = bpred[WrongPathMode.EXACT]
+    return {
+        "exact_bpred": exact,
+        "simple_err": abs(bpred[WrongPathMode.SIMPLE] - exact),
+        "speculative_err": abs(bpred[WrongPathMode.SPECULATIVE] - exact),
+        "distinct_cycles": len({r.cycles for r in results.values()}),
+    }
+
+
+def _compute_topdown(batch: dict[str, Any]):
+    """Sec. II: bwaves stalls the frontend (I-cache misses behind
+    contended L2 MSHRs) and the backend (streaming loads) at once."""
+    trace, warmup = _trace("bwaves", batch)
+    baseline = simulate(trace, broadwell(), warmup_instructions=warmup,
+                        topdown=True)
+    runs = [
+        runner.run_case("bwaves", "bdw", idealization=ideal,
+                        instructions=batch["instructions"], seed=batch["seed"])
+        for ideal in (PERFECT_ICACHE, PERFECT_DCACHE)
+    ]
+    return baseline, *runs
+
+
+def _render_topdown(results, emit) -> None:
+    fractions = results[0].report.topdown.level1_fractions()
+    emit("Top-down level 1 (bwaves on BDW):")
+    emit(render_table([{
+        level.value: fractions[level] for level in TopLevel
+    }]))
+
+
+def _topdown_facts(results) -> dict[str, Any]:
+    """Top-down's level-1 frontend share against the actual frontend and
+    backend idealization deltas and the multi-stage commit D-cache
+    component."""
+    baseline, perfect_i, perfect_d = results
+    fractions = baseline.report.topdown.level1_fractions()
+    return {
+        "frontend_bound": fractions[TopLevel.FRONTEND_BOUND],
+        "fe_delta": baseline.cpi - perfect_i.cpi,
+        "be_delta": baseline.cpi - perfect_d.cpi,
+        "commit_dcache": baseline.report.commit.component_cpi(
+            Component.DCACHE
+        ),
+    }
+
+
+# ---------------------------------------------------------------------------
 # the table
 
 
@@ -506,6 +761,54 @@ ARTIFACTS: dict[str, Artifact] = {a.name: a for a in (
         ("homogeneity < 0.1",
          "max_component_gap < 0.1 * max(single_cpi, 1e-9) + 1e-6",
          "socket_gflops == threads * thread_gflops"),
+    ),
+    Artifact(
+        "ablation-mshr", _compute_mshr, _render_mshr, _mshr_facts, (),
+        ("fewest_mshrs_wait > most_mshrs_wait",
+         "fewest_mshrs_cpi >= most_mshrs_cpi"),
+    ),
+    # The prefetcher hides the stream latency overall, but congests the
+    # L2 MSHRs, which is what nullifies the perfect-icache gain.
+    Artifact(
+        "ablation-prefetcher", _compute_prefetcher, _render_prefetcher,
+        _prefetcher_facts,
+        ("\nperfect-L1I delta: {on_delta:+.3f} with prefetch vs "
+         "{off_delta:+.3f} without",),
+        ("on_cpi < off_cpi", "on_wait > off_wait"),
+    ),
+    # Paper scheme: base (nearly) equal across stages, tiny issue stalls.
+    # Naive scheme: the 8-wide issue stage can never average more than 4
+    # uops/cycle here, so its base halves and fake stalls appear.
+    Artifact(
+        "ablation-width", _compute_width, _render_width, _width_facts,
+        ("\nspurious issue stall cycles: naive {naive_stalls:.0f} vs "
+         "paper scheme {paper_stalls:.0f}",),
+        ("abs(paper_issue_base - paper_commit_base) "
+         "<= 0.02 * paper_issue_cycles",
+         "naive_issue_base < 0.7 * paper_issue_base",
+         "naive_stalls > 2 * paper_stalls"),
+    ),
+    # The hardware-feasible strategies stay within 15% of the exact
+    # bpred component, and accounting never perturbs timing.
+    Artifact(
+        "ablation-wrongpath", _compute_wrongpath, _render_wrongpath,
+        _wrongpath_facts,
+        ("simple: |bpred - exact| = {simple_err:.4f} CPI",
+         "speculative: |bpred - exact| = {speculative_err:.4f} CPI"),
+        ("simple_err < 0.15 * exact_bpred",
+         "speculative_err < 0.15 * exact_bpred", "distinct_cycles == 1"),
+    ),
+    # Top-down's level 1 charges a visible share to the frontend, but the
+    # real frontend gain is negligible while the backend gain is large,
+    # and the multi-stage commit stack points at the backend.
+    Artifact(
+        "topdown", _compute_topdown, _render_topdown, _topdown_facts,
+        ("\nactual frontend (perfect-L1I) delta: {fe_delta:+.3f} CPI; "
+         "actual backend (perfect-D$) delta: {be_delta:+.3f} CPI",
+         "multi-stage commit dcache component: {commit_dcache:.3f} CPI "
+         "(the backend signal top-down's level 1 buries)"),
+        ("frontend_bound > 0.05", "abs(fe_delta) < 0.1 * be_delta",
+         "commit_dcache > 0.5 * be_delta"),
     ),
 )}
 

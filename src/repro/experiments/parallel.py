@@ -51,17 +51,6 @@ from repro.pipeline.result import SimResult
 #: Environment variable overriding the default worker count.
 ENV_JOBS = "REPRO_JOBS"
 
-#: Environment escape hatch for fused multi-accountant execution.  Set to
-#: "0" (or pass ``--no-fuse`` / ``fuse=False``) to run every case as its
-#: own simulation — the differential baseline fusion is verified against.
-ENV_FUSE = "REPRO_FUSE"
-
-
-def fuse_default() -> bool:
-    """Fusion setting from the environment (on unless ``"0"``)."""
-    return os.environ.get(ENV_FUSE, "1") != "0"
-
-
 def resolve_jobs(jobs: int | str | None = None) -> int:
     """Worker count: explicit argument, else ``$REPRO_JOBS``, else CPUs.
 
@@ -142,7 +131,7 @@ def run_cases(
     max_attempts: int | None = None,
     retry_backoff: float | None = None,
     checkpoint_interval: int | None = None,
-    fuse: bool | None = None,
+    fuse: bool = True,
 ) -> list[SimResult | None]:
     """Resolve a batch of single-core case specs, in parallel where possible.
 
@@ -164,11 +153,13 @@ def run_cases(
     ``$REPRO_CHECKPOINT_INTERVAL``), letting retried cases resume
     instead of restarting.
 
-    **Fused execution** (``fuse``, default from ``$REPRO_FUSE``, on
-    unless ``"0"``): cache-missing specs needing one timing — equal
-    trace content (whatever the workload is called), machine config,
-    wrong-path mode, warmup and simulator seed, differing at most in
-    accounting configuration and trace name — become one
+    **Fused execution** (``fuse``, on by default; ``fuse=False`` runs
+    every case as its own simulation, the reference the fusion
+    differentials compare against): cache-missing specs needing one
+    timing — equal trace content (whatever the workload is called),
+    machine config, wrong-path mode, warmup and simulator seed,
+    differing at most in accounting configuration and trace name —
+    become one
     :class:`~repro.experiments.cache.Job` executed as a single pipeline
     run with each distinct collector attached once.  The parent builds
     the pending traces to compare them.  The batch cost then scales
@@ -183,8 +174,6 @@ def run_cases(
                 f"{spec.label()} is a multi-core case; use "
                 "run_multicore_cases for cores > 1"
             )
-    if fuse is None:
-        fuse = fuse_default()
     per_core = _run_batch(
         spec_list, fuse=fuse, jobs=jobs, use_cache=use_cache,
         mp_start_method=mp_start_method, keep_going=keep_going,

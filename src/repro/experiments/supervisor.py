@@ -797,7 +797,11 @@ class _Supervision:
             # collect.
             pool.shutdown(wait=False, cancel_futures=True)
             raise
-        pool.shutdown(wait=False, cancel_futures=True)
+        # A broken pool's manager thread closes the pool's wakeup pipe
+        # as it exits; the interpreter's exit hook writes to that pipe
+        # without the shutdown lock, so it must not outlive this round.
+        # Its workers are already terminated: the join is short.
+        pool.shutdown(wait=broke, cancel_futures=True)
         return retry, unstarted, broke
 
     def serial_round(

@@ -32,7 +32,7 @@ import os
 
 import pytest
 
-from repro.config.idealize import PERFECT_DCACHE
+from repro.config.idealize import PERFECT_BPRED, PERFECT_DCACHE
 from repro.core.wrongpath import WrongPathMode
 from repro.experiments import parallel, runner, supervisor
 from repro.experiments.cache import TELEMETRY, CaseSpec, Job
@@ -335,27 +335,49 @@ def test_fused_members_published_under_own_keys():
         assert a.to_dict() == b.to_dict()
 
 
-def test_unfused_env_escape_hatch(monkeypatch):
-    monkeypatch.setenv("REPRO_FUSE", "0")
-    specs = _variant_specs()
-    run_cases(specs, jobs=1, use_cache=False)
-    assert TELEMETRY.sim_invocations == len(specs)
-    assert TELEMETRY.fused_groups == 0
+def _comparison_batch() -> list[CaseSpec]:
+    """Multi-stage, topdown and no-accounting stacks of three workloads:
+    one timing per workload."""
+    return [
+        CaseSpec(workload=workload, preset="tiny", instructions=N, **extra)
+        for workload in ("mcf", "chase", "exchange2")
+        for extra in ({}, {"topdown": True}, {"accounting": False})
+    ]
 
 
-def test_summary_line_reports_fusion():
-    from repro.experiments import parallel
+def _fig2_batch() -> list[CaseSpec]:
+    """Fig. 2's shape: baseline and idealized timings, each wanted with
+    the multi-stage and the topdown stacks."""
+    return [
+        CaseSpec(workload=workload, preset="tiny", instructions=N,
+                 idealization=ideal, **extra)
+        for workload in ("mcf", "exchange2")
+        for ideal in (None, PERFECT_DCACHE, PERFECT_BPRED)
+        for extra in ({}, {"topdown": True})
+    ]
 
-    specs = _variant_specs()
+
+@pytest.mark.parametrize(
+    "specs, runs",
+    [(_variant_specs(), 1), (_comparison_batch(), 3), (_fig2_batch(), 6)],
+    ids=["variants", "comparison", "fig2-matrix"],
+)
+def test_summary_line_reports_fusion(specs, runs):
+    """One pipeline run per distinct timing, reported as fused groups."""
     mark = parallel.telemetry_mark()
     run_cases(specs, jobs=1, use_cache=False, fuse=True)
+    saved = len(specs) - runs
     batch = parallel.LAST_BATCH
     assert batch is not None
-    assert batch.fused_groups == 1
-    assert batch.fused_runs_saved == len(specs) - 1
-    assert "1 fused groups (3 runs saved)" in parallel.summarize_since(mark)
-    assert TELEMETRY.counters()["fused_groups"] == 1
-    assert TELEMETRY.counters()["fused_runs_saved"] == 3
+    assert TELEMETRY.sim_invocations == runs
+    assert batch.fused_groups == runs
+    assert batch.fused_runs_saved == saved
+    assert (
+        f"{runs} fused groups ({saved} runs saved)"
+        in parallel.summarize_since(mark)
+    )
+    assert TELEMETRY.counters()["fused_groups"] == runs
+    assert TELEMETRY.counters()["fused_runs_saved"] == saved
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Every paper claim holds, and every committed artifact regenerates.
 
-One session-scoped pass regenerates Table I and Figs. 1-5 at the
-registry's default trace lengths (seed 1, two workers) into a temp dir.
+One session-scoped pass regenerates every artifact of the table (Table
+I, Figs. 1-5, the ablations and the top-down critique) at the registry's
+default trace lengths (seed 1, two workers) into a temp dir.
 Each artifact's claims must hold, and each file under ``results/paper/``
 must come back byte for byte: a change that moves a published number
 shows up here as a diff, not as a silently different figure.

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -206,6 +207,18 @@ def test_worker_death_rebuilds_pool_then_falls_back_serial():
     assert stats.failures == 0
 
 
+def _supervision(pending) -> supervisor._Supervision:
+    """Fresh supervision state for driving single pool rounds."""
+    return supervisor._Supervision(
+        plan=supervisor.get_fault_plan(),
+        outcome=supervisor.SupervisionOutcome(),
+        use_cache=False,
+        timeout_override=None,
+        checkpoint_interval=None,
+        attempts={key: [] for key, _ in pending},
+    )
+
+
 def test_broken_pool_charges_only_started_jobs():
     """One SIGKILLed worker breaks the pool, which fails every
     uncollected job; only jobs that had started may be charged."""
@@ -218,14 +231,7 @@ def test_broken_pool_charges_only_started_jobs():
         specs[1].key(): {"kind": "hang", "seconds": 60, "times": 1},
     }
     pending = [(spec.key(), Job((spec,))) for spec in specs]
-    state = supervisor._Supervision(
-        plan=supervisor.get_fault_plan(),
-        outcome=supervisor.SupervisionOutcome(),
-        use_cache=False,
-        timeout_override=None,
-        checkpoint_interval=None,
-        attempts={key: [] for key, _ in pending},
-    )
+    state = _supervision(pending)
     retry, unstarted, broke = state.pool_round(pending, 2, _start_method())
     assert broke
     culprit, sleeper, *never_started = [key for key, _ in pending]
@@ -236,6 +242,31 @@ def test_broken_pool_charges_only_started_jobs():
         assert state.attempts[key] == [], "a job that never ran was charged"
     assert {key for key, _ in unstarted} >= set(never_started)
     assert culprit in {key for key, _ in retry}
+
+
+def test_broken_pool_round_joins_its_manager_thread(monkeypatch):
+    """A broken pool's manager thread closes the pool's wakeup pipe as it
+    exits, racing the interpreter's exit hook that writes to the pipe;
+    the round that broke the pool must have joined it."""
+    managers = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def shutdown(self, *args, **kwargs):
+            managers.append(self._executor_manager_thread)
+            super().shutdown(*args, **kwargs)
+
+    monkeypatch.setattr(supervisor, "ProcessPoolExecutor", RecordingPool)
+    spec = _spec()
+    supervisor.fault_plan = {
+        spec.key(): {"kind": "sigkill_mid_case", "times": 1}
+    }
+    pending = [(spec.key(), Job((spec,)))]
+    _, _, broke = _supervision(pending).pool_round(
+        pending, 1, _start_method()
+    )
+    assert broke
+    (manager,) = managers
+    assert manager is not None and not manager.is_alive()
 
 
 # ---------------------------------------------------------------------------
