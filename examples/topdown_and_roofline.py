@@ -15,6 +15,7 @@ Run:  python examples/topdown_and_roofline.py
 
 from repro import get_preset, make_trace, simulate
 from repro.core.components import Component
+from repro.core.multistage import CollectorSpec
 from repro.core.roofline import roofline_point
 from repro.core.topdown import TopLevel
 
@@ -23,7 +24,8 @@ def topdown_demo() -> None:
     # bwaves: frontend and backend stall at the same time.
     trace = make_trace("bwaves")
     config = get_preset("bdw")
-    result = simulate(trace, config, topdown=True,
+    result = simulate(trace, config,
+                      collectors=(CollectorSpec(topdown=True),),
                       warmup_instructions=len(trace) // 3)
     topdown = result.report.topdown
     fractions = topdown.level1_fractions()

@@ -16,6 +16,7 @@ import time
 from dataclasses import dataclass
 
 from repro.config.presets import get_preset
+from repro.core.multistage import CollectorSpec
 from repro.experiments.runner import get_trace
 from repro.isa.instructions import Program
 from repro.pipeline.core import simulate
@@ -63,7 +64,10 @@ def measure_overhead(
         times = []
         for _ in range(repeats):
             start = time.perf_counter()
-            result = simulate(trace, config, accounting=accounting)
+            result = simulate(
+                trace, config,
+                collectors=(CollectorSpec(accounting=accounting),),
+            )
             times.append(time.perf_counter() - start)
             cycles = result.cycles
         best[accounting] = min(times)

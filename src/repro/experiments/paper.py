@@ -3,10 +3,12 @@ evidence behind the paper's design choices (the Sec. II top-down
 critique and the Sec. III ablations).
 
 Each :class:`Artifact` is one regenerated table or figure: ``compute``
-runs its simulations (through the experiment harness; the ablations
-simulate their modified machines directly), ``render`` writes its text
-(and any CSV series), ``facts`` derives the named numbers that
-its ``summary`` lines and its ``claims`` read.  A claim is a Python
+runs its simulations as experiment-harness cases (the ablations on
+modified machines or collectors, with the harness warmup and simulator
+seed of every other artifact, so their CPI deltas compare like with
+like), ``render`` writes its text (and any CSV series), ``facts``
+derives the named numbers that its ``summary`` lines and its ``claims``
+read.  A claim is a Python
 comparison over those facts with its threshold written out, e.g.
 ``dcache_ideal_icache < 0.6 * dispatch_icache``; the claims table prints
 it verbatim next to the facts it reads.
@@ -24,6 +26,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
+from repro.config.cores import CoreConfig
 from repro.config.idealize import (
     IDEALIZATIONS,
     PERFECT_DCACHE,
@@ -42,8 +45,9 @@ from repro.core.multistage import ALL_STAGES, Stage
 from repro.core.topdown import TopLevel
 from repro.core.wrongpath import WrongPathMode
 from repro.experiments import error, flops_study, idealization, runner
+from repro.experiments.cache import CaseSpec
 from repro.experiments.multicore import simulate_socket
-from repro.pipeline.core import CoreSimulator, simulate
+from repro.experiments.parallel import run_cases
 from repro.viz.ascii import (
     render_boxplot_table,
     render_cpi_stack,
@@ -399,14 +403,37 @@ def _aggregation_facts(result) -> dict[str, Any]:
 
 
 # ---------------------------------------------------------------------------
-# Ablations (Sec. III) and the top-down critique (Sec. II): direct
-# simulations of one BDW trace, warmed up over its first third
+# Ablations (Sec. III) and the top-down critique (Sec. II): harness cases
+# of one BDW trace each, on modified machines or collectors
 
 
-def _trace(workload: str, batch: dict[str, Any]):
-    """The workload's trace and its warmup instruction count."""
-    trace = runner.get_trace(workload, batch["instructions"], batch["seed"])
-    return trace, len(trace) // 3
+def _case(workload: str, batch: dict[str, Any], **fields) -> CaseSpec:
+    """One case of ``workload`` at the batch's length and seed, on BDW
+    unless ``fields`` names a ``config``; warmup and simulator seed are
+    the harness defaults, as for every other artifact."""
+    if "config" not in fields:
+        fields["preset"] = "bdw"
+    return CaseSpec(workload=workload, instructions=batch["instructions"],
+                    seed=batch["seed"], **fields)
+
+
+def _resolve(batch: dict[str, Any], cases: dict[Any, CaseSpec]) -> dict:
+    """Run the labelled cases as one harness batch: label -> result, in
+    ``cases`` order, without the cases that failed under ``keep_going``."""
+    results = run_cases(
+        cases.values(), jobs=batch["jobs"], keep_going=batch["keep_going"],
+        case_timeout=batch["case_timeout"],
+    )
+    return {
+        label: result for label, result in zip(cases, results)
+        if result is not None
+    }
+
+
+def _bdw_memory(**changes) -> CoreConfig:
+    """BDW with its memory hierarchy's ``changes`` (``l2=``, ...)."""
+    config = broadwell()
+    return replace(config, memory=replace(config.memory, **changes))
 
 
 #: L2 MSHR file sizes swept on the Fig. 3c contention case.
@@ -416,18 +443,12 @@ MSHR_SWEEP = (4, 8, 16, 64)
 def _compute_mshr(batch: dict[str, Any]):
     """The Fig. 3c mechanism needs a finite L2 MSHR file: the queueing
     delay collapses as the file grows."""
-    trace, warmup = _trace("bwaves", batch)
-    out = {}
-    for mshrs in MSHR_SWEEP:
-        config = broadwell()
-        memory = replace(
-            config.memory, l2=replace(config.memory.l2, mshrs=mshrs)
-        )
-        out[mshrs] = simulate(
-            trace, replace(config, memory=memory),
-            warmup_instructions=warmup,
-        )
-    return out
+    l2 = broadwell().memory.l2
+    return _resolve(batch, {
+        mshrs: _case("bwaves", batch,
+                     config=_bdw_memory(l2=replace(l2, mshrs=mshrs)))
+        for mshrs in MSHR_SWEEP
+    })
 
 
 def _render_mshr(results, emit) -> None:
@@ -456,32 +477,34 @@ def _mshr_facts(results) -> dict[str, Any]:
     }
 
 
+_PREFETCH = {"prefetch on": True, "prefetch off": False}
+
+
 def _compute_prefetcher(batch: dict[str, Any]):
     """With the stream prefetcher off, bwaves pays demand latency but
     its L2 MSHRs decongest: the prefetch-contention mechanism behind
-    Fig. 3c's 'a perfect I-cache gains nothing'."""
-    trace, warmup = _trace("bwaves", batch)
-    out = {}
-    for label, enabled in (("prefetch on", True), ("prefetch off", False)):
-        config = broadwell()
-        memory = replace(
-            config.memory,
-            prefetcher=replace(config.memory.prefetcher, enabled=enabled),
+    Fig. 3c's 'a perfect I-cache gains nothing'.  Keys are
+    ``(label, perfect L1I)``."""
+    prefetcher = broadwell().memory.prefetcher
+    cases = {}
+    for label, enabled in _PREFETCH.items():
+        config = _bdw_memory(
+            prefetcher=replace(prefetcher, enabled=enabled)
         )
-        config = replace(config, memory=memory)
-        baseline = simulate(trace, config, warmup_instructions=warmup)
-        ideal = simulate(
-            trace,
-            replace(config, perfect_icache=True),
-            warmup_instructions=warmup,
-        )
-        out[label] = (baseline, ideal)
-    return out
+        for ideal in (None, PERFECT_ICACHE):
+            cases[label, ideal is not None] = _case(
+                "bwaves", batch, config=config, idealization=ideal
+            )
+    return _resolve(batch, cases)
 
 
 def _render_prefetcher(results, emit) -> None:
     rows = []
-    for label, (baseline, ideal) in results.items():
+    for label in _PREFETCH:
+        baseline = results.get((label, False))
+        ideal = results.get((label, True))
+        if baseline is None or ideal is None:
+            continue
         rows.append(
             {
                 "config": label,
@@ -508,7 +531,7 @@ def _render_prefetcher(results, emit) -> None:
 def _prefetcher_facts(results) -> dict[str, Any]:
     facts = {}
     for prefix, label in (("on", "prefetch on"), ("off", "prefetch off")):
-        baseline, ideal = results[label]
+        baseline, ideal = results[label, False], results[label, True]
         facts[f"{prefix}_cpi"] = baseline.cpi
         facts[f"{prefix}_delta"] = baseline.cpi - ideal.cpi
         facts[f"{prefix}_wait"] = baseline.memory_stats["l2_mshr"]["avg_wait"]
@@ -517,16 +540,14 @@ def _prefetcher_facts(results) -> dict[str, Any]:
 
 def _compute_width(batch: dict[str, Any]):
     """Sec. III-A: the paper's min-width normalization against the
-    issue stage's native (wider) width."""
-    trace, warmup = _trace("exchange2", batch)
-    config = broadwell()  # dispatch/commit 4-wide, issue 8-wide
-    out = {}
-    for label, width in (("min-width (paper)", None),
-                         ("native issue width", config.issue_width)):
-        sim = CoreSimulator(trace, config, accounting_width=width,
-                            warmup_instructions=warmup)
-        out[label] = sim.run()
-    return out
+    issue stage's native (wider) width.  One timing run carries both
+    collectors."""
+    native = broadwell().issue_width  # dispatch/commit 4-wide, issue 8
+    return _resolve(batch, {
+        label: _case("exchange2", batch, accounting_width=width)
+        for label, width in (("min-width (paper)", None),
+                             ("native issue width", native))
+    })
 
 
 def _render_width(results, emit) -> None:
@@ -566,12 +587,9 @@ def _width_facts(results) -> dict[str, Any]:
 def _compute_wrongpath(batch: dict[str, Any]):
     """Sec. III-B: the three wrong-path discernment strategies on a
     mispredict-heavy workload."""
-    trace, warmup = _trace("leela", batch)
-    config = broadwell()
-    return {
-        mode: simulate(trace, config, mode=mode, warmup_instructions=warmup)
-        for mode in WrongPathMode
-    }
+    return _resolve(batch, {
+        mode: _case("leela", batch, mode=mode) for mode in WrongPathMode
+    })
 
 
 def _render_wrongpath(results, emit) -> None:
@@ -579,8 +597,8 @@ def _render_wrongpath(results, emit) -> None:
     rows = []
     for component in CPI_COMPONENTS:
         values = {
-            m.value: stacks[m].component_cpi(component)
-            for m in WrongPathMode
+            m.value: stack.component_cpi(component)
+            for m, stack in stacks.items()
         }
         if any(v > 0.001 for v in values.values()):
             rows.append({"component": component.value, **values})
@@ -608,30 +626,28 @@ def _wrongpath_facts(results) -> dict[str, Any]:
 def _compute_topdown(batch: dict[str, Any]):
     """Sec. II: bwaves stalls the frontend (I-cache misses behind
     contended L2 MSHRs) and the backend (streaming loads) at once."""
-    trace, warmup = _trace("bwaves", batch)
-    baseline = simulate(trace, broadwell(), warmup_instructions=warmup,
-                        topdown=True)
-    runs = [
-        runner.run_case("bwaves", "bdw", idealization=ideal,
-                        instructions=batch["instructions"], seed=batch["seed"])
-        for ideal in (PERFECT_ICACHE, PERFECT_DCACHE)
-    ]
-    return baseline, *runs
+    return _resolve(batch, {
+        ideal: _case("bwaves", batch, idealization=ideal,
+                     topdown=ideal is None)
+        for ideal in (None, PERFECT_ICACHE, PERFECT_DCACHE)
+    })
 
 
 def _render_topdown(results, emit) -> None:
-    fractions = results[0].report.topdown.level1_fractions()
+    rows = []
+    if None in results:
+        fractions = results[None].report.topdown.level1_fractions()
+        rows.append({level.value: fractions[level] for level in TopLevel})
     emit("Top-down level 1 (bwaves on BDW):")
-    emit(render_table([{
-        level.value: fractions[level] for level in TopLevel
-    }]))
+    emit(render_table(rows))
 
 
 def _topdown_facts(results) -> dict[str, Any]:
     """Top-down's level-1 frontend share against the actual frontend and
     backend idealization deltas and the multi-stage commit D-cache
     component."""
-    baseline, perfect_i, perfect_d = results
+    baseline = results[None]
+    perfect_i, perfect_d = results[PERFECT_ICACHE], results[PERFECT_DCACHE]
     fractions = baseline.report.topdown.level1_fractions()
     return {
         "frontend_bound": fractions[TopLevel.FRONTEND_BOUND],

@@ -115,14 +115,13 @@ class CoreSimulator:
         config: CoreConfig,
         *,
         mode: WrongPathMode = WrongPathMode.EXACT,
-        accounting: bool = True,
         seed: int = 12345,
         warmup_instructions: int = 0,
-        accounting_width: int | None = None,
-        topdown: bool = False,
         reference: bool = False,
         legacy_issue_scan: bool = False,
-        collectors: "tuple[CollectorSpec, ...] | list[CollectorSpec] | None" = None,
+        collectors: "tuple[CollectorSpec, ...] | list[CollectorSpec]" = (
+            CollectorSpec(),
+        ),
         shared_backend=None,
     ) -> None:
         if config.memory is None:
@@ -160,25 +159,11 @@ class CoreSimulator:
             program, config, self.hierarchy, self.predictor, seed=seed,
             pool=self._pool,
         )
-        # The simulator drives a *list* of attached collectors.  The
-        # legacy accounting/topdown/accounting_width kwargs describe the
-        # historical single collector; ``collectors=`` attaches any
-        # combination (multi-stage, top-down, none) to one timing run —
-        # the fused-execution substrate.  Timing is observational either
-        # way: the attached set never changes a simulated cycle.
-        if collectors is None:
-            collectors = (
-                CollectorSpec(
-                    accounting=accounting,
-                    topdown=topdown,
-                    accounting_width=accounting_width,
-                ),
-            )
-        elif not accounting or topdown or accounting_width is not None:
-            raise ValueError(
-                "pass either collectors= or the legacy accounting/topdown/"
-                "accounting_width arguments, not both"
-            )
+        # The simulator drives a *list* of attached collectors:
+        # ``collectors=`` attaches any combination (multi-stage,
+        # top-down, none) to one timing run — the fused-execution
+        # substrate.  Timing is observational either way: the attached
+        # set never changes a simulated cycle.
         specs = tuple(collectors)
         if not specs:
             raise ValueError("collectors= needs at least one CollectorSpec")
@@ -2151,22 +2136,20 @@ def simulate(
     config: CoreConfig,
     *,
     mode: WrongPathMode = WrongPathMode.EXACT,
-    accounting: bool = True,
     seed: int = 12345,
     warmup_instructions: int = 0,
-    topdown: bool = False,
     reference: bool = False,
-    collectors: "tuple[CollectorSpec, ...] | list[CollectorSpec] | None" = None,
+    collectors: "tuple[CollectorSpec, ...] | list[CollectorSpec]" = (
+        CollectorSpec(),
+    ),
 ) -> SimResult:
     """Convenience wrapper: build a :class:`CoreSimulator` and run it."""
     return CoreSimulator(
         program,
         config,
         mode=mode,
-        accounting=accounting,
         seed=seed,
         warmup_instructions=warmup_instructions,
-        topdown=topdown,
         reference=reference,
         collectors=collectors,
     ).run()

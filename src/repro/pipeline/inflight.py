@@ -100,26 +100,6 @@ class InflightUop:
     ) -> None:
         self.producers: list[InflightUop] = []
         self.consumers: list[InflightUop] = []
-        self.reinit(
-            uop, instr, seq, block_id, wrong_path, last_of_instr, multi_cycle
-        )
-
-    def reinit(
-        self,
-        uop: MicroOp,
-        instr: Instruction | None,
-        seq: int,
-        block_id: int,
-        wrong_path: bool,
-        last_of_instr: bool,
-        multi_cycle: bool,
-    ) -> None:
-        """Reset every scalar slot for a fresh dynamic instance.
-
-        ``producers``/``consumers`` are *not* touched here: the pool clears
-        them at release time (:meth:`UopPool.release`), so a recycled record
-        arrives with empty edge lists already in place.
-        """
         self.uop = uop
         self.instr = instr
         self.seq = seq
@@ -177,7 +157,9 @@ class UopPool:
 
     Building one record per dynamic micro-op showed up in per-cycle
     profiles; the pipeline retires ~ROB-size records at a time, so a small
-    free list covers the whole run.  The core releases records at commit,
+    free list covers the whole run.  The frontend mints records by
+    popping ``_free`` inline (:meth:`Frontend.deliver`), refilling every
+    slot from its per-class rows.  The core releases records at commit,
     squash and wrong-path writeback after severing every dependence edge
     that still points at them, so a recycled record can never be reached
     through a stale reference (stale scheduler-queue entries are detected
@@ -188,53 +170,6 @@ class UopPool:
 
     def __init__(self) -> None:
         self._free: list[InflightUop] = []
-
-    def acquire(
-        self,
-        uop: MicroOp,
-        instr: Instruction | None,
-        seq: int,
-        block_id: int,
-        wrong_path: bool,
-        last_of_instr: bool,
-        multi_cycle: bool,
-    ) -> InflightUop:
-        free = self._free
-        if not free:
-            return InflightUop(
-                uop, instr, seq, block_id,
-                wrong_path=wrong_path,
-                last_of_instr=last_of_instr,
-                multi_cycle=multi_cycle,
-            )
-        # ``reinit`` inlined: one record is recycled per delivered
-        # micro-op, and the extra method call showed in profiles.
-        # ``deps_left`` is assigned (not accumulated) at rename time and
-        # ``waiters`` is cleared by :meth:`release`, so neither needs a
-        # reset here.
-        inflight = free.pop()
-        inflight.uop = uop
-        inflight.instr = instr
-        inflight.seq = seq
-        inflight.block_id = block_id
-        inflight.wrong_path = wrong_path
-        inflight.last_of_instr = last_of_instr
-        inflight.issued = False
-        inflight.done = False
-        inflight.squashed = False
-        uclass = uop.uclass
-        is_load = uclass is _LOAD
-        inflight.is_load = is_load
-        inflight.is_store = uclass is _STORE
-        inflight.is_branch = uclass is _BRANCH
-        inflight.multi_cycle = multi_cycle or is_load
-        inflight.dcache_miss = False
-        inflight.mispredicted = False
-        inflight.parked = False
-        inflight.pool = _POOL_OF[uclass]
-        inflight.ops = _OPS_OF[uclass]
-        inflight.is_vu_nonvfp = _IS_VU_NONVFP[uclass]
-        return inflight
 
     def release(self, uop: InflightUop) -> None:
         """Return a record whose dynamic life is over to the free list."""

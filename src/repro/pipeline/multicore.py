@@ -46,6 +46,7 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.config.cores import CoreConfig
+from repro.core.multistage import CollectorSpec
 from repro.core.wrongpath import WrongPathMode
 from repro.isa.instructions import Instruction, Program
 from repro.memory.hierarchy import SharedMemoryBackend
@@ -111,15 +112,11 @@ class MulticoreSimulator:
         config: CoreConfig,
         *,
         mode: WrongPathMode = WrongPathMode.EXACT,
-        accounting: bool = True,
         seed: int = 12345,
         seeds: Sequence[int] | None = None,
         warmup_instructions: int | Sequence[int] = 0,
-        accounting_width: int | None = None,
-        topdown: bool = False,
         reference: bool = False,
-        legacy_issue_scan: bool = False,
-        collectors=None,
+        collectors: Sequence[CollectorSpec] = (CollectorSpec(),),
     ) -> None:
         programs = list(programs)
         if not programs:
@@ -159,13 +156,9 @@ class MulticoreSimulator:
                 program,
                 config,
                 mode=mode,
-                accounting=accounting,
                 seed=seeds[i],
                 warmup_instructions=warmups[i],
-                accounting_width=accounting_width,
-                topdown=topdown,
                 reference=reference,
-                legacy_issue_scan=legacy_issue_scan,
                 collectors=collectors,
                 shared_backend=self.backend,
             )

@@ -573,8 +573,8 @@ def test_mid_warmup_checkpoint_holds_no_collector(workload, preset):
 
 
 @pytest.mark.parametrize("kwargs,key", [
-    ({"topdown": True}, "variant-topdown"),
-    ({"accounting": False}, "variant-noacct"),
+    ({"collectors": (CollectorSpec(topdown=True),)}, "variant-topdown"),
+    ({"collectors": (CollectorSpec(accounting=False),)}, "variant-noacct"),
     ({"legacy_issue_scan": True}, "variant-legacy"),
 ])
 def test_resume_bitwise_identical_simulator_variants(kwargs, key):

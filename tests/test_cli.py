@@ -190,6 +190,24 @@ def test_keep_going_failed_baseline_omits_group(capsys, monkeypatch):
     clear_cache()
 
 
+def test_keep_going_failed_ablation_reads_no_data(capsys, monkeypatch):
+    """Every case of one ablation failing under --keep-going leaves its
+    rows out, and its claims read ``no data``."""
+    monkeypatch.setenv(supervisor.ENV_FAULT_PLAN,
+                       '{"*": {"kind": "crash", "times": 99}}')
+    from repro.experiments.runner import clear_cache
+
+    clear_cache()
+    code = main(["paper", "--only", "ablation-width", "--jobs", "1",
+                 "--instructions", "1500", "--keep-going"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "(no rows)" in out and "spurious issue stall" not in out
+    assert out.count("no data") == 3 and "0 of 3 claims hold" in out
+    supervisor.clear_failures()
+    clear_cache()
+
+
 def test_keep_going_incomplete_socket_fails_cleanly(capsys, monkeypatch):
     """Aggregates that need every case report IncompleteBatch, not a crash."""
     monkeypatch.setattr(

@@ -133,11 +133,12 @@ def test_memory_bound_cpi_units():
 
 
 def test_integration_with_simulator(tiny):
+    from repro.core.multistage import CollectorSpec
     from repro.pipeline.core import simulate
     from tests.conftest import load_loop
 
     result = simulate(load_loop(800, lines=4096, stride_lines=7), tiny,
-                      topdown=True)
+                      collectors=(CollectorSpec(topdown=True),))
     report = result.report.topdown
     assert report is not None
     fractions = report.level1_fractions()

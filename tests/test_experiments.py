@@ -175,3 +175,31 @@ def test_all_single_idealizations():
     names = {i.name for i in ideals}
     assert names == {"perfect-icache", "perfect-dcache", "perfect-bpred",
                      "1-cycle-alu"}
+
+
+def test_ablations_are_cached_harness_cases(tmp_path):
+    """The ablation and top-down artifacts resolve through the harness:
+    a cold pass counts every case, and a second pass over the same
+    cache simulates nothing and serves every lookup from memo or disk."""
+    from repro.experiments import paper
+    from repro.experiments.cache import TELEMETRY
+
+    counted = ("sim_invocations", "fused_runs_saved", "memo_hits",
+               "disk_hits")
+    passes = []
+    for _ in range(2):
+        before = TELEMETRY.counters()
+        paper.run_artifacts(["ablation-width", "topdown"], tmp_path,
+                            instructions=1500, jobs=1)
+        after = TELEMETRY.counters()
+        passes.append({k: after[k] - before[k] for k in counted})
+        pages = [(tmp_path / f"{name}.txt").read_text()
+                 for name in ("ablation-width", "topdown")]
+        passes[-1]["pages"] = pages
+        clear_cache(disk=False)  # a fresh session over the same disk
+    cold, warm = passes
+    # Two widths fused into one timing run, plus three top-down cases.
+    assert cold["sim_invocations"] == 4 and cold["fused_runs_saved"] == 1
+    assert warm["sim_invocations"] == 0
+    assert warm["memo_hits"] + warm["disk_hits"] == 5
+    assert warm["pages"] == cold["pages"]

@@ -24,7 +24,7 @@ from repro.core.components import Component
 from repro.core.dispatch import DispatchAccountant
 from repro.core.flops import FlopsAccountant
 from repro.core.issue import IssueAccountant
-from repro.core.multistage import MultiStageCollector
+from repro.core.multistage import CollectorSpec, MultiStageCollector
 from repro.core.observation import CycleObservation
 from repro.core.topdown import TopDownAccountant
 from repro.core.wrongpath import WrongPathMode
@@ -47,9 +47,10 @@ def _run_pair(workload, config, *, mode=WrongPathMode.EXACT, warmup=0,
               topdown=False, n=N):
     """One production run and one ``reference=True`` run, same kwargs."""
     trace = make_trace(workload, n, 1)
-    on = CoreSimulator(trace, config, mode=mode, topdown=topdown,
+    collectors = (CollectorSpec(topdown=topdown),)
+    on = CoreSimulator(trace, config, mode=mode, collectors=collectors,
                        warmup_instructions=warmup)
-    off = CoreSimulator(trace, config, mode=mode, topdown=topdown,
+    off = CoreSimulator(trace, config, mode=mode, collectors=collectors,
                         warmup_instructions=warmup, reference=True)
     return on, on.run(), off, off.run()
 

@@ -19,6 +19,7 @@ import pytest
 from repro.config.presets import PRESETS, broadwell, knights_landing
 from repro.core.commit import CommitAccountant
 from repro.core.components import Component
+from repro.core.multistage import CollectorSpec
 from repro.core.observation import CycleObservation
 from repro.core.wrongpath import WrongPathMode
 from repro.isa import decoder as asm
@@ -31,7 +32,6 @@ from repro.pipeline.inflight import (
     POOL_ALU,
     POOL_LOAD,
     InflightUop,
-    UopPool,
 )
 from repro.workloads.base import DATA_BASE, TraceBuilder
 from repro.workloads.registry import make_trace
@@ -101,11 +101,39 @@ def test_bitwise_identical_additional_workloads(workload, reference):
 # Free-list pooling contracts
 # ---------------------------------------------------------------------------
 
-def test_release_clears_edges_then_acquire_resets_classification():
-    pool = UopPool()
-    load = MicroOp(UopClass.LOAD, srcs=(1,), dst=2, addr=64, size=8)
-    rec = pool.acquire(load, None, 0, 0, False, True, False)
-    peer = pool.acquire(load, None, 1, 0, False, True, False)
+def _minting_frontend(*instrs):
+    """A core's frontend over ``instrs`` and a ``mint(n)`` that delivers
+    the next ``n`` micro-op records through :meth:`Frontend.deliver`, the
+    path that mints every record of a run."""
+    b = TraceBuilder("pool", seed=1)
+    for make in instrs:
+        b.emit(make(b.pc))
+    sim = CoreSimulator(b.program(), broadwell())
+    frontend = sim.frontend
+
+    def mint(n):
+        out = []
+        for cycle in range(1000):
+            frontend.deliver(cycle, n - len(out), out)
+            if len(out) == n:
+                return out
+        raise AssertionError("the frontend never delivered")
+
+    return sim._pool, mint
+
+
+def _load(pc):
+    return asm.load(pc, dst=2, addr=DATA_BASE, addr_srcs=(1,))
+
+
+def _alu(pc):
+    return asm.alu(pc, dst=3)
+
+
+def test_release_clears_edges_then_deliver_resets_classification():
+    pool, mint = _minting_frontend(_load, _load, _alu)
+    rec, peer = mint(2)
+    assert rec.is_load and rec.seq == 0 and peer.seq == 1
     # Dirty every mutable field a pipeline pass can touch.
     rec.producers.append(peer)
     peer.consumers.append(rec)
@@ -121,10 +149,10 @@ def test_release_clears_edges_then_acquire_resets_classification():
     assert rec.waiters is None
     assert len(pool) == 1
 
-    alu = MicroOp(UopClass.ALU, srcs=(), dst=3, addr=-1, size=8)
-    rec2 = pool.acquire(alu, None, 2, 1, False, False, False)
+    (rec2,) = mint(1)
     assert rec2 is rec  # recycled, not freshly built
-    assert rec2.uop is alu and rec2.seq == 2 and rec2.block_id == 1
+    assert rec2.uop.uclass is UopClass.ALU and rec2.seq == 2
+    assert rec2.wrong_path is False and rec2.last_of_instr is True
     # Classification fields all follow the new micro-op's class.
     assert rec2.is_load is False
     assert rec2.is_store is False
@@ -143,13 +171,11 @@ def test_release_clears_edges_then_acquire_resets_classification():
     assert rec2.waiters is None
 
 
-def test_acquire_classifies_load_from_recycled_alu():
-    pool = UopPool()
-    alu = MicroOp(UopClass.ALU, srcs=(), dst=3, addr=-1, size=8)
-    rec = pool.acquire(alu, None, 0, 0, False, True, False)
+def test_deliver_classifies_load_from_recycled_alu():
+    pool, mint = _minting_frontend(_alu, _load)
+    (rec,) = mint(1)
     pool.release(rec)
-    load = MicroOp(UopClass.LOAD, srcs=(1,), dst=2, addr=64, size=8)
-    rec2 = pool.acquire(load, None, 1, 0, False, True, False)
+    (rec2,) = mint(1)
     assert rec2 is rec
     assert rec2.is_load is True
     assert rec2.pool == POOL_LOAD
@@ -268,7 +294,7 @@ def test_signature_batching_gated_to_exact_event_mode():
         trace, broadwell(), legacy_issue_scan=True
     )._batch is False
     assert CoreSimulator(
-        trace, broadwell(), accounting=False
+        trace, broadwell(), collectors=(CollectorSpec(accounting=False),)
     )._batch is False
 
 

@@ -127,14 +127,9 @@ def test_fast_path_identical_under_fusion():
     )
     fused = CoreSimulator(trace, broadwell(), collectors=specs)
     fused.run()
-    single_kwargs = [
-        {},
-        {"topdown": True},
-        {"accounting_width": 2},
-    ]
-    for member, kwargs in zip(fused.fused_results, single_kwargs):
+    for member, spec in zip(fused.fused_results, specs):
         legacy = CoreSimulator(
-            trace, broadwell(), reference=True, **kwargs
+            trace, broadwell(), reference=True, collectors=(spec,)
         ).run()
         assert _comparable(member) == _comparable(legacy)
 

@@ -29,7 +29,7 @@ import multiprocessing
 import pytest
 
 from repro.config.cores import CacheConfig, DramConfig
-from repro.config.presets import broadwell, tiny_core
+from repro.config.presets import broadwell, skylake_x, tiny_core
 from repro.core import invariants
 from repro.core.components import Component
 from repro.core.wrongpath import WrongPathMode
@@ -150,6 +150,32 @@ def test_per_core_seeds_are_plumbed():
     ]
     for engine_result, solo_result in zip(base.per_core, solo):
         assert engine_result.committed_instrs == solo_result.committed_instrs
+
+
+@pytest.mark.parametrize("workload", ["conv-vgg-2-fwd",
+                                      "gemm-train-1760-skx"])
+def test_reference_socket_is_bitwise_identical(workload):
+    """``reference=True`` (dict-backed memory walk, no skip engines)
+    runs a 2-core socket to the default path's results; only the host
+    time and the ff_*/replay_* counters, which read 0 under the
+    reference, may differ."""
+
+    def skipless(result) -> dict:
+        return {
+            key: value for key, value in _comparable(result).items()
+            if not key.startswith(("ff_", "replay_"))
+        }
+
+    traces = make_threaded_traces(workload, 2, 1500, seed=1)
+    kwargs = dict(seeds=(7, 8), warmup_instructions=300)
+    fast = MulticoreSimulator(traces, skylake_x(), **kwargs).run()
+    ref = MulticoreSimulator(
+        traces, skylake_x(), reference=True, **kwargs
+    ).run()
+    assert all(r.ff_windows > 0 for r in fast.per_core)
+    for fast_core, ref_core in zip(fast.per_core, ref.per_core):
+        assert ref_core.ff_windows == 0 and ref_core.replay_windows == 0
+        assert skipless(fast_core) == skipless(ref_core)
 
 
 def test_engine_checkpoint_resume_n_cores(tmp_path):

@@ -80,8 +80,10 @@ def test_determinism(tiny):
 
 def test_accounting_off_gives_same_timing(tiny):
     prog = load_loop(500, lines=64, stride_lines=3)
-    with_acct = simulate(prog, tiny, accounting=True)
-    without = simulate(prog, tiny, accounting=False)
+    with_acct = simulate(prog, tiny)
+    without = simulate(
+        prog, tiny, collectors=(CollectorSpec(accounting=False),)
+    )
     assert with_acct.cycles == without.cycles
     assert without.report is None
 

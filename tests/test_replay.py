@@ -23,6 +23,7 @@ from repro.branch.predictors import (
     TournamentPredictor,
 )
 from repro.config.presets import broadwell, knights_landing
+from repro.core.multistage import CollectorSpec
 from repro.core.wrongpath import WrongPathMode
 from repro.isa.instructions import Program
 from repro.memory.cache import Cache
@@ -328,7 +329,8 @@ def test_non_batching_accounting_never_arms_replay(mode):
     assert sim._replay is None
     sim.run()
     assert sim.replay_windows == 0
-    blind = CoreSimulator(trace, broadwell(), mode=mode, accounting=False)
+    blind = CoreSimulator(trace, broadwell(), mode=mode,
+                          collectors=(CollectorSpec(accounting=False),))
     assert blind._replay is not None
 
 

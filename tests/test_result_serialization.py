@@ -14,7 +14,7 @@ import pickle
 
 import pytest
 
-from repro.core.multistage import MultiStageReport
+from repro.core.multistage import CollectorSpec, MultiStageReport
 from repro.core.stack import CpiStack, FlopsStack
 from repro.core.topdown import TopDownReport
 from repro.experiments.runner import clear_cache, get_trace
@@ -39,7 +39,7 @@ def result(tiny_module_config):
         tiny_module_config,
         warmup_instructions=int(len(trace) * 0.3),
         seed=778,
-        topdown=True,
+        collectors=(CollectorSpec(topdown=True),),
     )
 
 
