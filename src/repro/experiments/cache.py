@@ -290,14 +290,27 @@ class CaseSpec:
         return self._digest(self._case_slots())
 
     def label(self) -> str:
-        """Short human-readable tag for telemetry and logs."""
-        machine = self.preset or self.resolved_config().name
+        """Short human-readable tag for telemetry, logs and fault plans.
+
+        A preset case reads ``workload@preset``.  An explicit config adds
+        ``~`` and 8 hex digits of its machine fingerprint to the config's
+        name, so modified machines sharing a name stay apart, and a
+        non-default accounting width adds ``#w<width>``.
+        """
+        if self.preset is not None:
+            machine = self.preset
+        else:
+            digest = hashlib.sha256(self._machine()[1].encode("utf-8"))
+            machine = f"{self.config.name}~{digest.hexdigest()[:8]}"
         ideal = f"+{self.idealization.name}" if self.idealization else ""
         acct = ""
         if not self.accounting:
             acct = "#noacc"
-        elif self.topdown:
-            acct = "#td"
+        else:
+            if self.topdown:
+                acct = "#td"
+            if self.accounting_width is not None:
+                acct += f"#w{self.accounting_width}"
         socket = f"x{self.cores}" if self.cores > 1 else ""
         return f"{self.workload}@{machine}{ideal}{acct}{socket}"
 
@@ -449,6 +462,8 @@ class HarnessTelemetry:
     #: group).
     fused_groups: int = 0
     fused_runs_saved: int = 0
+    #: Cases given up on after supervision (``keep_going`` batches).
+    failed_cases: int = 0
     #: (case label, simulated wall seconds) per simulation, newest last.
     case_seconds: list[tuple[str, float]] = field(default_factory=list)
 
@@ -464,6 +479,7 @@ class HarnessTelemetry:
         self.resumed_instructions = 0
         self.fused_groups = 0
         self.fused_runs_saved = 0
+        self.failed_cases = 0
         self.case_seconds.clear()
 
     def record_simulation(
@@ -486,6 +502,10 @@ class HarnessTelemetry:
         self.fused_groups += groups
         self.fused_runs_saved += runs_saved
 
+    def record_failures(self, cases: int) -> None:
+        """A batch gave up on ``cases`` cases."""
+        self.failed_cases += cases
+
     def counters(self) -> dict[str, float]:
         return {
             "sim_invocations": self.sim_invocations,
@@ -499,6 +519,7 @@ class HarnessTelemetry:
             "resumed_instructions": self.resumed_instructions,
             "fused_groups": self.fused_groups,
             "fused_runs_saved": self.fused_runs_saved,
+            "failed_cases": self.failed_cases,
         }
 
 

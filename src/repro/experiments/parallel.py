@@ -299,9 +299,6 @@ def _run_batch(
     items = _group_jobs(pending, fuse)
     fused_groups = sum(len(job.specs) > 1 for job in items)
     fused_runs_saved = len(pending) - len(items)
-    if fused_groups:
-        TELEMETRY.record_fusion(fused_groups, fused_runs_saved)
-
     outcome = supervisor.SupervisionOutcome()
     if items:
         outcome = supervisor.run_supervised(
@@ -315,6 +312,19 @@ def _run_batch(
             checkpoint_interval=checkpoint_interval,
         )
         results.update(outcome.results)
+    # The telemetry counts what ran: a fused group that failed saved no
+    # run, and its members count as failed cases instead, so a summary
+    # line's lookups add up to every case.
+    ran_fused = [
+        job for job in items
+        if len(job.specs) > 1 and job.keys[0] not in outcome.failures
+    ]
+    if ran_fused:
+        TELEMETRY.record_fusion(
+            len(ran_fused), sum(len(job.specs) - 1 for job in ran_fused)
+        )
+    if outcome.failures:
+        TELEMETRY.record_failures(len(outcome.failures))
 
     after = TELEMETRY.counters()
     stats = BatchStats(
@@ -372,9 +382,11 @@ def summarize_since(mark: tuple[float, dict[str, float]]) -> str:
     )
     fused = int(after["fused_groups"] - before["fused_groups"])
     saved = int(after["fused_runs_saved"] - before["fused_runs_saved"])
+    failed = int(after["failed_cases"] - before["failed_cases"])
     rate = uops / wall if wall > 0 else 0.0
     line = (
-        f"[harness] {simulated + saved + memo + disk} case lookups: "
+        f"[harness] {simulated + saved + memo + disk + failed} "
+        f"case lookups: "
         f"{simulated} simulated, {memo} memo hits, {disk} disk hits | "
         f"wall={wall:.2f}s sim={sim_seconds:.2f}s "
         f"({rate / 1e3:.0f}k uops/s)"
@@ -386,4 +398,6 @@ def summarize_since(mark: tuple[float, dict[str, float]]) -> str:
             f" | {resumes} checkpoint resumes "
             f"({preserved} instrs preserved)"
         )
+    if failed:
+        line += f" | {failed} failed"
     return line

@@ -4,9 +4,9 @@ Storage is flat per-set line/dirty arrays: position in the array *is* the
 LRU order (index 0 oldest, the last element MRU).  Hits on the MRU way —
 the loop-dominant case — short-circuit with zero reordering work; other
 hits are one C-level scan plus a delete/append pair.  The dict-per-set
-reference implementation lives in :mod:`repro.memory.legacy` (the
-simulators' ``reference=True`` mode) and the two are kept bitwise
-interchangeable.
+reference implementation lives in :mod:`repro.memory.legacy`: the
+memory of the simulators' ``reference=True`` per-cycle oracle, kept
+bitwise interchangeable with this one.
 """
 
 from __future__ import annotations
@@ -45,21 +45,13 @@ class CacheStats:
         }
 
 
-@dataclass(frozen=True, slots=True)
-class Evicted:
-    """An evicted line (returned so writebacks can consume bandwidth)."""
-
-    line: int
-    dirty: bool
-
-
 class Cache:
     """One cache level.
 
     Lines are identified by ``addr >> line_bits``.  Each set is a pair of
     parallel arrays (``_set_lines[i]`` / ``_set_dirty[i]``) ordered oldest
     to newest: the last element is the MRU way, the first is the eviction
-    victim.  Hits move the line to the end; :meth:`insert` on a present
+    victim.  Hits move the line to the end; :meth:`fill` on a present
     line leaves its position untouched (matching the dict semantics of
     :class:`repro.memory.legacy.LegacyCache`).
     """
@@ -127,42 +119,15 @@ class Cache:
         """Check presence without perturbing LRU or statistics."""
         return line in self._set_lines[line & self.set_mask]
 
-    def insert(
-        self, line: int, *, dirty: bool = False, prefetch: bool = False
-    ) -> Evicted | None:
-        """Fill ``line``; returns the victim if one was evicted."""
-        idx = line & self.set_mask
-        lines = self._set_lines[idx]
-        dirty_bits = self._set_dirty[idx]
-        if line in lines:
-            i = lines.index(line)
-            dirty_bits[i] = dirty_bits[i] or dirty
-            return None
-        victim: Evicted | None = None
-        if len(lines) >= self.associativity:
-            victim_dirty = dirty_bits[0]
-            victim = Evicted(lines[0], victim_dirty)
-            del lines[0]
-            del dirty_bits[0]
-            self.stats.evictions += 1
-            if victim_dirty:
-                self.stats.dirty_evictions += 1
-        else:
-            self._occupancy += 1
-        lines.append(line)
-        dirty_bits.append(dirty)
-        if prefetch:
-            self.stats.prefetch_fills += 1
-        return victim
-
     def fill(self, line: int, *, dirty: bool = False,
              prefetch: bool = False) -> int:
-        """Allocation-free :meth:`insert`: the dirty victim's line, or -1.
+        """Install ``line``; returns the dirty victim's line, or -1.
 
+        A present line keeps its LRU position and ORs in ``dirty``.
         Clean evictions (and fills without eviction) return -1 — the
         caller only needs the line of a victim whose writeback will
-        consume bandwidth, so no :class:`Evicted` is built for the
-        common clean case.  Statistics match :meth:`insert` exactly.
+        consume bandwidth.  Decisions and statistics match
+        :meth:`repro.memory.legacy.LegacyCache.insert` exactly.
         """
         idx = line & self.set_mask
         lines = self._set_lines[idx]
@@ -228,9 +193,9 @@ class Cache:
     def occupancy(self) -> int:
         """Number of valid lines currently cached.
 
-        Maintained as a running count in :meth:`insert`/:meth:`fill`/
-        :meth:`invalidate` (an eviction replaces its victim, so the count
-        is unchanged); summing set sizes per query was O(num_sets) and
-        showed up when occupancy was polled every cycle.
+        Maintained as a running count in :meth:`fill`/:meth:`invalidate`
+        (an eviction replaces its victim, so the count is unchanged);
+        summing set sizes per query was O(num_sets) and showed up when
+        occupancy was polled every cycle.
         """
         return self._occupancy

@@ -15,8 +15,10 @@ returned :class:`AccessResult` is a preallocated per-hierarchy object
 rewritten in place; callers read results immediately and never retain
 them).  ``fast_path=False`` selects the pre-optimization walk over
 dict-backed caches (:mod:`repro.memory.legacy`) as a differential
-oracle; the simulators choose it under ``reference=True``.  Both paths
-are bitwise identical, which ``tests/test_memory_hotpath.py`` proves.
+oracle; the simulators choose it under ``reference=True``, their
+per-cycle oracle, which also steps every cycle through the full
+reservation-station scan.  Both paths are bitwise identical, which
+``tests/test_differential.py`` checks run by run.
 """
 
 from __future__ import annotations
@@ -486,8 +488,7 @@ class MemoryHierarchy:
         outstanding fills (times relative to ``now``), DRAM queue headroom,
         both TLBs and the prefetcher table.  Counters are excluded: the
         engine delta-advances them.  The per-cache format is identical
-        across the flat-array and legacy representations, so replay fixed
-        points survive the gate.
+        across the flat-array and legacy representations.
         """
         levels = tuple(
             (

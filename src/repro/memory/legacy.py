@@ -1,19 +1,30 @@
 """Dict-backed cache/TLB reference implementations (differential oracle).
 
-These are the pre-optimization structures, kept verbatim as the memory
-representation of the simulators' ``reference=True`` mode
-(``MemoryHierarchy(fast_path=False)``): each set is a dict whose
-insertion order is the LRU order.  The flat-array :class:`repro.memory.cache.Cache`
+These are the pre-optimization structures, kept verbatim as the memory of
+the simulators' ``reference=True`` per-cycle oracle — the full
+reservation-station scan, every cycle stepped, over
+``MemoryHierarchy(fast_path=False)``: each set is a dict whose insertion
+order is the LRU order.  The flat-array :class:`repro.memory.cache.Cache`
 and :class:`repro.memory.tlb.Tlb` must stay bitwise interchangeable with
 these — same hit/miss/eviction decisions, same statistics, same
-``fingerprint`` schema — which the memory differential suite
-checks access-by-access and run-by-run.
+``fingerprint`` schema — which ``tests/test_memory_hotpath.py`` checks
+access by access and ``tests/test_differential.py`` run by run.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from repro.config.cores import CacheConfig, TlbConfig
-from repro.memory.cache import CacheStats, Evicted
+from repro.memory.cache import CacheStats
+
+
+@dataclass(frozen=True, slots=True)
+class Evicted:
+    """An evicted line (returned so writebacks can consume bandwidth)."""
+
+    line: int
+    dirty: bool
 
 
 class LegacyCache:
@@ -95,24 +106,10 @@ class LegacyCache:
             self.stats.prefetch_fills += 1
         return victim
 
-    def fill(self, line: int, *, dirty: bool = False,
-             prefetch: bool = False) -> int:
-        """Allocation-free :meth:`insert`: the dirty victim's line, or -1.
-
-        Clean evictions (and fills without eviction) return -1 — the
-        caller only needs the line of a victim whose writeback will
-        consume bandwidth.  Statistics match :meth:`insert` exactly.
-        """
-        victim = self.insert(line, dirty=dirty, prefetch=prefetch)
-        if victim is not None and victim.dirty:
-            return victim.line
-        return -1
-
     def fingerprint(self) -> tuple:
-        """Structural state snapshot for the replay engine's fixed-point
-        check: every tag and dirty bit, in LRU order per set.  Counters
-        are excluded — the engine advances them arithmetically.  Same
-        ``(lines, dirty)`` shape as :meth:`Cache.fingerprint`."""
+        """Every tag and dirty bit, in LRU order per set, in the
+        ``(lines, dirty)`` shape of :meth:`Cache.fingerprint`, so the two
+        representations compare directly.  Counters are excluded."""
         return (
             tuple(map(tuple, self._sets)),
             tuple(tuple(s.values()) for s in self._sets),
@@ -123,10 +120,6 @@ class LegacyCache:
         cache_set = self._set_for(line)
         if line in cache_set:
             cache_set[line] = True
-
-    def mark_dirty_mru(self, line: int) -> None:
-        """Dirty the MRU way of ``line``'s set (``line`` just hit)."""
-        self._set_for(line)[line] = True
 
     def invalidate(self, line: int) -> None:
         # The stored value is the dirty *bool*, so a ``None`` sentinel
@@ -171,8 +164,8 @@ class LegacyTlb:
         return self.config.miss_penalty
 
     def fingerprint(self) -> tuple:
-        """Entry set in LRU order (the replay engine's fixed-point check);
-        counters are excluded (delta-advanced)."""
+        """Entry set in LRU order, as :meth:`Tlb.fingerprint`; counters
+        are excluded."""
         return tuple(self._entries)
 
     @property

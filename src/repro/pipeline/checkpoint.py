@@ -96,7 +96,9 @@ __all__ = [
 #: instruction lists and the sentinels as references.
 #: 7: the memory hierarchy drops its fill-completion heap.
 #: 8: program identities digest every instruction and micro-op field.
-CHECKPOINT_SCHEMA = 8
+#: 9: one ``reference`` flag replaces the simulator's event, fast-forward
+#: and scan switches; the FU pool drops its unpipelined-class set.
+CHECKPOINT_SCHEMA = 9
 
 #: First line of every checkpoint file.
 MAGIC = b"REPRO-CKPT\n"

@@ -7,10 +7,13 @@ for same-cycle issue (back-to-back single-cycle chains execute at one op per
 cycle).  One :class:`CycleObservation` is filled per cycle and handed to the
 accounting collector — the paper's measurement point.
 
-The default path skips provably repetitive cycles (quiescent-cycle
-fast-forward, periodic replay) and reports them in the ``ff_*``/
-``replay_*`` counters; ``reference=True`` simulates every cycle over the
-dict-backed memory walk.  Both give bitwise-identical results.
+The default path is event driven: an issue select over wakeup-fed ready
+lists, fused into one step, that skips provably repetitive cycles
+(quiescent-cycle fast-forward, periodic replay) and reports them in the
+``ff_*``/``replay_*`` counters.  ``reference=True`` is the per-cycle
+oracle: the staged full-reservation-station scan (:meth:`_step`) over the
+dict-backed memory walk, observing every cycle.  Both give
+bitwise-identical results.
 """
 
 from __future__ import annotations
@@ -118,7 +121,6 @@ class CoreSimulator:
         seed: int = 12345,
         warmup_instructions: int = 0,
         reference: bool = False,
-        legacy_issue_scan: bool = False,
         collectors: "tuple[CollectorSpec, ...] | list[CollectorSpec]" = (
             CollectorSpec(),
         ),
@@ -133,10 +135,12 @@ class CoreSimulator:
         self.config = config
         self.mode = mode
         # ``reference=True`` is the per-cycle differential oracle: the
-        # dict-backed memory walk (:mod:`repro.memory.legacy`), no
-        # quiescent-cycle fast-forward, no periodic replay and no squashed
-        # completion pruning.  Results are bitwise identical either way;
-        # only the ff_*/replay_* counters (always 0 here) differ.
+        # staged full-RS scan (:meth:`_step`) over the dict-backed memory
+        # walk (:mod:`repro.memory.legacy`), every cycle stepped and
+        # observed — no fast-forward, no replay, no signature batching
+        # and no squashed-completion pruning.  Results are bitwise
+        # identical either way; only the ff_*/replay_* counters (always
+        # 0 here) differ.
         self._reference = reference
         # ``shared_backend`` (a SharedMemoryBackend) substitutes a
         # socket-shared L3 + DRAM for the private ones; the multi-core
@@ -241,12 +245,9 @@ class CoreSimulator:
         self._rs_quiet = False
         self._has_correct_waiting = False
         self._issue_obs_cache: tuple = (None, False, False, None, False)
-        # Event-driven issue scheduling (wakeup/select).  The legacy
-        # full-RS scan is kept behind ``legacy_issue_scan=True`` for
-        # differential verification; both produce bitwise-identical
-        # results.  The scan path never fast-forwards or replays.  In
-        # event mode ``self.rs`` stays empty and the scheduler state
-        # lives in:
+        # Event-driven issue scheduling (wakeup/select); the reference
+        # path scans ``self.rs`` instead.  In event mode ``self.rs``
+        # stays empty and the scheduler state lives in:
         #   _ready        (seq, uop) entries whose operands are all ready,
         #                 walked in seq order by select; lazily pruned
         #                 (an entry is stale once its uop issued, was
@@ -260,7 +261,6 @@ class CoreSimulator:
         #   _parked       loads waiting on an older same-address store
         #                 (woken by the store's writeback or by a younger
         #                 store taking over the forwarding slot).
-        self._event = not legacy_issue_scan
         self._ready: list[tuple[int, InflightUop]] = []
         self._nonready: deque[tuple[int, InflightUop]] = deque()
         self._nonready_vfp: deque[tuple[int, InflightUop]] = deque()
@@ -268,11 +268,10 @@ class CoreSimulator:
         self._rs_correct = 0
         self._rs_vfp = 0
         self._parked = 0
-        # Quiescent-cycle fast-forward (event mode, off under
-        # ``reference``): when every stage is provably stalled until a
-        # known future event, jump there in one step and bulk-account the
-        # identical cycles.  Bitwise identical results.
-        self._fast_forward = self._event and not reference
+        # Quiescent-cycle fast-forward (event mode): when every stage is
+        # provably stalled until a known future event, jump there in one
+        # step and bulk-account the identical cycles.  Bitwise identical
+        # results.
         self.ff_windows = 0
         self.ff_cycles_skipped = 0
         # One observation object reused across cycles (per-cycle
@@ -309,7 +308,7 @@ class CoreSimulator:
         # micro-ops.
         self._batch = (
             self._accounting
-            and self._event
+            and not reference
             and mode is WrongPathMode.EXACT
             and self._uniform_width
         )
@@ -342,14 +341,14 @@ class CoreSimulator:
         # Periodic steady-state replay: record one loop iteration's worth
         # of accounting once the machine provably reaches a fixed point
         # (modulo a uniform shift), then skip whole periods at a time.
-        # Bitwise identical results.  Armed only with fast-forward (event
-        # mode, not ``reference``), with signature batching (or with
-        # accounting off), and only when the trace itself is periodic.
+        # Bitwise identical results.  Armed only in event mode, with
+        # signature batching (or with accounting off), and only when the
+        # trace itself is periodic.
         self.replay_windows = 0
         self.replay_cycles_skipped = 0
         self._replay: ReplayEngine | None = None
         self._replay_rec = False
-        if self._fast_forward and (self._batch or not self._accounting):
+        if not reference and (self._batch or not self._accounting):
             region = find_period(program)
             if region is not None:
                 self._replay = ReplayEngine(self, region[0], region[1])
@@ -366,22 +365,31 @@ class CoreSimulator:
     ) -> SimResult:
         """Simulate to completion and return the result.
 
-        With ``checkpoint_interval`` set, a crash-safe snapshot is taken
-        every that many committed instructions (see
-        :mod:`repro.pipeline.checkpoint`); the plain hot loop is used
-        otherwise, so checkpointing costs nothing when off.
+        With ``checkpoint_interval`` set, a crash-safe snapshot (see
+        :mod:`repro.pipeline.checkpoint`) is due every that many
+        committed instructions; a replay/fast-forward jump can cross
+        several due points at once, in which case one snapshot is taken
+        and the next due point moves past the current progress.  Off, the
+        loop pays one compare per step.  ``on_checkpoint(path, instrs)``
+        fires after each snapshot (``path`` is None when
+        ``checkpoint_key`` is — tests use the hook to interrupt; the
+        supervisor's fault injection uses it to die deterministically
+        mid-case).
         """
         if max_cycles is None:
             max_cycles = _MAX_CYCLES_PER_UOP * max(
                 self.program.uop_count, 1
             ) + 100_000
-        if checkpoint_interval:
-            return self._run_checkpointed(
-                max_cycles, checkpoint_interval, checkpoint_key,
-                on_checkpoint,
-            )
+        interval = checkpoint_interval
+        # Off, the next due point lies past any trace: an int, because an
+        # int-to-float compare costs about three int compares per step.
+        next_due = (
+            (self.committed_instrs // interval + 1) * interval
+            if interval
+            else 1 << 62
+        )
         start = time.perf_counter()
-        step = self._step_event if self._event else self._step
+        step = self._step if self._reference else self._step_event
         # :meth:`unfinished` inlined (a standalone core never parks at a
         # barrier), cheapest-reject first: on almost every cycle the ROB
         # (or the dispatch queue) is non-empty, so the check costs one
@@ -404,53 +412,15 @@ class CoreSimulator:
                     f"simulation exceeded {max_cycles} cycles "
                     f"(likely a scheduling deadlock) for {self.program.name}"
                 )
-        return self._finalize(start)
-
-    def _run_checkpointed(
-        self,
-        max_cycles: int,
-        interval: int,
-        key: str | None,
-        on_checkpoint,
-    ) -> SimResult:
-        """The run loop with periodic crash-safe snapshots.
-
-        A checkpoint is due every ``interval`` committed instructions; a
-        replay/fast-forward jump can cross several due points at once, in
-        which case one snapshot is taken and the next due point moves
-        past the current progress.  ``on_checkpoint(path, instrs)`` fires
-        after each snapshot (``path`` is None when ``key`` is — tests use
-        the hook to interrupt; the supervisor's fault injection uses it
-        to die deterministically mid-case).
-        """
-        start = time.perf_counter()
-        step = self._step_event if self._event else self._step
-        frontend = self.frontend
-        rob = self.rob
-        queue = self.uop_queue
-        next_due = (self.committed_instrs // interval + 1) * interval
-        while (
-            rob
-            or queue
-            or self.unsched_remaining != 0
-            or frontend.waiting_sync is not None
-            or frontend.wrong_path
-            or frontend._idx < frontend._count
-            or frontend._decoded_idx < frontend._decoded_len
-        ):
-            step()
-            if self.cycle > max_cycles:
-                raise RuntimeError(
-                    f"simulation exceeded {max_cycles} cycles "
-                    f"(likely a scheduling deadlock) for {self.program.name}"
-                )
             if self.committed_instrs >= next_due:
                 next_due = (
                     self.committed_instrs // interval + 1
                 ) * interval
                 path = None
-                if key is not None:
-                    path = _ckpt.checkpoint_path(key, self.committed_instrs)
+                if checkpoint_key is not None:
+                    path = _ckpt.checkpoint_path(
+                        checkpoint_key, self.committed_instrs
+                    )
                     _ckpt.save_checkpoint(
                         path, self.snapshot(), self.checkpoint_meta()
                     )
@@ -528,10 +498,10 @@ class CoreSimulator:
         own loop control: check :meth:`unfinished` before stepping and
         bound runaway cycles themselves.
         """
-        if self._event:
-            self._step_event()
-        else:
+        if self._reference:
             self._step()
+        else:
+            self._step_event()
 
     # -- checkpoint / resume -----------------------------------------------------
 
@@ -917,7 +887,7 @@ class CoreSimulator:
             self.cycle = cycle + 1
             return
 
-        if self._fast_forward and self._rs_quiet and not self._rs_dirty:
+        if self._rs_quiet and not self._rs_dirty:
             k = self._quiescent_cycles(cycle)
             if k > 0:
                 self._ff_event(cycle, k)
@@ -1166,7 +1136,6 @@ class CoreSimulator:
                 self._rs_vfp = rs_vfp
             if self._parked:
                 structural = True
-            fu._issue_free = issue_free
             correct_waiting = self._rs_correct
             vfp_in_rs = self._rs_vfp > 0
             if self._lazy_prod:
@@ -1695,10 +1664,10 @@ class CoreSimulator:
             obs.rob_head = rob[0] if rob else None
 
     def _issue_scan(self, cycle: int, obs: CycleObservation | None) -> None:
-        """Legacy issue stage: full reservation-station scan.
+        """Reference issue stage: full reservation-station scan.
 
-        Kept behind ``legacy_issue_scan=True`` as the differential
-        reference for the event-driven issue phase of :meth:`_step_event`.
+        The ``reference=True`` definition of the event-driven issue phase
+        of :meth:`_step_event`.
         """
         # Note: unpipelined-unit releases coincide with their micro-op's
         # completion, so the writeback dirty flag already covers them.
@@ -1719,8 +1688,8 @@ class CoreSimulator:
         config = self.config
         machine_lanes = config.vector_lanes
         pending_stores = self.pending_stores
-        # FU availability inlined from FunctionalUnitPool.can_issue/take
-        # (two method calls per scanned reservation-station entry).
+        # FU slots are tested and taken inline (two method calls per
+        # scanned reservation-station entry showed in profiles).
         free, issue_free, unpipelined = fu.begin_issue(cycle)
 
         n_issue = 0
@@ -1805,7 +1774,6 @@ class CoreSimulator:
             new_rs_append(uop)
         self.rs = new_rs
         self._rs_count = len(new_rs)
-        fu._issue_free = issue_free
 
         first_producer = (
             first_nonready.first_unfinished_producer()
@@ -2040,7 +2008,7 @@ class CoreSimulator:
         boundary = branch.seq
         rob = self.rob
         pending_stores = self.pending_stores
-        event = self._event
+        event = not self._reference
         releasable: list[InflightUop] = []
         rob_pop = rob.pop
         releasable_append = releasable.append
@@ -2087,7 +2055,7 @@ class CoreSimulator:
             uop.squashed = True
             releasable.append(uop)
         self.uop_queue.clear()
-        if event and not self._reference:
+        if event:
             # Drop issued-but-incomplete squashed records from their
             # completion buckets so their writeback cycles stop pinning
             # the machine active.  Such a writeback only recycles the

@@ -46,11 +46,13 @@ engine (:meth:`ReplayEngine.rearm`), so the measured region replays
 exactly as if the engine had first armed there.
 
 Results are bitwise identical to the cycle-by-cycle run by construction;
-``tests/test_replay.py`` verifies this differentially against the
-simulator's ``reference=True`` mode, which never arms the engine.  The
-engine arms wherever fast-forward does (event-mode scheduling, not
-``reference``), and ``replay_windows``/``replay_cycles_skipped`` count
-every jump it takes.
+``tests/test_differential.py`` verifies this against the simulator's
+``reference=True`` per-cycle oracle (the full reservation-station scan
+over the dict-backed memory walk, every cycle stepped), which never arms
+the engine.  Every other simulator arms it when the trace is periodic
+and its accounting batches (or is off), except the cores of an N>1
+socket; ``replay_windows``/``replay_cycles_skipped`` count every jump it
+takes.
 """
 
 from __future__ import annotations

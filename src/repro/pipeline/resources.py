@@ -1,40 +1,34 @@
 """Execution resources: functional-unit pools and issue-port bookkeeping.
 
-Each cycle the scheduler asks the pool whether a micro-op can start this
-cycle; pipelined units offer one issue slot per unit per cycle, while
-unpipelined units (divides) stay busy for their full latency.  The pool is
-indexed by the integer pool ids precomputed on each
-:class:`repro.pipeline.inflight.InflightUop` (this sits on the per-cycle
-fast path of the simulator).
+Each cycle both issue selects reset the pool's slot counts
+(:meth:`FunctionalUnitPool.begin_issue`, inlined in the event step) and
+test and take slots inline; pipelined units offer one issue slot per unit
+per cycle, while unpipelined units (divides) stay busy for their full
+latency.  The slots are indexed by the integer pool ids precomputed on
+each :class:`repro.pipeline.inflight.InflightUop`.
 """
 
 from __future__ import annotations
 
 from repro.config.cores import CoreConfig
 from repro.isa.uops import UopClass
-from repro.pipeline.inflight import POOL_MUL
-
-#: Number of distinct FU pools (alu, mul, vu, load, store, branch).
-_NUM_POOLS = 6
 
 
 class FunctionalUnitPool:
     """Per-cycle functional-unit and port availability."""
 
-    __slots__ = ("config", "_mul_busy_until", "_free", "_issue_free",
-                 "_unpipelined", "_unpipelined_flags", "_free_template",
-                 "_issue_width")
+    __slots__ = ("config", "_mul_busy_until", "_free",
+                 "_unpipelined_flags", "_free_template", "_issue_width")
 
     def __init__(self, config: CoreConfig) -> None:
         self.config = config
         #: Busy-until cycle for each (unpipelined-capable) multiply unit.
         self._mul_busy_until = [0] * config.mul_units
-        self._issue_free = 0
-        self._unpipelined = frozenset(int(c) for c in config.unpipelined)
+        unpipelined = frozenset(int(c) for c in config.unpipelined)
         #: uclass -> unpipelined flag, indexable by IntEnum (set-membership
         #: on the issue fast path showed in profiles).
         self._unpipelined_flags = tuple(
-            int(uclass) in self._unpipelined for uclass in UopClass
+            int(uclass) in unpipelined for uclass in UopClass
         )
         #: Per-cycle slot counts with all units free (slot 1 = MUL is
         #: recomputed each cycle from the unpipelined busy times).
@@ -49,29 +43,16 @@ class FunctionalUnitPool:
         self._free = list(self._free_template)
         self._issue_width = config.issue_width
 
-    def new_cycle(self, cycle: int) -> None:
-        """Reset per-cycle slot counters."""
-        free = self._free
-        free[:] = self._free_template
-        mul_free = 0
-        for busy in self._mul_busy_until:
-            if busy <= cycle:
-                mul_free += 1
-        free[1] = mul_free
-        self._issue_free = self._issue_width
-
     def begin_issue(
         self, cycle: int
     ) -> tuple[list[int], int, tuple[bool, ...]]:
         """Per-cycle reset plus the raw views the scheduler inlines.
 
         Returns ``(free_slots, issue_width, unpipelined_flags)``: the
-        select loop mutates ``free_slots`` in place, tracks the remaining
-        issue bandwidth itself, and writes it back into ``_issue_free``
-        when the walk ends.
+        select loop mutates ``free_slots`` in place and tracks the
+        remaining issue bandwidth itself.  An issued micro-op on an
+        unpipelined multiply unit also calls :meth:`_reserve_mul`.
         """
-        # new_cycle's body, folded in: this runs once per active cycle
-        # and the extra call layer showed in profiles.
         free = self._free
         free[:] = self._free_template
         mul_free = 0
@@ -79,19 +60,7 @@ class FunctionalUnitPool:
             if busy <= cycle:
                 mul_free += 1
         free[1] = mul_free
-        self._issue_free = self._issue_width
         return free, self._issue_width, self._unpipelined_flags
-
-    def can_issue(self, pool: int) -> bool:
-        """True if a micro-op using ``pool`` can start this cycle."""
-        return self._issue_free > 0 and self._free[pool] > 0
-
-    def take(self, pool: int, uclass: UopClass, cycle: int, latency: int) -> None:
-        """Consume the slot for an issued micro-op."""
-        self._issue_free -= 1
-        self._free[pool] -= 1
-        if pool == POOL_MUL and int(uclass) in self._unpipelined:
-            self._reserve_mul(cycle, latency)
 
     def _reserve_mul(self, cycle: int, latency: int) -> None:
         """Mark the earliest-free multiply unit busy until completion."""
@@ -108,8 +77,8 @@ class FunctionalUnitPool:
         Expired entries are behaviourally free (``_reserve_mul`` only
         needs *some* free unit, and which expired slot gets overwritten
         never changes the surviving busy multiset), so only the sorted
-        live deadlines matter.  ``_free``/``_issue_free`` are per-cycle
-        scratch reset in :meth:`begin_issue` and are excluded.
+        live deadlines matter.  ``_free`` is per-cycle scratch reset in
+        :meth:`begin_issue` and is excluded.
         """
         return tuple(
             sorted(b - cycle for b in self._mul_busy_until if b > cycle)
@@ -121,6 +90,3 @@ class FunctionalUnitPool:
         for i, b in enumerate(busy):
             if b > cycle:
                 busy[i] = b + delta
-
-    def reset(self) -> None:
-        self._mul_busy_until = [0] * self.config.mul_units

@@ -11,8 +11,8 @@ The contract under test has three layers:
    checkpoint and resumed from disk must finish with a ``SimResult``
    identical (everything but host wall time) to an uninterrupted run, in
    every wrong-path mode, with and without warmup, on the production
-   path (fast-forward and replay armed) and under ``reference=True``.  The differential matrix here
-   enforces that.
+   path (fast-forward and replay armed) and under ``reference=True``.
+   The differential matrix here enforces that.
 3. **Supervised recovery** — a case whose worker is SIGKILLed mid-run is
    retried *from its newest checkpoint* (not from scratch), a corrupt
    checkpoint is evicted down the recovery ladder (older file, else
@@ -412,24 +412,21 @@ def test_resume_bitwise_identical_across_modes(mode, warmup):
 
 
 @pytest.mark.parametrize("reference", [False, True])
-@pytest.mark.parametrize("legacy_issue_scan", [False, True])
-def test_resume_bitwise_identical_with_skip_engines(reference,
-                                                    legacy_issue_scan):
+def test_resume_bitwise_identical_with_skip_engines(reference):
     """The quiescent fast-forward and steady-state replay engines carry
     mid-flight state (recorded windows, skip counters) that must survive
     the snapshot — including their telemetry, which ``_comparable`` here
-    deliberately does *not* exclude.  The per-cycle reference and the
-    scan scheduler resume with both engines still off."""
+    deliberately does *not* exclude.  The per-cycle reference (the scan
+    scheduler) resumes with both engines still off."""
     trace = make_trace("spin", N, 1)
     config = broadwell()
-    kwargs = dict(reference=reference, legacy_issue_scan=legacy_issue_scan)
-    expected = CoreSimulator(trace, config, **kwargs).run()
-    if reference or legacy_issue_scan:
+    expected = CoreSimulator(trace, config, reference=reference).run()
+    if reference:
         assert expected.ff_windows == 0 and expected.replay_windows == 0
     else:
         assert expected.ff_windows > 0 and expected.replay_windows > 0
     resumed = _run_interrupted_then_resumed(
-        trace, config, key=f"skip-{reference}-{legacy_issue_scan}", **kwargs,
+        trace, config, key=f"skip-{reference}", reference=reference,
     )
     assert _comparable(resumed) == _comparable(expected)
 
@@ -575,7 +572,6 @@ def test_mid_warmup_checkpoint_holds_no_collector(workload, preset):
 @pytest.mark.parametrize("kwargs,key", [
     ({"collectors": (CollectorSpec(topdown=True),)}, "variant-topdown"),
     ({"collectors": (CollectorSpec(accounting=False),)}, "variant-noacct"),
-    ({"legacy_issue_scan": True}, "variant-legacy"),
 ])
 def test_resume_bitwise_identical_simulator_variants(kwargs, key):
     trace = make_trace("bwaves", N, 1)

@@ -204,6 +204,32 @@ def test_keep_going_failed_ablation_reads_no_data(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "(no rows)" in out and "spurious issue stall" not in out
     assert out.count("no data") == 3 and "0 of 3 claims hold" in out
+    # The two widths share one timing run; both count as failed cases.
+    assert "[harness] 2 case lookups: 0 simulated," in out
+    assert out.rstrip().endswith("| 2 failed")
+    supervisor.clear_failures()
+    clear_cache()
+
+
+def test_keep_going_harness_line_counts_failed_cases(capsys, monkeypatch):
+    """A case given up on under --keep-going still counts as a lookup,
+    and the harness line says how many failed."""
+    monkeypatch.setenv(
+        supervisor.ENV_FAULT_PLAN,
+        '{"bwaves@bdw+perfect-dcache": {"kind": "crash", "times": 99}}',
+    )
+    from repro.experiments.runner import clear_cache
+
+    clear_cache()
+    code = main(["paper", "--only", "topdown", "--jobs", "1",
+                 "--instructions", "1500", "--keep-going"])
+    assert code == 0
+    (line,) = [
+        line for line in capsys.readouterr().out.splitlines()
+        if line.startswith("[harness]")
+    ]
+    assert line.startswith("[harness] 3 case lookups: 2 simulated,")
+    assert line.endswith(" | 1 failed")
     supervisor.clear_failures()
     clear_cache()
 

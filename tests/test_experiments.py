@@ -203,3 +203,39 @@ def test_ablations_are_cached_harness_cases(tmp_path):
     assert warm["sim_invocations"] == 0
     assert warm["memo_hits"] + warm["disk_hits"] == 5
     assert warm["pages"] == cold["pages"]
+
+
+def test_ablation_case_labels_tell_machines_and_widths_apart(monkeypatch):
+    """Ablation and top-down cases that differ in machine or in
+    accounting width have distinct labels: a modified machine carries a
+    digest of its config, a non-default accounting width its value, and
+    preset labels are unchanged."""
+    import json
+
+    from repro.experiments import paper
+
+    monkeypatch.setattr(paper, "_resolve", lambda batch, cases: cases)
+    batch = {"instructions": 1500, "seed": 1}
+    specs = []
+    for name in ("ablation-mshr", "ablation-prefetcher", "ablation-width",
+                 "ablation-wrongpath", "topdown"):
+        specs += paper.ARTIFACTS[name].compute(batch).values()
+    measured_on: dict[str, set] = {}
+    for spec in specs:
+        fp = spec.fingerprint()
+        measured_on.setdefault(spec.label(), set()).add(json.dumps(
+            [fp["config"], fp["idealization"], spec.accounting_width],
+            sort_keys=True,
+        ))
+    assert all(len(m) == 1 for m in measured_on.values()), measured_on
+    mshr = paper.ARTIFACTS["ablation-mshr"].compute(batch)
+    assert len({spec.label() for spec in mshr.values()}) == 4
+    width = paper.ARTIFACTS["ablation-width"].compute(batch)
+    assert [spec.label() for spec in width.values()] == [
+        "exchange2@bdw", "exchange2@bdw#w8",
+    ]
+    topdown = paper.ARTIFACTS["topdown"].compute(batch)
+    assert [spec.label() for spec in topdown.values()] == [
+        "bwaves@bdw#td", "bwaves@bdw+perfect-icache",
+        "bwaves@bdw+perfect-dcache",
+    ]

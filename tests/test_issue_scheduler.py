@@ -1,22 +1,19 @@
-"""Event-driven issue scheduler: differential identity and unit contracts.
+"""Event-driven issue scheduler: unit contracts.
 
 The scheduler rewrite (writeback wakeups feeding a seq-ordered ready
 structure, pooled ``InflightUop`` records, per-class delivery rows,
-signature-batched accounting) must be observationally invisible: every
-cell of the workloads x configs x wrong-path-modes x warmup matrix must
-produce a ``SimResult`` bit-for-bit identical to the legacy full-RS-scan
-scheduler (``legacy_issue_scan=True``, which never fast-forwards or
-replays).  The matrix runs once on the production path and once under
-``reference=True``, where both schedulers walk the dict-backed memory
-and the event scheduler simulates every cycle, so the comparison
-isolates the issue phase.
+signature-batched accounting) must be observationally invisible: the
+production-vs-reference matrix in ``test_differential.py`` compares it
+bit for bit against the ``reference=True`` full-RS scan.  This file pins
+down the pieces: free-list pooling, the per-class delivery rows, the
+switches that select the scheduler and batching, and batched accounting.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.config.presets import PRESETS, broadwell, knights_landing
+from repro.config.presets import PRESETS, broadwell
 from repro.core.commit import CommitAccountant
 from repro.core.components import Component
 from repro.core.multistage import CollectorSpec
@@ -24,6 +21,9 @@ from repro.core.observation import CycleObservation
 from repro.core.wrongpath import WrongPathMode
 from repro.isa import decoder as asm
 from repro.isa.uops import MicroOp, UopClass
+from repro.memory.cache import Cache
+from repro.memory.legacy import LegacyCache, LegacyTlb
+from repro.memory.tlb import Tlb
 from repro.pipeline.core import CoreSimulator
 from repro.pipeline.inflight import (
     _IS_VU_NONVFP,
@@ -36,65 +36,14 @@ from repro.pipeline.inflight import (
 from repro.workloads.base import DATA_BASE, TraceBuilder
 from repro.workloads.registry import make_trace
 
-CONFIGS = {"bdw": broadwell, "knl": knights_landing}
-
-#: Cached traces: building one per matrix cell would dominate runtime.
+#: Cached traces: several tests share one.
 _TRACES: dict[str, object] = {}
 
 
-def _trace(workload: str, instructions: int = 2500):
-    key = f"{workload}:{instructions}"
-    if key not in _TRACES:
-        _TRACES[key] = make_trace(workload, instructions, 1)
-    return _TRACES[key]
-
-
-def _result_dict(trace, cfg_fn, *, mode, warmup, legacy, reference=False):
-    sim = CoreSimulator(
-        trace,
-        cfg_fn(),
-        mode=mode,
-        warmup_instructions=warmup,
-        legacy_issue_scan=legacy,
-        reference=reference,
-    )
-    data = sim.run().to_dict()
-    # Host-side telemetry: the skip engines only arm on the event path,
-    # so their counters legitimately differ from legacy runs.
-    for key in ("wall_seconds", "ff_windows", "ff_cycles_skipped",
-                "replay_windows", "replay_cycles_skipped"):
-        data.pop(key, None)
-    return data
-
-
-# ---------------------------------------------------------------------------
-# Differential matrix: event scheduler vs legacy full-RS scan
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("workload", ["mcf", "exchange2"])
-@pytest.mark.parametrize("cfg", ["bdw", "knl"])
-@pytest.mark.parametrize("mode", list(WrongPathMode))
-@pytest.mark.parametrize("warmup", [0, 600])
-@pytest.mark.parametrize("reference", [False, True])
-def test_bitwise_identical_to_legacy_scan(workload, cfg, mode, warmup,
-                                          reference):
-    trace = _trace(workload)
-    kwargs = dict(mode=mode, warmup=warmup, reference=reference)
-    event = _result_dict(trace, CONFIGS[cfg], legacy=False, **kwargs)
-    legacy = _result_dict(trace, CONFIGS[cfg], legacy=True, **kwargs)
-    assert event == legacy
-
-
-@pytest.mark.parametrize("workload", ["bwaves", "povray", "chase"])
-@pytest.mark.parametrize("reference", [False, True])
-def test_bitwise_identical_additional_workloads(workload, reference):
-    """Spot checks widening workload coverage (vector FP, microcode,
-    DRAM-latency pointer chase) on the default cell."""
-    trace = _trace(workload)
-    kwargs = dict(mode=WrongPathMode.EXACT, warmup=0, reference=reference)
-    event = _result_dict(trace, broadwell, legacy=False, **kwargs)
-    legacy = _result_dict(trace, broadwell, legacy=True, **kwargs)
-    assert event == legacy
+def _trace(workload: str):
+    if workload not in _TRACES:
+        _TRACES[workload] = make_trace(workload, 2500, 1)
+    return _TRACES[workload]
 
 
 # ---------------------------------------------------------------------------
@@ -272,13 +221,30 @@ def test_reused_pc_delivers_the_new_instructions_uops():
 # Batched accounting units
 # ---------------------------------------------------------------------------
 
-def test_legacy_issue_scan_selects_the_scan_scheduler():
+def test_reference_selects_the_scan_scheduler_and_dict_memory(monkeypatch):
+    """``reference=True`` steps the staged scan (``_step``) over the
+    dict-backed memory, never the fused event step, and arms neither
+    skip engine; the default is the event step over flat arrays."""
     trace = _trace("exchange2")
-    assert CoreSimulator(trace, broadwell())._event is True
-    scan = CoreSimulator(trace, broadwell(), legacy_issue_scan=True)
-    assert scan._event is False
-    # The scan path never fast-forwards or replays.
-    assert not scan._fast_forward and scan._replay is None
+    fast = CoreSimulator(trace, broadwell())
+    assert fast.hierarchy.fast_path and fast._replay is not None
+    assert type(fast.hierarchy.l1d) is Cache
+    assert type(fast.hierarchy.dtlb) is Tlb
+    scan = CoreSimulator(trace, broadwell(), reference=True)
+    h = scan.hierarchy
+    assert not h.fast_path
+    assert type(h.l1d) is LegacyCache and type(h.dtlb) is LegacyTlb
+    assert scan._replay is None and scan._batch is False
+
+    def no_event_step(self):
+        raise AssertionError("the reference took the event step")
+
+    monkeypatch.setattr(CoreSimulator, "_step_event", no_event_step)
+    for _ in range(100):  # the external-stepping hook, then run()
+        scan.step_cycle()
+    assert scan.cycle == 100
+    result = scan.run()
+    assert result.ff_windows == result.replay_windows == 0
 
 
 def test_signature_batching_gated_to_exact_event_mode():
@@ -291,7 +257,7 @@ def test_signature_batching_gated_to_exact_event_mode():
         trace, broadwell(), mode=WrongPathMode.SPECULATIVE
     )._batch is False
     assert CoreSimulator(
-        trace, broadwell(), legacy_issue_scan=True
+        trace, broadwell(), reference=True
     )._batch is False
     assert CoreSimulator(
         trace, broadwell(), collectors=(CollectorSpec(accounting=False),)

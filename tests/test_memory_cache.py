@@ -14,7 +14,7 @@ def make_cache(size=1024, assoc=2, line=64):
 def test_cold_miss_then_hit():
     cache = make_cache()
     assert not cache.lookup(5)
-    cache.insert(5)
+    assert cache.fill(5) == -1
     assert cache.lookup(5)
     assert cache.stats.hits == 1
     assert cache.stats.misses == 1
@@ -24,59 +24,55 @@ def test_lru_eviction_order():
     cache = make_cache(size=256, assoc=2)  # 2 sets, 2 ways
     sets = cache.config.num_sets
     a, b, c = 0, sets, 2 * sets  # all map to set 0
-    cache.insert(a)
-    cache.insert(b)
-    evicted = cache.insert(c)  # evicts a (oldest)
-    assert evicted is not None and evicted.line == a
+    cache.fill(a)
+    cache.fill(b)
+    assert cache.fill(c) == -1  # evicts a (oldest), clean: no writeback
     assert cache.probe(b) and cache.probe(c)
     assert not cache.probe(a)
+    assert cache.stats.evictions == 1
 
 
 def test_hit_refreshes_lru():
     cache = make_cache(size=256, assoc=2)
     sets = cache.config.num_sets
     a, b, c = 0, sets, 2 * sets
-    cache.insert(a)
-    cache.insert(b)
+    cache.fill(a)
+    cache.fill(b)
     cache.lookup(a)          # a becomes MRU
-    evicted = cache.insert(c)
-    assert evicted.line == b  # b was LRU
+    cache.fill(c)
+    assert not cache.probe(b)  # b was LRU
+    assert cache.probe(a) and cache.probe(c)
 
 
 def test_dirty_bit_tracking():
     cache = make_cache(size=256, assoc=1)
-    cache.insert(0, dirty=True)
-    evicted = cache.insert(cache.config.num_sets)  # same set, evicts 0
-    assert evicted.dirty
+    cache.fill(0, dirty=True)
+    # Same set: evicts 0, whose line comes back for the writeback.
+    assert cache.fill(cache.config.num_sets) == 0
     assert cache.stats.dirty_evictions == 1
 
 
 def test_mark_dirty():
     cache = make_cache(size=256, assoc=1)
-    cache.insert(0)
+    cache.fill(0)
     cache.mark_dirty(0)
-    evicted = cache.insert(cache.config.num_sets)
-    assert evicted.dirty
+    assert cache.fill(cache.config.num_sets) == 0
 
 
 def test_reinsert_preserves_dirty():
     cache = make_cache()
-    cache.insert(3, dirty=True)
-    cache.insert(3, dirty=False)
-    cache.mark_dirty(3)  # no-op; already dirty
+    cache.fill(3, dirty=True)
+    cache.fill(3, dirty=False)  # re-fill keeps the dirty bit
     # force eviction of line 3 by filling its set
     sets = cache.config.num_sets
-    evicted = None
-    way = 1
-    while evicted is None or evicted.line != 3:
-        evicted = cache.insert(3 + way * sets)
-        way += 1
-    assert evicted.dirty
+    for way in range(1, cache.associativity):
+        assert cache.fill(3 + way * sets) == -1
+    assert cache.fill(3 + cache.associativity * sets) == 3
 
 
 def test_probe_does_not_disturb_state():
     cache = make_cache()
-    cache.insert(7)
+    cache.fill(7)
     hits_before = cache.stats.hits
     assert cache.probe(7)
     assert not cache.probe(8)
@@ -85,7 +81,7 @@ def test_probe_does_not_disturb_state():
 
 def test_invalidate():
     cache = make_cache()
-    cache.insert(9)
+    cache.fill(9)
     cache.invalidate(9)
     assert not cache.probe(9)
 
@@ -93,19 +89,19 @@ def test_invalidate():
 def test_occupancy():
     cache = make_cache()
     for line in range(5):
-        cache.insert(line)
+        cache.fill(line)
     assert cache.occupancy == 5
 
 
 def test_occupancy_running_count_matches_sets():
     """The incremental count stays equal to the true set contents through
-    re-inserts, evictions and (double) invalidations."""
+    re-fills, evictions and (double) invalidations."""
     cache = make_cache(size=512, assoc=2)  # 4 sets: evictions happen fast
-    cache.insert(3)
-    cache.insert(3, dirty=True)  # re-insert: no growth
+    cache.fill(3)
+    cache.fill(3, dirty=True)  # re-fill: no growth
     assert cache.occupancy == 1
     for line in range(20):  # far past capacity: evictions replace victims
-        cache.insert(line)
+        cache.fill(line)
     assert cache.occupancy == sum(len(s) for s in cache.fingerprint()[0])
     assert cache.occupancy == 512 // 64
     cache.invalidate(19)
@@ -117,7 +113,7 @@ def test_occupancy_running_count_matches_sets():
 def test_miss_rate():
     cache = make_cache()
     cache.lookup(1)   # miss
-    cache.insert(1)
+    cache.fill(1)
     cache.lookup(1)   # hit
     assert cache.stats.miss_rate == pytest.approx(0.5)
 
@@ -125,7 +121,7 @@ def test_miss_rate():
 def test_capacity_never_exceeded():
     cache = make_cache(size=512, assoc=2)
     for line in range(100):
-        cache.insert(line)
+        cache.fill(line)
     assert cache.occupancy <= 512 // 64
 
 

@@ -1,24 +1,18 @@
 """Allocation-free memory fast path: differential proof vs the legacy walk.
 
 The memory subsystem's common case (TLB hit + L1 hit, flat array-backed
-sets) and the machine-level optimizations of the production path
-(fast-forward, replay, squashed-completion pruning, the per-signature
-accounting delta cache) must be *bitwise invisible*: every architectural
-number in a ``SimResult`` — cycles, CPI/FLOPS stacks, cache/TLB/predictor
-stats — must match the per-cycle reference (``reference=True``: the
-dict-backed memory walk with no skip engines) exactly.
+sets) must be *bitwise invisible*: every architectural number in a
+``SimResult`` must match the per-cycle reference (``reference=True``:
+the full-RS scan over the dict-backed memory walk, every cycle stepped).
+End to end, the production-vs-reference matrix in
+``test_differential.py`` checks that run by run.  Here:
 
-Four layers of evidence:
-
-1. **End-to-end matrix** — workloads × presets × wrong-path modes ×
-   warmup × fusion × seeds × issue scheduler, production vs reference,
-   bit for bit.
-2. **Mid-run checkpoint/resume** — an interrupted production run resumed
+1. **Mid-run checkpoint/resume** — an interrupted production run resumed
    from disk equals the reference uninterrupted run.
-3. **Structure-level differential** — randomized op sequences through
+2. **Structure-level differential** — randomized op sequences through
    the flat ``Cache``/``Tlb`` and the dict-backed ``LegacyCache``/
    ``LegacyTlb`` oracles, comparing fingerprints and stats at every step.
-4. **Edge cases** for queued-MSHR completion ordering and
+3. **Edge cases** for queued-MSHR completion ordering and
    :meth:`MemoryHierarchy.probe_latency`, previously only exercised
    indirectly (empty outstanding maps, L3-less configs).
 """
@@ -37,9 +31,7 @@ from repro.config.cores import (
     PrefetcherConfig,
     TlbConfig,
 )
-from repro.config.presets import broadwell, knights_landing
-from repro.core.multistage import CollectorSpec
-from repro.core.wrongpath import WrongPathMode
+from repro.config.presets import broadwell
 from repro.memory.cache import Cache
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.legacy import LegacyCache, LegacyTlb
@@ -49,8 +41,6 @@ from repro.pipeline.core import CoreSimulator
 from repro.workloads.registry import make_trace
 
 N = 2_000
-
-WORKLOADS = ["chase", "mcf", "bwaves", "exchange2", "spin"]
 
 
 @pytest.fixture(autouse=True)
@@ -74,79 +64,8 @@ def _comparable(result) -> dict:
     return payload
 
 
-def _pair(workload, config_fn, *, n=N, **kwargs):
-    """One production run and one ``reference=True`` run, same kwargs."""
-    trace = make_trace(workload, n, 1)
-    fast = CoreSimulator(trace, config_fn(), **kwargs).run()
-    legacy = CoreSimulator(
-        trace, config_fn(), reference=True, **kwargs
-    ).run()
-    return fast, legacy
-
-
 # ---------------------------------------------------------------------------
-# 1. end-to-end differential matrix
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("workload", WORKLOADS)
-@pytest.mark.parametrize("preset", [broadwell, knights_landing])
-@pytest.mark.parametrize("mode", list(WrongPathMode))
-def test_fast_path_bitwise_identical(workload, preset, mode):
-    fast, legacy = _pair(workload, preset, mode=mode)
-    assert _comparable(fast) == _comparable(legacy)
-
-
-@pytest.mark.parametrize("workload", ["mcf", "bwaves"])
-@pytest.mark.parametrize("preset", [broadwell, knights_landing])
-@pytest.mark.parametrize("warmup", [100, 350])
-def test_fast_path_identical_with_warmup(workload, preset, warmup):
-    fast, legacy = _pair(workload, preset, warmup_instructions=warmup)
-    assert _comparable(fast) == _comparable(legacy)
-
-
-@pytest.mark.parametrize("workload", ["mcf", "spin", "chase"])
-@pytest.mark.parametrize("preset", [broadwell, knights_landing])
-def test_fast_path_identical_on_scan_scheduler(workload, preset):
-    """The memory representation alone: the scan scheduler never
-    fast-forwards or replays, so flat arrays vs the dict-backed walk is
-    the only difference between these two runs."""
-    fast, legacy = _pair(workload, preset, legacy_issue_scan=True)
-    assert fast.ff_windows == 0 and fast.replay_windows == 0
-    assert _comparable(fast) == _comparable(legacy)
-
-
-def test_fast_path_identical_under_fusion():
-    """Every member of a fused multi-collector production run equals its
-    unfused single-collector reference twin."""
-    trace = make_trace("mcf", N, 1)
-    specs = (
-        CollectorSpec(),
-        CollectorSpec(topdown=True),
-        CollectorSpec(accounting_width=2),
-    )
-    fused = CoreSimulator(trace, broadwell(), collectors=specs)
-    fused.run()
-    for member, spec in zip(fused.fused_results, specs):
-        legacy = CoreSimulator(
-            trace, broadwell(), reference=True, collectors=(spec,)
-        ).run()
-        assert _comparable(member) == _comparable(legacy)
-
-
-def test_fast_path_identical_across_seeds():
-    """Wrong-path synthesis consumes the same RNG stream on both paths."""
-    for seed in (1, 99, 424242):
-        trace = make_trace("mcf", N, 1)
-        fast = CoreSimulator(trace, broadwell(), seed=seed).run()
-        legacy = CoreSimulator(
-            trace, broadwell(), reference=True, seed=seed
-        ).run()
-        assert _comparable(fast) == _comparable(legacy)
-
-
-# ---------------------------------------------------------------------------
-# 2. mid-run checkpoint/resume
+# 1. mid-run checkpoint/resume
 # ---------------------------------------------------------------------------
 
 
@@ -189,24 +108,7 @@ def test_checkpoint_resume_fast_path_equals_legacy(workload):
 
 
 # ---------------------------------------------------------------------------
-# gates
-# ---------------------------------------------------------------------------
-
-
-def test_reference_selects_legacy_representation():
-    sim = CoreSimulator(make_trace("mcf", 200, 1), broadwell(),
-                        reference=True)
-    h = sim.hierarchy
-    assert not h.fast_path
-    assert type(h.l1d) is LegacyCache and type(h.dtlb) is LegacyTlb
-    assert sim._replay is None and not sim._fast_forward
-    h = MemoryHierarchy(broadwell().memory)
-    assert h.fast_path
-    assert type(h.l1d) is Cache and type(h.dtlb) is Tlb
-
-
-# ---------------------------------------------------------------------------
-# 3. structure-level differential: flat arrays vs the dict oracle
+# 2. structure-level differential: flat arrays vs the dict oracle
 # ---------------------------------------------------------------------------
 
 
@@ -215,28 +117,24 @@ def test_reference_selects_legacy_representation():
     [(1024, 1), (2048, 2), (4096, 4), (8192, 8)],
 )
 def test_cache_differential_random_ops(size, assoc):
-    """Randomized lookup/insert/fill/mark_dirty/invalidate sequences keep
-    the flat cache and the dict oracle in lockstep: same hit/miss
-    outcome, same eviction victims, same fingerprint, same stats."""
+    """Randomized lookup/fill/mark_dirty/invalidate sequences keep the
+    flat cache and the dict oracle in lockstep: same hit/miss outcome,
+    same dirty victims, same fingerprint, same stats."""
     cfg = CacheConfig(size, assoc, line_bytes=64, latency=2)
     flat, legacy = Cache(cfg, "T"), LegacyCache(cfg, "T")
     rng = random.Random(1234 + size + assoc)
     lines = range(4 * size // 64)
     for step in range(3_000):
         line = rng.choice(lines)
-        op = rng.randrange(6)
+        op = rng.randrange(5)
         if op <= 1:
             assert flat.lookup(line) == legacy.lookup(line), step
         elif op == 2:
             dirty = rng.random() < 0.3
-            ev_f = flat.insert(line, dirty=dirty)
-            ev_l = legacy.insert(line, dirty=dirty)
-            assert (ev_f is None) == (ev_l is None), step
-            if ev_f is not None:
-                assert (ev_f.line, ev_f.dirty) == (ev_l.line, ev_l.dirty)
+            victim = legacy.insert(line, dirty=dirty)
+            expected = victim.line if victim and victim.dirty else -1
+            assert flat.fill(line, dirty=dirty) == expected, step
         elif op == 3:
-            assert flat.fill(line) == legacy.fill(line), step
-        elif op == 4:
             flat.mark_dirty(line)
             legacy.mark_dirty(line)
         else:
@@ -247,19 +145,17 @@ def test_cache_differential_random_ops(size, assoc):
     assert dataclasses.asdict(flat.stats) == dataclasses.asdict(legacy.stats)
 
 
-def test_cache_differential_insert_streams():
-    """Deterministic conflict-heavy insert/probe stream (every set
-    overflows repeatedly) — the LRU orders never diverge."""
+def test_cache_differential_fill_streams():
+    """Deterministic conflict-heavy fill stream (every set overflows
+    repeatedly) — the LRU orders never diverge."""
     cfg = CacheConfig(1024, 2, line_bytes=64, latency=1)
     flat, legacy = Cache(cfg, "T"), LegacyCache(cfg, "T")
     sets = cfg.num_sets
     for i in range(600):
         line = (i * 7) % (8 * sets)
-        ev_f = flat.insert(line, dirty=(i % 3 == 0))
-        ev_l = legacy.insert(line, dirty=(i % 3 == 0))
-        assert (ev_f is None) == (ev_l is None)
-        if ev_f is not None:
-            assert (ev_f.line, ev_f.dirty) == (ev_l.line, ev_l.dirty)
+        victim = legacy.insert(line, dirty=(i % 3 == 0))
+        expected = victim.line if victim and victim.dirty else -1
+        assert flat.fill(line, dirty=(i % 3 == 0)) == expected
         assert flat.fingerprint() == legacy.fingerprint()
 
 
@@ -278,7 +174,7 @@ def test_tlb_differential_random_ops(entries):
 
 
 # ---------------------------------------------------------------------------
-# 4. MSHR ordering / probe_latency edge cases
+# 3. MSHR ordering / probe_latency edge cases
 # ---------------------------------------------------------------------------
 
 

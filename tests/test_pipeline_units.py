@@ -1,6 +1,8 @@
 """Direct unit tests for pipeline building blocks (frontend, FU pool,
 in-flight records, results)."""
 
+import dataclasses
+
 import pytest
 
 from repro.branch.predictors import make_predictor
@@ -147,42 +149,48 @@ def test_frontend_idle_after_trace():
 # --- FunctionalUnitPool -------------------------------------------------------
 
 def test_fu_pool_per_cycle_slots():
+    """begin_issue resets every pool's slot count each cycle; the select
+    loops take slots by decrementing the returned list in place."""
     config = tiny_core()  # 1 load port
     pool = FunctionalUnitPool(config)
-    pool.new_cycle(0)
     load = InflightUop(
         asm.load(0, dst=2, addr=64).uops[0], None, 0, 0
     )
-    assert pool.can_issue(load.pool)
-    pool.take(load.pool, UopClass.LOAD, 0, 1)
-    assert not pool.can_issue(load.pool)
-    pool.new_cycle(1)
-    assert pool.can_issue(load.pool)
+    free, issue_width, _ = pool.begin_issue(0)
+    assert free[load.pool] == config.load_ports == 1
+    assert issue_width == config.issue_width
+    free[load.pool] -= 1
+    free, _, _ = pool.begin_issue(1)
+    assert free[load.pool] == 1
 
 
 def test_fu_pool_unpipelined_divide_blocks_unit():
     config = tiny_core()  # 1 mul unit; DIV unpipelined, latency 20
     pool = FunctionalUnitPool(config)
     div = InflightUop(asm.div(0, dst=2).uops[0], None, 0, 0)
-    pool.new_cycle(0)
-    assert pool.can_issue(div.pool)
-    pool.take(div.pool, UopClass.DIV, 0, 20)
-    pool.new_cycle(5)
-    assert not pool.can_issue(div.pool)  # still busy
-    pool.new_cycle(20)
-    assert pool.can_issue(div.pool)      # released
+    free, _, unpipelined = pool.begin_issue(0)
+    assert free[div.pool] == 1
+    assert unpipelined[UopClass.DIV] and not unpipelined[UopClass.MUL]
+    free[div.pool] -= 1
+    pool._reserve_mul(0, 20)
+    free, _, _ = pool.begin_issue(5)
+    assert free[div.pool] == 0  # still busy
+    assert pool.fingerprint(5) == (15,)
+    free, _, _ = pool.begin_issue(20)
+    assert free[div.pool] == 1  # released
+    assert pool.fingerprint(20) == ()
 
 
-def test_fu_pool_issue_width_caps_everything():
-    config = tiny_core()  # issue width 4
-    pool = FunctionalUnitPool(config)
-    pool.new_cycle(0)
-    alu = InflightUop(asm.alu(0, dst=2).uops[0], None, 0, 0)
-    taken = 0
-    while pool.can_issue(alu.pool):
-        pool.take(alu.pool, UopClass.ALU, 0, 1)
-        taken += 1
-    assert taken <= config.issue_width
+def test_fu_pool_reserve_takes_a_free_mul_unit():
+    """_reserve_mul overwrites a unit that is free at ``cycle``, never
+    one still busy, so two overlapping divides hold two units."""
+    pool = FunctionalUnitPool(dataclasses.replace(tiny_core(), mul_units=2))
+    pool._reserve_mul(0, 20)
+    pool._reserve_mul(1, 20)
+    assert sorted(pool._mul_busy_until) == [20, 21]
+    assert pool.begin_issue(10)[0][1] == 0
+    pool._reserve_mul(20, 20)  # unit 0 is free again at 20
+    assert sorted(pool._mul_busy_until) == [21, 40]
 
 
 # --- InflightUop / SimResult --------------------------------------------------
