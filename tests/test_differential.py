@@ -18,7 +18,11 @@ mode x warmup {0, 200}, plus the DRAM-latency pointer chase and the
 microcoded povray at warmup 0, cactus, lbm and deepsjeng on the
 small-cache ``tiny`` core (the cells that evict and re-touch lines), mcf
 and bwaves at warmup 100 and 350, and mcf@bdw variants for the simulator
-seed and the attached collectors.
+seed and the attached collectors.  Beyond that grid, every other distinct
+2,000-instruction trace appears: imagick, leela, nab and xz on the tiny
+core in every mode and on BDW, KNL and SKX; each grid trace once on SKX;
+and one DeepBench convolution or GEMM kernel per distinct trace on KNL,
+SKX and the tiny core, and on SKX at warmup 200.
 Replay engagement and the unit contracts of each engine live in
 ``test_fast_forward.py``, ``test_replay.py``, ``test_issue_scheduler.py``
 and ``test_memory_hotpath.py``.
@@ -28,7 +32,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.config.presets import broadwell, knights_landing, tiny_core
+from repro.config.presets import (
+    broadwell,
+    knights_landing,
+    skylake_x,
+    tiny_core,
+)
 from repro.core.multistage import CollectorSpec
 from repro.core.wrongpath import WrongPathMode
 from repro.pipeline.core import CoreSimulator
@@ -36,11 +45,22 @@ from repro.workloads.registry import make_trace
 
 N = 2_000
 
-CONFIGS = {"bdw": broadwell, "knl": knights_landing, "tiny": tiny_core}
+CONFIGS = {"bdw": broadwell, "knl": knights_landing, "skx": skylake_x,
+           "tiny": tiny_core}
 
 #: Host-side telemetry: the skip-engine counters legitimately differ.
 TELEMETRY = ("wall_seconds", "ff_windows", "ff_cycles_skipped",
              "replay_windows", "replay_cycles_skipped")
+
+#: One DeepBench kernel per distinct 2,000-instruction trace: the
+#: layer shapes of one convolution family share their first 2,000
+#: instructions, and so do the GEMM sizes of one target.
+DEEPBENCH = (
+    "conv-vgg-1-fwd", "conv-vgg-1-bwd_d", "conv-vgg-1-bwd_f",
+    "conv-resnet-1-fwd", "conv-resnet-1-bwd_d", "conv-resnet-1-bwd_f",
+    "conv-resnet-2-fwd", "conv-resnet-2-bwd_d", "conv-resnet-2-bwd_f",
+    "gemm-train-1760-knl", "gemm-train-1760-skx",
+)
 
 #: mcf@bdw variants: extra keyword arguments for both simulators.
 VARIANTS = {
@@ -80,6 +100,23 @@ def _cells():
                               None))
     for variant in VARIANTS:
         cells.append(("mcf", "bdw", WrongPathMode.EXACT, 0, variant))
+    # The rest of the SPEC-like set, and every grid trace once on SKX.
+    for workload in ("imagick", "leela", "nab", "xz"):
+        for mode in WrongPathMode:
+            cells.append((workload, "tiny", mode, 0, None))
+        for cfg in ("bdw", "knl", "skx"):
+            cells.append((workload, cfg, WrongPathMode.EXACT, 0, None))
+    for workload in ("exchange2", "spin", "mcf", "bwaves", "chase", "povray",
+                     "cactus", "lbm", "deepsjeng"):
+        cells.append((workload, "skx", WrongPathMode.EXACT, 0, None))
+    # The FLOPS-stack kernels on the paper's KNL and SKX and on the tiny
+    # core.  Their loop nests do not mispredict at this length, so the
+    # wrong-path modes would repeat one run; the SKX warmup cells cross
+    # the stack reset instead.
+    for workload in DEEPBENCH:
+        for cfg in ("knl", "skx", "tiny"):
+            cells.append((workload, cfg, WrongPathMode.EXACT, 0, None))
+        cells.append((workload, "skx", WrongPathMode.EXACT, 200, None))
     return [
         pytest.param(
             *cell,

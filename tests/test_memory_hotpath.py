@@ -11,7 +11,10 @@ End to end, the production-vs-reference matrix in
    from disk equals the reference uninterrupted run.
 2. **Structure-level differential** — randomized op sequences through
    the flat ``Cache``/``Tlb`` and the dict-backed ``LegacyCache``/
-   ``LegacyTlb`` oracles, comparing fingerprints and stats at every step.
+   ``LegacyTlb`` oracles, comparing fingerprints and stats at every step,
+   on every preset's cache geometry too; and the whole
+   ``MemoryHierarchy`` on the fast path against the legacy walk, per
+   preset, over conflict, streaming and random address sequences.
 3. **Edge cases** for queued-MSHR completion ordering and
    :meth:`MemoryHierarchy.probe_latency`, previously only exercised
    indirectly (empty outstanding maps, L3-less configs).
@@ -31,7 +34,7 @@ from repro.config.cores import (
     PrefetcherConfig,
     TlbConfig,
 )
-from repro.config.presets import broadwell
+from repro.config.presets import PRESETS, broadwell
 from repro.memory.cache import Cache
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.legacy import LegacyCache, LegacyTlb
@@ -112,18 +115,30 @@ def test_checkpoint_resume_fast_path_equals_legacy(workload):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "size,assoc",
-    [(1024, 1), (2048, 2), (4096, 4), (8192, 8)],
-)
+def _preset_geometries():
+    """Every other cache geometry of the machine presets, once (the 20-
+    and 11-way L3s are not powers of two)."""
+    seen = [(1024, 1), (2048, 2), (4096, 4), (8192, 8)]
+    for factory in PRESETS.values():
+        memory = factory().memory
+        for cfg in (memory.l1i, memory.l1d, memory.l2, memory.l3):
+            if cfg and (cfg.size_bytes, cfg.associativity) not in seen:
+                seen.append((cfg.size_bytes, cfg.associativity))
+    return seen
+
+
+@pytest.mark.parametrize("size,assoc", _preset_geometries())
 def test_cache_differential_random_ops(size, assoc):
     """Randomized lookup/fill/mark_dirty/invalidate sequences keep the
     flat cache and the dict oracle in lockstep: same hit/miss outcome,
-    same dirty victims, same fingerprint, same stats."""
+    same dirty victims, same fingerprint, same stats.  The lines fall in
+    at most 16 sets, four tags per way, so a large cache evicts too."""
     cfg = CacheConfig(size, assoc, line_bytes=64, latency=2)
     flat, legacy = Cache(cfg, "T"), LegacyCache(cfg, "T")
     rng = random.Random(1234 + size + assoc)
-    lines = range(4 * size // 64)
+    sets = cfg.num_sets
+    lines = [s + sets * tag for tag in range(4 * assoc)
+             for s in range(min(sets, 16))]
     for step in range(3_000):
         line = rng.choice(lines)
         op = rng.randrange(5)
@@ -159,7 +174,7 @@ def test_cache_differential_fill_streams():
         assert flat.fingerprint() == legacy.fingerprint()
 
 
-@pytest.mark.parametrize("entries", [16, 64])
+@pytest.mark.parametrize("entries", [16, 64, 128])
 def test_tlb_differential_random_ops(entries):
     cfg = TlbConfig(entries=entries, miss_penalty=9)
     flat, legacy = Tlb(cfg), LegacyTlb(cfg)
@@ -171,6 +186,75 @@ def test_tlb_differential_random_ops(entries):
             assert flat.fingerprint() == legacy.fingerprint(), step
     assert flat.fingerprint() == legacy.fingerprint()
     assert flat.miss_rate == legacy.miss_rate
+
+
+def _hierarchy_ops(memory, stream, seed):
+    """A seeded access sequence: (op, addr, now) with ``now`` rising by
+    0-24 cycles, so fills merge into outstanding misses and queue on
+    busy MSHRs."""
+    rng = random.Random(seed)
+    line = memory.l1d.line_bytes
+    if stream == "conflict":
+        # One stride maps every address to the same set at every level:
+        # each level evicts, and dirty victims write back down the chain.
+        caches = [memory.l1i, memory.l1d, memory.l2, memory.l3]
+        stride = max(c.num_sets for c in caches if c) * line
+        ways = sum(c.associativity for c in caches if c)
+        pool = [base * line + stride * k
+                for base in (0, 1) for k in range(ways + 4)]
+    elif stream == "stream":
+        # Unit-stride runs that train the stream prefetcher.
+        pool = None
+    else:
+        pool = [rng.randrange(0, 3 * memory.l1d.size_bytes) & -line
+                for _ in range(3 * memory.l1d.size_bytes // line)]
+    ops, now, cursor = [], 0.0, 0x40_0000
+    for _ in range(4_000):
+        if pool is None:
+            cursor = (cursor + line if rng.random() < 0.9
+                      else rng.randrange(0, 1 << 26) & -line)
+            addr = cursor
+        else:
+            addr = rng.choice(pool) + rng.randrange(line)
+        ops.append((rng.choice(("dload", "dload", "dstore", "ifetch",
+                                "probe_latency")), addr, now))
+        now += rng.randrange(25)
+    return ops
+
+
+@pytest.mark.parametrize(
+    "preset,stream,ideal",
+    [pytest.param(p, s, None, id=f"{p}-{s}")
+     for p in PRESETS for s in ("conflict", "stream", "random")]
+    + [pytest.param("bdw", "random", ideal, id=f"bdw-random-{ideal}")
+       for ideal in ("perfect_icache", "perfect_dcache")],
+)
+def test_hierarchy_differential_random_accesses(preset, stream, ideal):
+    """The whole hierarchy on the fast path (flat caches and TLBs,
+    interned hit results) against the legacy walk over the dict oracles:
+    every access returns the same completion, hit flag and serving
+    level, wrong-path probes agree, and the full structural state
+    (tags, LRU order, MSHRs, outstanding fills, DRAM queue, TLBs,
+    prefetcher) and the statistics never diverge."""
+    memory = PRESETS[preset]().memory
+    kwargs = {ideal: True} if ideal else {}
+    fast = MemoryHierarchy(memory, fast_path=True, **kwargs)
+    legacy = MemoryHierarchy(memory, fast_path=False, **kwargs)
+    for step, (op, addr, now) in enumerate(
+        _hierarchy_ops(memory, stream, seed=len(preset) + len(stream))
+    ):
+        if op == "probe_latency":
+            assert fast.probe_latency(addr, now) == legacy.probe_latency(
+                addr, now), step
+            continue
+        got = getattr(fast, op)(addr, now)
+        want = getattr(legacy, op)(addr, now)
+        assert (got.complete, got.l1_hit, got.level) == (
+            want.complete, want.l1_hit, want.level), (step, op)
+        if step % 50 == 0:
+            assert fast.fingerprint(now) == legacy.fingerprint(now), step
+    assert fast.fingerprint(now) == legacy.fingerprint(now)
+    assert fast.stats() == legacy.stats()
 
 
 # ---------------------------------------------------------------------------
