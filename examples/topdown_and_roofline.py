@@ -25,7 +25,7 @@ def topdown_demo() -> None:
     trace = make_trace("bwaves")
     config = get_preset("bdw")
     result = simulate(trace, config,
-                      collectors=(CollectorSpec(topdown=True),),
+                      collector=CollectorSpec(topdown=True),
                       warmup_instructions=len(trace) // 3)
     topdown = result.report.topdown
     fractions = topdown.level1_fractions()

@@ -37,64 +37,18 @@ ALL_STAGES = (Stage.DISPATCH, Stage.ISSUE, Stage.COMMIT)
 
 @dataclass(frozen=True)
 class CollectorSpec:
-    """Declarative description of one attached accounting collector.
+    """Declarative description of a simulation's accounting collector.
 
-    The simulator timing is observational (the paper's core claim): any
-    number of these can ride along on one pipeline run without changing a
-    single simulated cycle.  ``accounting=False`` describes the "no
-    collector" member of a fused group — the timing runs, nothing
-    observes.  ``accounting_width`` of ``None`` defers to the machine
-    config's width, matching the single-collector default.
+    The simulator timing is observational (the paper's core claim): no
+    collector setting changes a single simulated cycle.
+    ``accounting=False`` attaches no collector — the timing runs,
+    nothing observes.  ``accounting_width`` of ``None`` defers to the
+    machine config's width.
     """
 
     accounting: bool = True
     topdown: bool = False
     accounting_width: int | None = None
-
-    def fingerprint(self) -> dict:
-        """Canonical JSON-able identity (for cache keys and telemetry)."""
-        return {
-            "accounting": self.accounting,
-            "topdown": self.topdown,
-            "accounting_width": self.accounting_width,
-        }
-
-
-class FanoutCollector:
-    """Forward one observation stream to several independent collectors.
-
-    Keeps the simulator's hot path monomorphic: ``sim.collector`` is
-    either ``None``, one :class:`MultiStageCollector`, or this wrapper —
-    the per-cycle call sites never iterate.  The replay engine's
-    ``observe_repeat`` bulk feed and the checkpoint pickle both work
-    through it unchanged, because it exposes exactly the collector
-    protocol the simulator drives.
-    """
-
-    __slots__ = ("members",)
-
-    def __init__(self, members: list["MultiStageCollector"]) -> None:
-        self.members = list(members)
-
-    def observe(self, obs: "CycleObservation") -> None:
-        for member in self.members:
-            member.observe(obs)
-
-    def observe_repeat(self, obs: "CycleObservation", k: int) -> None:
-        for member in self.members:
-            member.observe_repeat(obs, k)
-
-    def set_block(self, block_id: int) -> None:
-        for member in self.members:
-            member.set_block(block_id)
-
-    def on_block_commit(self, block_id: int) -> None:
-        for member in self.members:
-            member.on_block_commit(block_id)
-
-    def on_squash(self, block_id: int) -> None:
-        for member in self.members:
-            member.on_squash(block_id)
 
 
 class MultiStageCollector:
@@ -161,8 +115,7 @@ class MultiStageCollector:
         bit-identical to :meth:`observe_repeat` with repeat count ``k`` —
         **provided** every normalizer in ``norms`` has ``carry == 0.0``
         at apply time (the caller must check; carries stay 0.0 whenever
-        per-cycle counts never exceed the accounting width, which the
-        uniform-width batching precondition guarantees).
+        per-cycle counts never exceed the accounting width).
 
         Returns ``False`` when no such program exists: top-down attached
         (its interval state machine is not a fixed update list), a

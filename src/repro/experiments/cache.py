@@ -15,7 +15,8 @@ module gives those cases a durable identity:
   idealization) is walked and serialized once per process and spliced
   into every key that names it.
 * :class:`Job` — the harness's unit of work: one or more cases served by
-  one timing run (a single case, a fused group or an N-core socket).
+  one simulation (a single case, a content-shared group of equal traces
+  under different names, or an N-core socket).
 * :class:`DiskCache` — a pickle-per-entry :class:`~repro.store.Store`
   under ``results/.cache/`` (override with ``REPRO_CACHE_DIR``), sharded
   by the first two hex digits of the key.  Entries are written
@@ -50,7 +51,7 @@ DEFAULT_WARMUP_FRACTION = 0.3
 #: Environment variable overriding the on-disk cache location.
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 
-#: Timing-fingerprint fields that name a trace rather than describe it.
+#: Fingerprint fields that name a trace rather than describe it.
 TRACE_NAME_FIELDS = ("workload", "instructions", "trace_seed")
 
 #: Machine memo: ``(preset name or id of the explicit config,
@@ -109,9 +110,8 @@ class CaseSpec:
     mode: WrongPathMode = WrongPathMode.EXACT
     warmup_fraction: float = DEFAULT_WARMUP_FRACTION
     sim_seed: int | None = None
-    #: Accounting configuration — deliberately *excluded* from the timing
-    #: key: collectors are observational, so cases differing only here
-    #: share one pipeline run under fused execution.
+    #: Accounting configuration: the one collector this case's
+    #: simulation carries (see :meth:`collector_spec`).
     accounting: bool = True
     topdown: bool = False
     accounting_width: int | None = None
@@ -145,7 +145,7 @@ class CaseSpec:
         return config
 
     def collector_spec(self) -> CollectorSpec:
-        """The collector this case wants attached to its timing run."""
+        """The collector this case's simulation carries."""
         return CollectorSpec(
             accounting=self.accounting,
             topdown=self.topdown,
@@ -182,9 +182,14 @@ class CaseSpec:
             )
         return entry[1], entry[2]
 
-    def _timing_slots(self) -> dict:
-        """:meth:`timing_fingerprint` with the idealization and config
-        left as slots, which :meth:`_filled` and :meth:`_digest` fill."""
+    def _case_slots(self) -> dict:
+        """:meth:`fingerprint` with the idealization and config left as
+        slots, which :meth:`_filled` and :meth:`_digest` fill.
+
+        Accounting fields are included only when they differ from the
+        historical defaults, so every pre-existing cache key (default
+        multi-stage accounting) is byte-identical to what it always was.
+        """
         fp = {
             "schema": ACCOUNTING_SCHEMA_VERSION,
             "workload": self.workload,
@@ -204,17 +209,6 @@ class CaseSpec:
             # arbitration) independently of the accounting schema.
             fp["cores"] = self.cores
             fp["multicore_schema"] = 1
-        return fp
-
-    def _case_slots(self) -> dict:
-        """:meth:`fingerprint` with the machine fields left as slots.
-
-        Accounting fields are included only when they differ from the
-        historical defaults, so every pre-existing cache key (default
-        multi-stage accounting) is byte-identical to what it always was —
-        fused execution never invalidates a warm cache.
-        """
-        fp = self._timing_slots()
         if not self.accounting:
             fp["accounting"] = False
         if self.topdown:
@@ -257,37 +251,24 @@ class CaseSpec:
             text = _canonical(self._filled(fp))
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
-    def timing_fingerprint(self) -> dict:
-        """Canonical identity of the *timing* this case needs: trace,
-        machine config, wrong-path mode, warmup and seeds — everything
-        except the accounting configuration.  Cases sharing this
-        fingerprint are provably served by one pipeline run (collectors
-        are observational), which is what fused execution exploits.
-        """
-        return self._filled(self._timing_slots())
-
-    def timing_key(self, *, by_name: bool = True) -> str:
-        """SHA-256 content address of :meth:`timing_fingerprint`.
-
-        With ``by_name=False`` the fields that only name the trace
-        (:data:`TRACE_NAME_FIELDS`) are left out: cases sharing that key
-        and equal traces, compared by content, need one timing run.
-        """
-        fp = self._timing_slots()
-        if not by_name:
-            for name in TRACE_NAME_FIELDS:
-                del fp[name]
-        return self._digest(fp)
-
     def fingerprint(self) -> dict:
         """Canonical JSON-able identity of this case (hashed into the key):
-        :meth:`timing_fingerprint` plus the non-default accounting fields.
-        """
+        trace, machine config, wrong-path mode, warmup, seeds and the
+        non-default accounting fields."""
         return self._filled(self._case_slots())
 
     def key(self) -> str:
         """Content address: SHA-256 of the canonical fingerprint."""
         return self._digest(self._case_slots())
+
+    def name_free_key(self) -> str:
+        """:meth:`key` without the fields that only name the trace
+        (:data:`TRACE_NAME_FIELDS`): cases sharing it and equal traces,
+        compared by content, are one simulation."""
+        fp = self._case_slots()
+        for name in TRACE_NAME_FIELDS:
+            del fp[name]
+        return self._digest(fp)
 
     def label(self) -> str:
         """Short human-readable tag for telemetry, logs and fault plans.
@@ -351,18 +332,18 @@ class CaseSpec:
 
 @dataclass(frozen=True)
 class Job:
-    """The harness's one unit of work: every case one timing run serves.
+    """The harness's one unit of work: every case one simulation serves.
 
-    A single case is a one-member job.  A fused group is a job with two
-    or more members sharing one :meth:`CaseSpec.timing_key` — or, with
-    ``names``, the name-free ``timing_key(by_name=False)`` plus equal
-    traces, which the caller vouches for: one pipeline run over the
-    first member's trace carries each distinct collector once.  A socket
-    is a one-member job whose case has ``cores > 1``: one engine run
-    yields one result per core.  A job is attempted, checkpointed, timed
-    out and retried as a unit, and yields ``len(specs) * cores``
-    results, member-major, core-minor; each member's results are
-    published under the member's own keys.
+    A single case is a one-member job.  A content-shared group is a job
+    with two or more members sharing one :meth:`CaseSpec.name_free_key`
+    and equal traces, which the caller vouches for: one simulation over
+    the first member's trace serves them all, each member's result
+    re-stamped with its ``names`` entry.  A socket is a one-member job
+    whose case has ``cores > 1``: one engine run yields one result per
+    core.  A job is attempted, checkpointed, timed out and retried as a
+    unit, and yields ``len(specs) * cores`` results, member-major,
+    core-minor; each member's results are published under the member's
+    own keys.
     """
 
     specs: tuple[CaseSpec, ...]
@@ -370,8 +351,8 @@ class Job:
     #: here unless the caller already holds them, so a job hashes each
     #: member once however often the harness asks for its keys.
     keys: tuple[str, ...] = field(default=(), compare=False, repr=False)
-    #: Each member's own program name, in member order, when members
-    #: run one trace content under different names; else empty.
+    #: Each member's own program name, in member order; required with
+    #: several members, else empty.
     names: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
@@ -380,20 +361,21 @@ class Job:
         if not self.keys:
             keys = tuple(spec.key() for spec in self.specs)
             object.__setattr__(self, "keys", keys)
-        if self.names and len(self.names) != len(self.specs):
-            raise ValueError("a Job needs one name per member")
         if len(self.specs) == 1:
+            if self.names and len(self.names) != 1:
+                raise ValueError("a Job needs one name per member")
             return
+        if len(self.names) != len(self.specs):
+            raise ValueError("a Job needs one name per member")
         if any(spec.cores > 1 for spec in self.specs):
-            # The multi-core engine returns results for its first
-            # collector only, so a socket cannot carry fused members.
+            # A socket runs each core's own slice of a threaded trace;
+            # only whole single-core traces are compared by content.
             raise ValueError("multi-core cases cannot be fused")
-        by_name = not self.names
-        timing_keys = {s.timing_key(by_name=by_name) for s in self.specs}
-        if len(timing_keys) != 1:
+        shared = {spec.name_free_key() for spec in self.specs}
+        if len(shared) != 1:
             raise ValueError(
-                "Job members must share one timing key, "
-                f"got {len(timing_keys)} distinct timings"
+                "Job members must share one name-free case key, "
+                f"got {len(shared)} distinct cases"
             )
 
     @property
@@ -403,7 +385,7 @@ class Job:
     def key(self) -> str:
         """Content address of the job (its checkpoints live under this).
 
-        A one-member job's key is its case key.  A fused job's is derived
+        A one-member job's key is its case key.  A shared job's is derived
         from the sorted member keys: any change to the membership or to
         any member's identity moves it, so a checkpoint can never be
         resumed by a differently-composed job.
@@ -457,9 +439,9 @@ class HarnessTelemetry:
     #: the total committed instructions those snapshots preserved.
     resume_events: int = 0
     resumed_instructions: int = 0
-    #: Fused execution: timing groups run as one pipeline pass, and how
-    #: many whole simulations that fusion avoided (members minus one per
-    #: group).
+    #: Fused execution: content-shared groups run as one simulation, and
+    #: how many whole simulations that fusion avoided (members minus one
+    #: per group).
     fused_groups: int = 0
     fused_runs_saved: int = 0
     #: Cases given up on after supervision (``keep_going`` batches).
@@ -497,8 +479,8 @@ class HarnessTelemetry:
         self.resumed_instructions += committed_instrs
 
     def record_fusion(self, groups: int, runs_saved: int) -> None:
-        """A batch fused ``groups`` timing groups, avoiding this many
-        whole simulations."""
+        """A batch fused ``groups`` content-shared groups, avoiding this
+        many whole simulations."""
         self.fused_groups += groups
         self.fused_runs_saved += runs_saved
 

@@ -66,7 +66,7 @@ def measure_overhead(
             start = time.perf_counter()
             result = simulate(
                 trace, config,
-                collectors=(CollectorSpec(accounting=accounting),),
+                collector=CollectorSpec(accounting=accounting),
             )
             times.append(time.perf_counter() - start)
             cycles = result.cycles

@@ -540,8 +540,7 @@ def _prefetcher_facts(results) -> dict[str, Any]:
 
 def _compute_width(batch: dict[str, Any]):
     """Sec. III-A: the paper's min-width normalization against the
-    issue stage's native (wider) width.  One timing run carries both
-    collectors."""
+    issue stage's native (wider) width, one simulation per scheme."""
     native = broadwell().issue_width  # dispatch/commit 4-wide, issue 8
     return _resolve(batch, {
         label: _case("exchange2", batch, accounting_width=width)
@@ -645,18 +644,21 @@ def _render_topdown(results, emit) -> None:
 def _topdown_facts(results) -> dict[str, Any]:
     """Top-down's level-1 frontend share against the actual frontend and
     backend idealization deltas and the multi-stage commit D-cache
-    component."""
+    component; a delta whose idealized case failed is left out."""
     baseline = results[None]
-    perfect_i, perfect_d = results[PERFECT_ICACHE], results[PERFECT_DCACHE]
-    fractions = baseline.report.topdown.level1_fractions()
-    return {
-        "frontend_bound": fractions[TopLevel.FRONTEND_BOUND],
-        "fe_delta": baseline.cpi - perfect_i.cpi,
-        "be_delta": baseline.cpi - perfect_d.cpi,
+    facts = {
+        "frontend_bound": baseline.report.topdown.level1_fractions()[
+            TopLevel.FRONTEND_BOUND
+        ],
         "commit_dcache": baseline.report.commit.component_cpi(
             Component.DCACHE
         ),
     }
+    for name, ideal in (("fe_delta", PERFECT_ICACHE),
+                        ("be_delta", PERFECT_DCACHE)):
+        if ideal in results:
+            facts[name] = baseline.cpi - results[ideal].cpi
+    return facts
 
 
 # ---------------------------------------------------------------------------

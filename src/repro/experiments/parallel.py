@@ -10,7 +10,8 @@ experiment modules declare their full case list to:
 2. the cache hierarchy (in-process memo, then the persistent disk cache)
    is consulted per unique key;
 3. remaining misses become :class:`~repro.experiments.cache.Job` items
-   (one per case, or one per distinct timing under fusion) dispatched under
+   (one per case, or one per distinct trace content under fusion)
+   dispatched under
    **supervision** (:mod:`repro.experiments.supervisor`): per-job
    deadlines, bounded
    retries, pool rebuild on worker death with serial fallback, and
@@ -108,8 +109,9 @@ class BatchStats:
     #: Checkpoint resumes (cases that continued instead of restarting).
     resumes: int = 0
     resumed_instructions: int = 0
-    #: Fused execution: timing groups run as one pipeline pass, and the
-    #: whole simulations that fusion avoided (members minus one per group).
+    #: Fused execution: content-shared groups run as one simulation, and
+    #: the whole simulations that fusion avoided (members minus one per
+    #: group).
     fused_groups: int = 0
     fused_runs_saved: int = 0
     #: Per-key report for every case given up on this batch.
@@ -155,17 +157,15 @@ def run_cases(
 
     **Fused execution** (``fuse``, on by default; ``fuse=False`` runs
     every case as its own simulation, the reference the fusion
-    differentials compare against): cache-missing specs needing one
-    timing — equal trace content (whatever the workload is called),
-    machine config, wrong-path mode, warmup and simulator seed,
-    differing at most in accounting configuration and trace name —
-    become one
-    :class:`~repro.experiments.cache.Job` executed as a single pipeline
-    run with each distinct collector attached once.  The parent builds
-    the pending traces to compare them.  The batch cost then scales
-    with distinct timings rather than cases; each member's result is
-    bitwise identical to its unfused run (re-stamped with its own
-    program name) and still lands in the disk cache under its own key.
+    differentials compare against): cache-missing specs that differ
+    only in what their trace is called — equal trace content (whatever
+    the workload is named), equal :meth:`CaseSpec.name_free_key` —
+    become one :class:`~repro.experiments.cache.Job` executed as a
+    single simulation.  The parent builds the pending traces to compare
+    them.  The batch cost then scales with distinct traces rather than
+    cases; each member's result is bitwise identical to its unfused run
+    (re-stamped with its own program name) and still lands in the disk
+    cache under its own key.
     """
     spec_list: Sequence[CaseSpec] = list(specs)
     for spec in spec_list:
@@ -208,8 +208,8 @@ def run_multicore_cases(
     L3/DRAM backend, so a subset cannot be recomputed alone), but
     per-core results land in the cache under their member keys.  A
     cached socket requires every member key to hit — partial hits rerun
-    the whole engine.  Fusion never applies: the engine runs one
-    collector per core.
+    the whole engine.  Fusion never applies: each core runs its own
+    slice of the threaded trace.
     """
     return _run_batch(
         list(specs), fuse=False, jobs=jobs, use_cache=use_cache,
@@ -220,10 +220,10 @@ def run_multicore_cases(
 
 
 def _group_jobs(pending: dict[str, CaseSpec], fuse: bool) -> list[Job]:
-    """One job per distinct timing when fusing, else one per case.
+    """One job per distinct trace content when fusing, else one per case.
 
     Fusing, the parent builds every pending trace (forked workers
-    inherit them) and groups cases sharing the name-free timing key and
+    inherit them) and groups cases sharing the name-free case key and
     equal traces, compared instruction for instruction: the decoder
     interns instructions, so equal traces share their objects and the
     comparison is a walk of identity checks.  A duplicate trace built
@@ -238,7 +238,7 @@ def _group_jobs(pending: dict[str, CaseSpec], fuse: bool) -> list[Job]:
         built = not runner.trace_memoized(*name)
         trace = runner.get_trace(*name)
         bucket = buckets.setdefault(
-            (spec.timing_key(by_name=False), len(trace), trace.uop_count),
+            (spec.name_free_key(), len(trace), trace.uop_count),
             [],
         )
         for rep, (members, names) in bucket:
@@ -274,8 +274,8 @@ def _run_batch(
     """Resolve ``spec_list`` to per-core result lists, in input order.
 
     Keys are computed once per spec; duplicates collapse onto one entry;
-    cache hits are served; the misses become jobs (fused by timing and
-    trace content when ``fuse``) and run under supervision.  Leaves a
+    cache hits are served; the misses become jobs (fused by trace
+    content when ``fuse``) and run under supervision.  Leaves a
     :class:`BatchStats` in :data:`LAST_BATCH`.
     """
     jobs = resolve_jobs(jobs)

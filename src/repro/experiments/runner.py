@@ -11,8 +11,9 @@ are cached at three levels, consulted in order:
 3. the simulator itself.
 
 Traces are memoized too: baseline and idealized runs must replay the
-identical program, as in the paper's methodology.  For batch scheduling of
-many cases across worker processes, see :mod:`repro.experiments.parallel`.
+identical program, as in the paper's methodology.  Every lookup goes
+through the supervised batch path of :mod:`repro.experiments.parallel`,
+a single case included.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ __all__ = [
     "lookup_cached",
     "record_run",
     "run_case",
-    "run_spec",
     "store_results",
     "trace_memoized",
 ]
@@ -143,7 +143,7 @@ def record_run(
     """Record one pipeline run (and any resume) in :data:`TELEMETRY`.
 
     A run is one simulator invocation however many results it yields.
-    Fused members share one timing run and a socket's cores each run
+    Content-shared members share one run and a socket's cores each run
     their own trace, so member 0's committed uops, summed over its
     cores, count.
     """
@@ -179,10 +179,9 @@ def execute_spec_checkpointed(
     """Simulate one job as one pipeline run with periodic checkpoints.
 
     A 1-core job runs a :class:`CoreSimulator` over its first member's
-    trace with each distinct collector attached once; each member gets
-    its collector's result, re-stamped with its :attr:`Job.names` entry.
-    An N-core job runs the lockstep
-    :class:`~repro.pipeline.multicore.MulticoreSimulator` over the
+    trace with the members' one collector; each member gets the result,
+    re-stamped with its :attr:`Job.names` entry.  An N-core job runs the
+    lockstep :class:`~repro.pipeline.multicore.MulticoreSimulator` over the
     workload's threaded decomposition (shared L3/DRAM backend).  Returns
     ``(results, resumed_from)``: ``len(job.specs) * job.cores`` results,
     member-major, core-minor, each already through the invariant guard
@@ -192,8 +191,8 @@ def execute_spec_checkpointed(
     checkpoint under :meth:`Job.key` (corrupt files are evicted on the
     way — see :func:`repro.pipeline.checkpoint.latest_valid_checkpoint`)
     and writes a new checkpoint every ``interval`` committed
-    instructions; a snapshot carries every collector and every core, so
-    a resumed run restores them all bitwise.  ``resumed_from`` is the
+    instructions; a snapshot carries the collector and every core, so
+    a resumed run restores them bitwise.  ``resumed_from`` is the
     committed instruction count of the checkpoint the run continued
     from, or None.  Checkpoints are *not* deleted here: the supervisor
     clears them once the results are safely published, so a crash
@@ -201,8 +200,7 @@ def execute_spec_checkpointed(
     """
     first = job.specs[0]
     config = first.resolved_config()
-    wanted = [spec.collector_spec() for spec in job.specs]
-    collectors = tuple(dict.fromkeys(wanted))
+    collector = first.collector_spec()
     key = job.key()
     run_kwargs = {
         "checkpoint_interval": interval,
@@ -221,15 +219,14 @@ def execute_spec_checkpointed(
                 mode=first.mode,
                 warmup_instructions=int(len(trace) * first.warmup_fraction),
                 seed=first.simulate_seed,
-                collectors=collectors,
+                collector=collector,
             ),
         )
-        sim.run(**run_kwargs)
-        shared = dict(zip(collectors, sim.fused_results))
-        results = [shared[collector] for collector in wanted]
-        for i, name in enumerate(job.names):
-            if results[i].name != name:
-                results[i] = results[i].renamed(name)
+        result = sim.run(**run_kwargs)
+        results = [
+            result if result.name == name else result.renamed(name)
+            for name in job.names or (result.name,)
+        ]
     else:
         traces = get_threaded_traces(
             first.workload, first.cores, first.instructions, first.seed
@@ -249,7 +246,7 @@ def execute_spec_checkpointed(
                     int(len(trace) * first.warmup_fraction)
                     for trace in traces
                 ),
-                collectors=collectors,
+                collector=collector,
             ),
         )
         results = list(sim.run(**run_kwargs).per_core)
@@ -314,19 +311,6 @@ def store_results(
             )
 
 
-def run_spec(spec: CaseSpec, *, use_cache: bool = True) -> SimResult:
-    """Resolve one case through the cache hierarchy."""
-    if not use_cache:
-        return execute_spec(spec)
-    key = spec.key()
-    cached = lookup_cached(spec, key)
-    if cached is not None:
-        return cached[0]
-    result = execute_spec(spec)
-    store_results(spec, key, [result])
-    return result
-
-
 def run_case(
     workload: str,
     preset: str,
@@ -338,7 +322,15 @@ def run_case(
     warmup_fraction: float = DEFAULT_WARMUP_FRACTION,
     use_cache: bool = True,
 ) -> SimResult:
-    """Simulate ``workload`` on ``preset``, optionally idealized."""
+    """Simulate ``workload`` on ``preset``, optionally idealized.
+
+    The case runs in-process as a one-case batch under supervision, so
+    the fault plan, deadlines, retries and failure reports apply; a case
+    that never recovers raises
+    :class:`~repro.experiments.supervisor.BatchFailure`.
+    """
+    from repro.experiments.parallel import run_cases
+
     spec = CaseSpec(
         workload=workload,
         preset=preset,
@@ -348,4 +340,5 @@ def run_case(
         mode=mode,
         warmup_fraction=warmup_fraction,
     )
-    return run_spec(spec, use_cache=use_cache)
+    (result,) = run_cases([spec], jobs=1, use_cache=use_cache)
+    return result

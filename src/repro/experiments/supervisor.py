@@ -536,10 +536,9 @@ def resolve_case_timeout(explicit: float | None = None) -> float | None:
 def case_deadline(spec: CaseSpec, override: float | None = None) -> float:
     """Seconds this case may run: override, else scaled from its size.
 
-    A job gets its first member's deadline: fused members share one
-    timing, and the attached collectors cost O(1) per cycle, so the
-    job's wall clock is one member's — that is the entire point of
-    fusion.
+    A job gets its first member's deadline: content-shared members
+    share one simulation, so the job's wall clock is one member's —
+    that is the entire point of fusion.
     """
     if override is not None:
         return override

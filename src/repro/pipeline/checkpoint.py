@@ -98,7 +98,9 @@ __all__ = [
 #: 8: program identities digest every instruction and micro-op field.
 #: 9: one ``reference`` flag replaces the simulator's event, fast-forward
 #: and scan switches; the FU pool drops its unpipelined-class set.
-CHECKPOINT_SCHEMA = 9
+#: 10: one collector per simulator — the collector list, its spec tuple,
+#: the fused results and the uniform-width flag are gone.
+CHECKPOINT_SCHEMA = 10
 
 #: First line of every checkpoint file.
 MAGIC = b"REPRO-CKPT\n"

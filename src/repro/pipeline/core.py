@@ -26,11 +26,7 @@ from pathlib import Path
 from repro.branch.predictors import make_predictor
 from repro.config.cores import CoreConfig
 from repro.core.components import Component
-from repro.core.multistage import (
-    CollectorSpec,
-    FanoutCollector,
-    MultiStageCollector,
-)
+from repro.core.multistage import CollectorSpec, MultiStageCollector
 from repro.core.observation import CycleObservation
 from repro.core.wrongpath import WrongPathMode
 from repro.isa.instructions import Program
@@ -70,7 +66,7 @@ class _ObsBuffer:
     ``None`` means unbuilt, ``False`` means the observation (or the
     attached collector) is not k-scalable and the generic
     ``observe_repeat`` chain must run.  ``delta_epoch`` ties the memo to
-    one collector generation — ``_rewrap_collector`` bumps the epoch, so
+    one collector generation — ``_build_collector`` bumps the epoch, so
     programs never outlive the stacks they point into.  Both slots are
     transient: pickling (checkpoints) drops them.
     """
@@ -121,9 +117,7 @@ class CoreSimulator:
         seed: int = 12345,
         warmup_instructions: int = 0,
         reference: bool = False,
-        collectors: "tuple[CollectorSpec, ...] | list[CollectorSpec]" = (
-            CollectorSpec(),
-        ),
+        collector: CollectorSpec = CollectorSpec(),
         shared_backend=None,
     ) -> None:
         if config.memory is None:
@@ -163,45 +157,26 @@ class CoreSimulator:
             program, config, self.hierarchy, self.predictor, seed=seed,
             pool=self._pool,
         )
-        # The simulator drives a *list* of attached collectors:
-        # ``collectors=`` attaches any combination (multi-stage,
-        # top-down, none) to one timing run — the fused-execution
-        # substrate.  Timing is observational either way: the attached
-        # set never changes a simulated cycle.
-        specs = tuple(collectors)
-        if not specs:
-            raise ValueError("collectors= needs at least one CollectorSpec")
-        self._collector_specs = specs
-        #: W for the accounting algorithms; per collector, overridable to
-        #: study the Sec. III-A width-normalization choice (width ablation).
-        widths = {
-            (
-                s.accounting_width
-                if s.accounting_width is not None
-                else config.accounting_width
-            )
-            for s in specs
-            if s.accounting
-        }
-        self._accounting = bool(widths)
-        self._topdown = any(s.topdown for s in specs if s.accounting)
-        self._accounting_width = (
-            next(iter(widths))
-            if len(widths) == 1
+        # One collector per simulation (multi-stage, optionally with
+        # top-down, or none).  Timing is observational either way: the
+        # collector never changes a simulated cycle.
+        self._accounting = collector.accounting
+        self._topdown = collector.accounting and collector.topdown
+        #: W for the accounting algorithms; overridable to study the
+        #: Sec. III-A width-normalization choice (width ablation).
+        self._acc_width = (
+            collector.accounting_width
+            if collector.accounting_width is not None
             else config.accounting_width
         )
-        self._uniform_width = len(widths) <= 1
         # Accountants attach where measurement starts: at construction
         # without warmup (or with a warmup the trace never completes),
         # otherwise at the warmup boundary (``_end_warmup``) — warmup
         # cycles are never measured, so nothing observes them.
-        self.collectors: list[MultiStageCollector | None] = [None] * len(specs)
-        self.collector: MultiStageCollector | FanoutCollector | None = None
+        self.collector: MultiStageCollector | None = None
         self._acc_epoch = 0
         if not 0 < warmup_instructions <= len(program):
-            self._build_collectors()
-        #: One SimResult per attached collector, filled by ``_finalize``.
-        self.fused_results: list[SimResult] = []
+            self._build_collector()
         self.fu = FunctionalUnitPool(config)
         #: uclass -> execution latency, precomputed (latency_of's
         #: membership test + dict lookup sat on the issue fast path).
@@ -298,11 +273,8 @@ class CoreSimulator:
         # non-empty and issue is under width, so with top-down attached
         # the signature widens (``_sig_topdown``): n_dispatch_wrong joins
         # the tuple and the producer pruning keeps only the clauses every
-        # attached reader agrees on (observe_repeat is k-observe-exact
-        # for the top-down accountant too, so batching stays bitwise).
-        # With several collectors attached, batching additionally
-        # requires one shared accounting width: the signature's
-        # head/producer pruning compares against a single W.  Retained
+        # reader agrees on (observe_repeat is k-observe-exact for the
+        # top-down accountant too, so batching stays bitwise).  Retained
         # observations use _UopSnapshot copies so later pipeline activity
         # (or pool recycling) cannot mutate a batched cycle's blamed
         # micro-ops.
@@ -310,7 +282,6 @@ class CoreSimulator:
             self._accounting
             and not reference
             and mode is WrongPathMode.EXACT
-            and self._uniform_width
         )
         self._sig_topdown = self._batch and self._topdown
         self._bat_sig: object = None
@@ -330,7 +301,6 @@ class CoreSimulator:
         self._unsched_buf = _ObsBuffer()
         self._unsched_buf.obs.reset()
         self._unsched_buf.obs.unscheduled = True
-        self._acc_width = self._accounting_width
         self._vec_units = config.vector_units
         # Lazy producer resolution: when batching (or not accounting at
         # all), the fused select stores _PENDING for the two producer
@@ -429,47 +399,35 @@ class CoreSimulator:
         return self._finalize(start)
 
     def _finalize(self, start: float) -> SimResult:
-        """Flush pending accounting and build one result per collector.
-
-        Every attached collector yields its own :class:`SimResult` in
-        :attr:`fused_results` (spec order); all members share the timing
-        fields — cycles, commit counts, memory/branch statistics — because
-        they observed the same single pipeline run.  The first member is
-        returned for the historical single-collector call sites.
-        """
+        """Flush pending accounting and build the run's result."""
         self._flush_batch()
         wall = time.perf_counter() - start
         measured_cycles = self.cycle - self._measure_cycle0
         measured_uops = self.committed_uops - self._measure_uops0
-        self.fused_results = [
-            SimResult(
-                name=self.program.name,
-                config_name=self.config.name,
-                cycles=measured_cycles,
-                committed_uops=measured_uops,
-                committed_instrs=self.committed_instrs,
-                report=(
-                    collector.finalize(
-                        measured_cycles,
-                        measured_uops,
-                        name=self.program.name,
-                    )
-                    if collector is not None
-                    else None
-                ),
-                memory_stats=self.hierarchy.stats(),
-                branch_lookups=self.predictor.lookups,
-                branch_mispredicts=self.predictor.mispredicts,
-                wrong_path_uops=self.frontend.delivered_wrong,
-                wall_seconds=wall,
-                ff_windows=self.ff_windows,
-                ff_cycles_skipped=self.ff_cycles_skipped,
-                replay_windows=self.replay_windows,
-                replay_cycles_skipped=self.replay_cycles_skipped,
-            )
-            for collector in self.collectors
-        ]
-        return self.fused_results[0]
+        collector = self.collector
+        return SimResult(
+            name=self.program.name,
+            config_name=self.config.name,
+            cycles=measured_cycles,
+            committed_uops=measured_uops,
+            committed_instrs=self.committed_instrs,
+            report=(
+                collector.finalize(
+                    measured_cycles, measured_uops, name=self.program.name
+                )
+                if collector is not None
+                else None
+            ),
+            memory_stats=self.hierarchy.stats(),
+            branch_lookups=self.predictor.lookups,
+            branch_mispredicts=self.predictor.mispredicts,
+            wrong_path_uops=self.frontend.delivered_wrong,
+            wall_seconds=wall,
+            ff_windows=self.ff_windows,
+            ff_cycles_skipped=self.ff_cycles_skipped,
+            replay_windows=self.replay_windows,
+            replay_cycles_skipped=self.replay_cycles_skipped,
+        )
 
     def unfinished(self) -> bool:
         """True while stepping this core can still make progress.
@@ -604,45 +562,18 @@ class CoreSimulator:
         if not self._warmed and self.committed_instrs >= self.warmup_instructions:
             self._end_warmup()
 
-    def _build_collectors(self) -> None:
-        """(Re)build every attached collector from its spec.
-
-        Called where measurement starts — at construction or at the warmup
-        boundary — so all attached collectors measure the same cycles.
-        """
-        config = self.config
-        collectors: list[MultiStageCollector | None] = []
-        for spec in self._collector_specs:
-            if not spec.accounting:
-                collectors.append(None)
-                continue
-            width = (
-                spec.accounting_width
-                if spec.accounting_width is not None
-                else config.accounting_width
+    def _build_collector(self) -> None:
+        """(Re)build the collector where measurement starts: at
+        construction or at the warmup boundary."""
+        if self._accounting:
+            config = self.config
+            self.collector = MultiStageCollector(
+                self._acc_width,
+                mode=self.mode,
+                vector_units=config.vector_units,
+                vector_lanes=config.vector_lanes,
+                topdown=self._topdown,
             )
-            collectors.append(
-                MultiStageCollector(
-                    width,
-                    mode=self.mode,
-                    vector_units=config.vector_units,
-                    vector_lanes=config.vector_lanes,
-                    topdown=spec.topdown,
-                )
-            )
-        self.collectors = collectors
-        self._rewrap_collector()
-
-    def _rewrap_collector(self) -> None:
-        """Point ``self.collector`` at the hot-path view of the list:
-        ``None``, the lone real collector, or a fan-out wrapper."""
-        real = [c for c in self.collectors if c is not None]
-        if not real:
-            self.collector = None
-        elif len(real) == 1:
-            self.collector = real[0]
-        else:
-            self.collector = FanoutCollector(real)
         # Invalidate every memoized accounting program: they hold direct
         # references into the previous collector's stacks.
         self._acc_epoch += 1
@@ -651,13 +582,12 @@ class CoreSimulator:
         """Start measurement with warm caches/TLBs/predictor state."""
         # Nothing observes warmup, so the batch is empty — unless a
         # checkpoint from a build that accounted warmup was restored;
-        # its pending batch belongs to the discarded warmup collectors.
+        # its pending batch belongs to the discarded warmup collector.
         self._flush_batch()
         self._warmed = True
         self._measure_cycle0 = self.cycle
         self._measure_uops0 = self.committed_uops
-        if self._accounting:
-            self._build_collectors()
+        self._build_collector()
         if self._replay is not None:
             self._replay.rearm()
 
@@ -666,14 +596,14 @@ class CoreSimulator:
     def _flush_batch(self) -> None:
         """Deliver the pending run of identical cycles to the collector.
 
-        For a single plain :class:`MultiStageCollector` the per-cycle
+        For a plain :class:`MultiStageCollector` the per-cycle
         accounting of one observation is (in the shipped pow2-width,
         zero-carry configurations) a fixed list of ``counter += amt * k``
         updates; that list is memoized on the retained buffer
         (``repeat_program``) so steady-state flushes skip the whole
         accountant call chain.  Any condition the program cannot cover —
-        fan-out collectors, top-down attachment, non-pow2 widths, a
-        non-zero width-normalizer carry — falls back to the generic
+        top-down attachment, non-pow2 widths, a non-zero
+        width-normalizer carry — falls back to the generic
         ``observe_repeat`` chain, which is the semantic definition.
         """
         k = self._bat_k
@@ -687,10 +617,7 @@ class CoreSimulator:
         when the generic ``observe_repeat`` chain must run)."""
         prog = buf.delta
         if prog is None or buf.delta_epoch != self._acc_epoch:
-            collector = self.collector
-            prog = False
-            if type(collector) is MultiStageCollector:
-                prog = collector.repeat_program(buf.obs)
+            prog = self.collector.repeat_program(buf.obs)
             buf.delta = prog
             buf.delta_epoch = self._acc_epoch
         return prog
@@ -2107,9 +2034,7 @@ def simulate(
     seed: int = 12345,
     warmup_instructions: int = 0,
     reference: bool = False,
-    collectors: "tuple[CollectorSpec, ...] | list[CollectorSpec]" = (
-        CollectorSpec(),
-    ),
+    collector: CollectorSpec = CollectorSpec(),
 ) -> SimResult:
     """Convenience wrapper: build a :class:`CoreSimulator` and run it."""
     return CoreSimulator(
@@ -2119,5 +2044,5 @@ def simulate(
         seed=seed,
         warmup_instructions=warmup_instructions,
         reference=reference,
-        collectors=collectors,
+        collector=collector,
     ).run()

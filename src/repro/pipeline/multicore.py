@@ -116,7 +116,7 @@ class MulticoreSimulator:
         seeds: Sequence[int] | None = None,
         warmup_instructions: int | Sequence[int] = 0,
         reference: bool = False,
-        collectors: Sequence[CollectorSpec] = (CollectorSpec(),),
+        collector: CollectorSpec = CollectorSpec(),
     ) -> None:
         programs = list(programs)
         if not programs:
@@ -159,7 +159,7 @@ class MulticoreSimulator:
                 seed=seeds[i],
                 warmup_instructions=warmups[i],
                 reference=reference,
-                collectors=collectors,
+                collector=collector,
                 shared_backend=self.backend,
             )
             core.core_id = i

@@ -73,8 +73,8 @@ def _matrix() -> list[CaseSpec]:
     return specs
 
 
-def _reference_timing(spec: CaseSpec) -> dict:
-    """The timing fingerprint's definition, walked afresh."""
+def _reference_case(spec: CaseSpec) -> dict:
+    """The case fingerprint's definition, walked afresh."""
     fp = {
         "schema": ACCOUNTING_SCHEMA_VERSION,
         "workload": spec.workload,
@@ -93,11 +93,6 @@ def _reference_timing(spec: CaseSpec) -> dict:
     if spec.cores > 1:
         fp["cores"] = spec.cores
         fp["multicore_schema"] = 1
-    return fp
-
-
-def _reference_case(spec: CaseSpec) -> dict:
-    fp = _reference_timing(spec)
     if not spec.accounting:
         fp["accounting"] = False
     if spec.topdown:
@@ -113,15 +108,13 @@ def _sha(fp: dict) -> str:
 
 
 def _check(spec: CaseSpec) -> None:
-    timing = _reference_timing(spec)
     case = _reference_case(spec)
-    assert spec.timing_fingerprint() == timing
     assert spec.fingerprint() == case
     assert spec.key() == _sha(case)
-    assert spec.timing_key() == _sha(timing)
+    name_free = dict(case)
     for name in TRACE_NAME_FIELDS:
-        del timing[name]
-    assert spec.timing_key(by_name=False) == _sha(timing)
+        del name_free[name]
+    assert spec.name_free_key() == _sha(name_free)
     for core in range(spec.cores):
         member = dict(case)
         if spec.cores > 1:
@@ -131,7 +124,7 @@ def _check(spec: CaseSpec) -> None:
 
 
 def test_keys_equal_the_unmemoized_definition():
-    """Every key, timing key and member key equals the un-memoized
+    """Every key, name-free key and member key equals the un-memoized
     definition, from a cleared memo and again from a warm one."""
     specs = _matrix()
     assert len(specs) == len(PRESETS) * 5 * 2 * 4 * 2 + 3
@@ -179,14 +172,11 @@ def test_edited_fingerprints_never_reach_the_memo(edit):
     depth, changes no later key or fingerprint."""
     spec = CaseSpec(workload="mcf", preset="bdw", idealization=IDEAL,
                     cores=2)
-    keys = (spec.key(), spec.timing_key(), spec.timing_key(by_name=False),
-            spec.member_key(1))
+    keys = (spec.key(), spec.name_free_key(), spec.member_key(1))
     fingerprint = spec.fingerprint()
-    for fp in (spec.fingerprint(), spec.timing_fingerprint(),
-               spec.member_fingerprint(1)):
+    for fp in (spec.fingerprint(), spec.member_fingerprint(1)):
         edit(fp)
-    assert (spec.key(), spec.timing_key(), spec.timing_key(by_name=False),
-            spec.member_key(1)) == keys
+    assert (spec.key(), spec.name_free_key(), spec.member_key(1)) == keys
     assert spec.fingerprint() == fingerprint == _reference_case(spec)
 
 

@@ -562,7 +562,6 @@ def test_mid_warmup_checkpoint_holds_no_collector(workload, preset):
     payload, _meta = ckpt.load_checkpoint(path)
     resumed = CoreSimulator.from_snapshot(payload, trace)
     assert not resumed._warmed
-    assert resumed.collectors == [None]
     assert resumed.collector is None
     result = resumed.run()
     assert resumed._warmed and resumed.collector is not None
@@ -570,8 +569,8 @@ def test_mid_warmup_checkpoint_holds_no_collector(workload, preset):
 
 
 @pytest.mark.parametrize("kwargs,key", [
-    ({"collectors": (CollectorSpec(topdown=True),)}, "variant-topdown"),
-    ({"collectors": (CollectorSpec(accounting=False),)}, "variant-noacct"),
+    ({"collector": CollectorSpec(topdown=True)}, "variant-topdown"),
+    ({"collector": CollectorSpec(accounting=False)}, "variant-noacct"),
 ])
 def test_resume_bitwise_identical_simulator_variants(kwargs, key):
     trace = make_trace("bwaves", N, 1)
@@ -639,30 +638,26 @@ def test_single_core_payload_holds_no_program(strict_pickler):
 
 
 def test_fused_payload_holds_no_program(strict_pickler):
-    trace = make_trace("bwaves", N, 1)
-    config = broadwell()
-    collectors = (
-        CollectorSpec(),
-        CollectorSpec(topdown=True),
-        CollectorSpec(accounting=False),
-    )
-    reference = CoreSimulator(trace, config, collectors=collectors)
-    reference.run()
-    sim = CoreSimulator(trace, config, collectors=collectors)
+    """A content-shared job's checkpoints hold none of its members'
+    programs, and its resumed members match their unfused runs."""
+    specs = [
+        CaseSpec(workload=name, preset="knl", instructions=N)
+        for name in ("gemm-train-1760-knl", "gemm-train-2048-knl")
+    ]
+    unfused = run_cases(specs, jobs=1, use_cache=False, fuse=False)
+    clear_cache()
+    (job,) = parallel._group_jobs({s.key(): s for s in specs}, True)
+    assert len(job.specs) == len(specs)
 
     def hook(path, instrs):
         raise _Interrupted
 
     with pytest.raises(_Interrupted):
-        sim.run(
-            checkpoint_interval=INTERVAL, checkpoint_key="strict-fused",
-            on_checkpoint=hook,
-        )
-    (path,) = ckpt.list_case_checkpoints("strict-fused")
-    resumed = CoreSimulator.resume(path, trace)
-    resumed.run()
-    assert [_comparable(r) for r in resumed.fused_results] == (
-        [_comparable(r) for r in reference.fused_results]
+        runner.execute_spec_checkpointed(job, INTERVAL, on_checkpoint=hook)
+    results, resumed_from = runner.execute_spec_checkpointed(job, INTERVAL)
+    assert resumed_from is not None
+    assert [_comparable(r) for r in results] == (
+        [_comparable(r) for r in unfused]
     )
 
 

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -204,7 +206,7 @@ def test_keep_going_failed_ablation_reads_no_data(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "(no rows)" in out and "spurious issue stall" not in out
     assert out.count("no data") == 3 and "0 of 3 claims hold" in out
-    # The two widths share one timing run; both count as failed cases.
+    # Each width is its own case and run; both count as failed cases.
     assert "[harness] 2 case lookups: 0 simulated," in out
     assert out.rstrip().endswith("| 2 failed")
     supervisor.clear_failures()
@@ -224,13 +226,65 @@ def test_keep_going_harness_line_counts_failed_cases(capsys, monkeypatch):
     code = main(["paper", "--only", "topdown", "--jobs", "1",
                  "--instructions", "1500", "--keep-going"])
     assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    (line,) = [line for line in lines if line.startswith("[harness]")]
+    assert line.startswith("[harness] 3 case lookups: 2 simulated,")
+    assert line.endswith(" | 1 failed")
+    # The claims over facts the surviving cases carry still read them;
+    # only those over the missing perfect-D$ delta read ``no data``.
+    claims = {
+        claim: line for line in lines for claim in (
+            "frontend_bound > 0.05", "abs(fe_delta) < 0.1 * be_delta",
+            "commit_dcache > 0.5 * be_delta",
+        ) if line.startswith("topdown") and claim in line
+    }
+    assert "frontend_bound=" in claims["frontend_bound > 0.05"]
+    assert "no data" not in claims["frontend_bound > 0.05"]
+    for claim in ("abs(fe_delta) < 0.1 * be_delta",
+                  "commit_dcache > 0.5 * be_delta"):
+        assert "no data" in claims[claim]
+    supervisor.clear_failures()
+    clear_cache()
+
+
+def test_fig1_runs_under_supervision(capsys, monkeypatch):
+    """A single case takes the supervised road: a fault plan that kills
+    Fig. 1's one case fails the command and leaves a failure report."""
+    monkeypatch.setenv(supervisor.ENV_FAULT_PLAN,
+                       '{"mcf@bdw": {"kind": "crash", "times": 99}}')
+    from repro.experiments.runner import clear_cache
+
+    clear_cache()
+    supervisor.clear_failures()
+    code = main(["paper", "--only", "fig1", "--instructions", "1500",
+                 "--jobs", "1"])
+    assert code == 1
+    assert "failed after supervision" in capsys.readouterr().err
+    assert main(["failures", "list"]) == 0
+    assert "mcf@bdw" in capsys.readouterr().out
+    supervisor.clear_failures()
+    clear_cache()
+
+
+def test_cold_width_ablation_runs_each_width_alone(capsys, tmp_path):
+    """Each accounting width is its own simulation: a cold
+    ``ablation-width`` simulates two cases, fuses nothing and writes the
+    committed page byte for byte."""
+    from repro.experiments.runner import clear_cache
+
+    clear_cache()
+    code = main(["paper", "--only", "ablation-width", "--jobs", "1"])
+    assert code == 0
     (line,) = [
         line for line in capsys.readouterr().out.splitlines()
         if line.startswith("[harness]")
     ]
-    assert line.startswith("[harness] 3 case lookups: 2 simulated,")
-    assert line.endswith(" | 1 failed")
-    supervisor.clear_failures()
+    assert line.startswith("[harness] 2 case lookups: 2 simulated,")
+    assert "fused" not in line
+    committed = (Path(__file__).resolve().parents[1] / "results" / "paper"
+                 / "ablation-width.txt")
+    written = tmp_path / "results" / "paper" / "ablation-width.txt"
+    assert written.read_bytes() == committed.read_bytes()
     clear_cache()
 
 

@@ -138,7 +138,7 @@ def test_integration_with_simulator(tiny):
     from tests.conftest import load_loop
 
     result = simulate(load_loop(800, lines=4096, stride_lines=7), tiny,
-                      collectors=(CollectorSpec(topdown=True),))
+                      collector=CollectorSpec(topdown=True))
     report = result.report.topdown
     assert report is not None
     fractions = report.level1_fractions()

@@ -18,7 +18,7 @@ mode x warmup {0, 200}, plus the DRAM-latency pointer chase and the
 microcoded povray at warmup 0, cactus, lbm and deepsjeng on the
 small-cache ``tiny`` core (the cells that evict and re-touch lines), mcf
 and bwaves at warmup 100 and 350, and mcf@bdw variants for the simulator
-seed and the attached collectors.  Beyond that grid, every other distinct
+seed, the top-down collector and an accounting-width override.  Beyond that grid, every other distinct
 2,000-instruction trace appears: imagick, leela, nab and xz on the tiny
 core in every mode and on BDW, KNL and SKX; each grid trace once on SKX;
 and one DeepBench convolution or GEMM kernel per distinct trace on KNL,
@@ -67,12 +67,8 @@ VARIANTS = {
     "seed1": {"seed": 1},
     "seed99": {"seed": 99},
     "seed424242": {"seed": 424242},
-    "topdown": {"collectors": (CollectorSpec(topdown=True),)},
-    "fused": {"collectors": (
-        CollectorSpec(),
-        CollectorSpec(topdown=True),
-        CollectorSpec(accounting_width=2),
-    )},
+    "topdown": {"collector": CollectorSpec(topdown=True)},
+    "width2": {"collector": CollectorSpec(accounting_width=2)},
 }
 
 
@@ -152,15 +148,12 @@ def test_production_equals_reference(workload, cfg, mode, warmup, variant):
     kwargs = dict(mode=mode, warmup_instructions=warmup,
                   **VARIANTS.get(variant, {}))
     fast = CoreSimulator(trace, CONFIGS[cfg](), **kwargs)
-    fast.run()
+    result = fast.run()
     ref = CoreSimulator(trace, CONFIGS[cfg](), reference=True, **kwargs)
-    ref.run()
-    assert [_comparable(r) for r in fast.fused_results] == [
-        _comparable(r) for r in ref.fused_results
-    ]
-    for result in ref.fused_results:
-        assert result.ff_windows == result.ff_cycles_skipped == 0
-        assert result.replay_windows == result.replay_cycles_skipped == 0
+    expected = ref.run()
+    assert _comparable(result) == _comparable(expected)
+    assert expected.ff_windows == expected.ff_cycles_skipped == 0
+    assert expected.replay_windows == expected.replay_cycles_skipped == 0
     # Every cell's trace has stalled windows: a production run that skips
     # none would compare the reference against itself.
     assert fast.ff_cycles_skipped > 0, "fast-forward never engaged"

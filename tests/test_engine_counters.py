@@ -41,7 +41,7 @@ def _reference_result(spec: CaseSpec):
         mode=spec.mode,
         warmup_instructions=int(len(trace) * spec.warmup_fraction),
         seed=spec.simulate_seed,
-        collectors=(spec.collector_spec(),),
+        collector=spec.collector_spec(),
         reference=True,
     ).run()
 

@@ -198,8 +198,8 @@ def test_ablations_are_cached_harness_cases(tmp_path):
         passes[-1]["pages"] = pages
         clear_cache(disk=False)  # a fresh session over the same disk
     cold, warm = passes
-    # Two widths fused into one timing run, plus three top-down cases.
-    assert cold["sim_invocations"] == 4 and cold["fused_runs_saved"] == 1
+    # One run per accounting width, plus three top-down cases.
+    assert cold["sim_invocations"] == 5 and cold["fused_runs_saved"] == 0
     assert warm["sim_invocations"] == 0
     assert warm["memo_hits"] + warm["disk_hits"] == 5
     assert warm["pages"] == cold["pages"]

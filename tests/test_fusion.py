@@ -1,26 +1,27 @@
-"""Fused multi-accountant execution: bitwise parity and plumbing.
+"""Content-shared execution: bitwise parity and plumbing.
 
-The fusion engine (``run_cases(..., fuse=True)``, the default) groups
-cache-missing cases that share one *timing key* — identical trace,
-machine config, wrong-path mode, warmup and seeds — and runs each group
-as a single pipeline pass with every member's collector attached.  The
+Fusion (``run_cases(..., fuse=True)``, the default) groups cache-missing
+cases that differ only in what their trace is called — one name-free
+case key and equal trace content — and runs each group as one
+simulation.  Every simulation carries exactly one collector, so cases
+differing in accounting configuration are distinct simulations.  The
 guarantees pinned here:
 
-* every fused member's result is bitwise identical to its unfused run —
-  across workloads, presets, wrong-path modes, warmup fractions and
-  collector sets (multi-stage, topdown, accounting off, non-default
-  accounting width), with the fast-forward/replay skip engines engaged;
-* attaching 0, 1 or many collectors never perturbs the timing: cycle
-  counts and every timing-side field are invariant (the timing oracle);
-* a fused run checkpoints and resumes mid-flight with *all* collectors
-  restored bitwise;
-* fused members land in the disk cache under their own per-case keys
+* every shared member's result is bitwise identical to its unfused run,
+  re-stamped with its own program name — across workloads, presets,
+  wrong-path modes and warmup fractions, with the fast-forward/replay
+  skip engines engaged, serially and in spawn and fork pools;
+* the collector never perturbs the timing: one run per collector spec
+  (multi-stage, top-down, accounting off, non-default accounting width)
+  gives the same cycle count and timing-side fields (the timing oracle);
+* a run under every collector spec checkpoints and resumes mid-flight
+  bitwise;
+* shared members land in the disk cache under their own per-case keys
   (warm reruns need zero simulator invocations), and the pre-existing
   cache keys of default-accounting cases are unchanged;
 * the batch summary line and telemetry report fused groups / runs saved;
-* cases whose traces are equal under different names (the Fig. 4
-  kernels) share one run, each member re-stamped with its own program
-  name, while traces differing in a single micro-op field never do;
+* the Fig. 4 kernels share runs, while traces differing in a single
+  micro-op field never do;
 * ``Job`` construction rejects malformed memberships.
 """
 
@@ -34,7 +35,7 @@ import pytest
 
 from repro.config.idealize import PERFECT_BPRED, PERFECT_DCACHE
 from repro.core.wrongpath import WrongPathMode
-from repro.experiments import parallel, runner, supervisor
+from repro.experiments import parallel, runner
 from repro.experiments.cache import TELEMETRY, CaseSpec, Job
 from repro.experiments.parallel import run_cases
 from repro.isa.instructions import Program
@@ -61,14 +62,8 @@ def _fresh_harness():
 
 def _comparable(result) -> dict:
     """Everything that must be bitwise identical between a fused and an
-    unfused run.
-
-    Host wall time and the fast-forward/replay window counters are
-    excluded: they are documented host-side observability counters, and
-    a fused run legitimately arms the skip engines differently (e.g. a
-    topdown member disables commit batching and with it replay) without
-    affecting any architectural number.
-    """
+    unfused run: all but host wall time and the skip-engine counters,
+    which are host-side observability."""
     payload = result.to_dict()
     for key in (
         "wall_seconds",
@@ -81,6 +76,37 @@ def _comparable(result) -> dict:
     return payload
 
 
+def _register(monkeypatch, program: Program) -> None:
+    """Make ``program`` the trace of the workload of the same name."""
+    monkeypatch.setitem(
+        WORKLOADS, program.name,
+        WorkloadSpec(program.name, program.name, "fusion twin",
+                     lambda n, s, p=program: p),
+    )
+
+
+@pytest.fixture
+def twins(monkeypatch):
+    """``twins(workload, preset, **fields)``: the case of ``workload``
+    followed by two cases whose workloads are exact copies of its trace
+    under other names.  The real workload comes first, so it is its
+    group's representative and a spawned worker can build its trace."""
+
+    def make(workload: str, preset: str = "tiny", **fields):
+        base = make_trace(workload, N, 1)
+        names = [workload]
+        for i in (1, 2):
+            twin = Program(f"twin{i}-{workload}", list(base.instructions))
+            _register(monkeypatch, twin)
+            names.append(twin.name)
+        return [
+            CaseSpec(workload=name, preset=preset, instructions=N, **fields)
+            for name in names
+        ]
+
+    return make
+
+
 def _variant_specs(
     workload: str = "mcf",
     preset: str = "tiny",
@@ -88,7 +114,7 @@ def _variant_specs(
     mode: WrongPathMode = WrongPathMode.EXACT,
     warmup_fraction: float = 0.0,
 ) -> list[CaseSpec]:
-    """One timing, four accounting configurations."""
+    """One trace, four accounting configurations: four simulations."""
     base = dict(
         workload=workload,
         preset=preset,
@@ -104,6 +130,12 @@ def _variant_specs(
     ]
 
 
+def _stamped_names(result) -> set[str]:
+    report = result.report
+    stacks = (report.dispatch, report.issue, report.commit, report.flops)
+    return {result.name, report.name, *(stack.name for stack in stacks)}
+
+
 def _run_both_ways(specs: list[CaseSpec], **kwargs) -> tuple[list, list]:
     """Run the same batch unfused then fused, cache-free, serially."""
     unfused = run_cases(specs, jobs=1, use_cache=False, fuse=False, **kwargs)
@@ -112,56 +144,65 @@ def _run_both_ways(specs: list[CaseSpec], **kwargs) -> tuple[list, list]:
     return unfused, fused
 
 
+def _assert_shared(specs, unfused, fused) -> None:
+    """Each fused result equals its unfused run, under its own name."""
+    for spec, a, b in zip(specs, unfused, fused):
+        assert _comparable(a) == _comparable(b), spec.label()
+        assert _stamped_names(b) == {a.name}, spec.label()
+
+
 # ---------------------------------------------------------------------------
-# differential matrix: fused is bitwise identical to unfused
+# differential matrix: a shared member is bitwise identical to its own run
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("mode", list(WrongPathMode))
 @pytest.mark.parametrize("warmup", [0.0, 0.3])
-def test_fused_matches_unfused_across_modes_and_warmup(mode, warmup):
-    specs = _variant_specs(mode=mode, warmup_fraction=warmup)
+def test_fused_matches_unfused_across_modes_and_warmup(twins, mode, warmup):
+    specs = twins("mcf", mode=mode, warmup_fraction=warmup)
     unfused, fused = _run_both_ways(specs)
-    for spec, a, b in zip(specs, unfused, fused):
-        assert _comparable(a) == _comparable(b), spec.label()
+    assert parallel.LAST_BATCH.simulated == 1
+    _assert_shared(specs, unfused, fused)
 
 
 @pytest.mark.parametrize(
     "workload, preset",
     [("chase", "tiny"), ("exchange2", "bdw"), ("spin", "knl")],
 )
-def test_fused_matches_unfused_across_machines(workload, preset):
-    specs = _variant_specs(workload, preset)
+def test_fused_matches_unfused_across_machines(twins, workload, preset):
+    specs = twins(workload, preset)
     unfused, fused = _run_both_ways(specs)
-    for spec, a, b in zip(specs, unfused, fused):
-        assert _comparable(a) == _comparable(b), spec.label()
+    assert parallel.LAST_BATCH.simulated == 1
+    _assert_shared(specs, unfused, fused)
 
 
-def test_fused_matches_unfused_with_skip_engines():
+def test_fused_matches_unfused_with_skip_engines(twins):
     # ``spin`` has quiescent and steady-state stretches the skip engines
     # actually engage on.
-    specs = _variant_specs("spin", "tiny", warmup_fraction=0.2)
+    specs = twins("spin", warmup_fraction=0.2)
     unfused, fused = _run_both_ways(specs)
-    assert any(r.ff_windows and r.replay_windows for r in fused)
-    for spec, a, b in zip(specs, unfused, fused):
-        assert _comparable(a) == _comparable(b), spec.label()
+    assert all(r.ff_windows and r.replay_windows for r in fused)
+    _assert_shared(specs, unfused, fused)
 
 
-def test_fused_mixed_batch_with_distinct_timings():
-    """Fusable variants mixed with singleton timings: grouping must not
-    disturb spec order, dedup, or the singletons' results."""
-    variants = _variant_specs()
+def test_fused_mixed_batch_with_distinct_timings(twins):
+    """Shared members mixed with cases of their own — another trace, an
+    idealized machine, another collector on the same trace: grouping
+    must not disturb spec order, dedup, or the singletons' results."""
+    shared = twins("mcf")
     singles = [
         CaseSpec(workload="bwaves", preset="tiny", instructions=N),
         CaseSpec(
             workload="mcf", preset="tiny", instructions=N,
             idealization=PERFECT_DCACHE,
         ),
+        CaseSpec(workload="mcf", preset="tiny", instructions=N,
+                 topdown=True),
     ]
-    specs = variants + singles + [variants[0]]  # plus one duplicate
+    specs = shared + singles + [shared[0]]  # plus one duplicate
     unfused, fused = _run_both_ways(specs)
-    for spec, a, b in zip(specs, unfused, fused):
-        assert _comparable(a) == _comparable(b), spec.label()
+    assert parallel.LAST_BATCH.simulated == 1 + len(singles)
+    _assert_shared(specs, unfused, fused)
     assert fused[-1] is fused[0], "duplicate specs still share one result"
 
 
@@ -172,27 +213,26 @@ def test_fused_mixed_batch_with_distinct_timings():
         pytest.param("spawn", marks=pytest.mark.slow),
     ],
 )
-def test_fused_pool_matches_unfused_serial(method):
+def test_fused_pool_matches_unfused_serial(twins, method):
     if method not in multiprocessing.get_all_start_methods():
         pytest.skip(f"start method {method!r} unavailable here")
-    specs = _variant_specs() + _variant_specs("chase")
+    specs = twins("mcf") + twins("chase")
     unfused = run_cases(specs, jobs=1, use_cache=False, fuse=False)
     runner.clear_cache()
     TELEMETRY.reset()
     fused = run_cases(
         specs, jobs=2, use_cache=False, fuse=True, mp_start_method=method
     )
-    assert TELEMETRY.sim_invocations == 2, "one pipeline run per timing"
-    # A fused group counts one member's uops: the members share a run.
+    assert TELEMETRY.sim_invocations == 2, "one simulation per trace"
+    # A shared group counts one member's uops: the members share a run.
     assert TELEMETRY.uops_simulated == (
-        fused[0].committed_uops + fused[4].committed_uops
+        fused[0].committed_uops + fused[3].committed_uops
     )
-    for spec, a, b in zip(specs, unfused, fused):
-        assert _comparable(a) == _comparable(b), spec.label()
+    _assert_shared(specs, unfused, fused)
 
 
 # ---------------------------------------------------------------------------
-# timing-invariance oracle: collectors never perturb the timing
+# timing-invariance oracle: the collector never perturbs the timing
 # ---------------------------------------------------------------------------
 
 
@@ -210,82 +250,76 @@ _TIMING_FIELDS = (
 @pytest.mark.parametrize("mode", list(WrongPathMode))
 @pytest.mark.parametrize("warmup", [0.0, 0.3])
 def test_timing_oracle_collector_count_invariance(mode, warmup):
-    """0, 1, or all collectors attached: the timing fingerprint and the
+    """No collector, or any one of them: the timing-side fields and the
     cycle count never move."""
     from repro.config.presets import get_preset
-    from repro.core.multistage import CollectorSpec
     from repro.pipeline.core import CoreSimulator
 
     trace = runner.get_trace("mcf", N, 1)
     config = get_preset("tiny")
     warmup_instructions = int(N * warmup)
-    collector_sets = [
-        (CollectorSpec(accounting=False),),  # 0 collectors
-        (CollectorSpec(),),  # 1 collector
-        (  # all of them
-            CollectorSpec(),
-            CollectorSpec(topdown=True),
-            CollectorSpec(accounting=False),
-            CollectorSpec(accounting_width=2),
-        ),
-    ]
-    results = []
-    for collectors in collector_sets:
-        sim = CoreSimulator(
+    specs = _variant_specs(mode=mode, warmup_fraction=warmup)
+    results = [
+        CoreSimulator(
             trace,
             config,
             mode=mode,
             warmup_instructions=warmup_instructions,
             seed=7,
-            collectors=collectors,
-        )
-        results.append(sim.run())
-    baseline = results[0]
-    for result in results[1:]:
+            collector=spec.collector_spec(),
+        ).run()
+        for spec in specs
+    ]
+    assert results[2].report is None, "accounting off attaches nothing"
+    baseline = results[2]
+    for result in results:
         for field in _TIMING_FIELDS:
             assert getattr(result, field) == getattr(baseline, field), field
 
 
-
 # ---------------------------------------------------------------------------
-# checkpoint/resume mid-fused-run
+# checkpoint/resume mid-run, under every collector spec
 # ---------------------------------------------------------------------------
 
 
 class _Interrupted(Exception):
-    """Raised by the checkpoint hook to kill a fused run mid-flight."""
+    """Raised by the checkpoint hook to kill a run mid-flight."""
 
 
 def test_fused_checkpoint_resume_restores_all_collectors():
-    group = Job(tuple(_variant_specs()))
-    clean, resumed_from = runner.execute_spec_checkpointed(group, None)
-    assert resumed_from is None
-
-    ckpt.clear_checkpoints(group.key())
+    """Each collector spec's run dies after its first checkpoint and
+    resumes bitwise identical to its uninterrupted run."""
 
     def hook(path, instrs):
         raise _Interrupted
 
-    with pytest.raises(_Interrupted):
-        runner.execute_spec_checkpointed(group, 600, on_checkpoint=hook)
-    assert ckpt.list_case_checkpoints(group.key()), (
-        "the interrupted fused run never wrote a checkpoint"
-    )
-    recovered, resumed_from = runner.execute_spec_checkpointed(group, 600)
-    assert resumed_from is not None and resumed_from > 0
-    assert len(recovered) == len(group.specs)
-    for spec, a, b in zip(group.specs, clean, recovered):
-        assert _comparable(a) == _comparable(b), spec.label()
-    ckpt.clear_checkpoints(group.key())
+    for spec in _variant_specs():
+        job = Job((spec,))
+        (clean,), resumed_from = runner.execute_spec_checkpointed(job, None)
+        assert resumed_from is None
+        with pytest.raises(_Interrupted):
+            runner.execute_spec_checkpointed(job, 600, on_checkpoint=hook)
+        assert ckpt.list_case_checkpoints(job.key()), (
+            f"the interrupted {spec.label()} run never wrote a checkpoint"
+        )
+        (recovered,), resumed_from = runner.execute_spec_checkpointed(
+            job, 600
+        )
+        assert resumed_from is not None and resumed_from > 0
+        assert _comparable(recovered) == _comparable(clean), spec.label()
+        ckpt.clear_checkpoints(job.key())
 
 
-def test_fused_checkpoint_lives_under_group_key():
-    """A fused checkpoint must never be resumable by a member alone (or
-    vice versa): the group key is derived from all member keys."""
-    group = Job(tuple(_variant_specs()))
+def test_fused_checkpoint_lives_under_group_key(twins):
+    """A shared job's checkpoint must never be resumable by a member
+    alone (or vice versa): the group key is derived from all member
+    keys."""
+    specs = twins("mcf")
+    (group,) = parallel._group_jobs({s.key(): s for s in specs}, True)
+    assert group.specs == tuple(specs)
     member_keys = {spec.key() for spec in group.specs}
     assert group.key() not in member_keys
-    smaller = Job(group.specs[:2])
+    smaller = Job(group.specs[:2], names=group.names[:2])
     assert smaller.key() != group.key()
 
 
@@ -298,27 +332,34 @@ def test_default_fingerprint_unchanged_by_accounting_fields():
     """Pre-existing cache entries stay valid: a default-accounting spec
     fingerprints exactly as before the accounting fields existed."""
     spec = CaseSpec(workload="mcf", preset="tiny", instructions=N)
-    fp = spec.fingerprint()
-    assert "accounting" not in fp
-    assert "topdown" not in fp
-    assert "accounting_width" not in fp
-    assert fp == spec.timing_fingerprint()
+    assert set(spec.fingerprint()) == {
+        "schema", "workload", "instructions", "trace_seed", "sim_seed",
+        "mode", "warmup_fraction", "idealization", "config",
+    }
 
 
-def test_variant_keys_discriminate_but_share_timing():
-    default, topdown, noacc, wide = _variant_specs()
-    keys = {s.key() for s in (default, topdown, noacc, wide)}
-    assert len(keys) == 4, "accounting variants must not collide"
-    timings = {s.timing_key() for s in (default, topdown, noacc, wide)}
-    assert len(timings) == 1, "accounting must not leak into the timing key"
+def test_variant_keys_discriminate(twins):
+    """Accounting is case identity: the four collector specs of one
+    trace are four cases, with or without their names.  The name-free
+    key leaves out what names the trace, so twins share it — and so does
+    any other trace of the same length and seed: grouping compares the
+    traces' content too."""
+    variants = _variant_specs()
+    assert len({s.key() for s in variants}) == 4
+    assert len({s.name_free_key() for s in variants}) == 4
+    shared = twins("mcf")
+    assert len({s.key() for s in shared}) == 3
+    assert len({s.name_free_key() for s in shared}) == 1
     other = CaseSpec(workload="chase", preset="tiny", instructions=N)
-    assert other.timing_key() not in timings
+    assert other.name_free_key() == shared[0].name_free_key()
+    _, topdown, noacc, wide = variants
     assert topdown.label().endswith("#td")
     assert noacc.label().endswith("#noacc")
+    assert wide.label().endswith("#w2")
 
 
-def test_fused_members_published_under_own_keys():
-    specs = _variant_specs()
+def test_fused_members_published_under_own_keys(twins):
+    specs = twins("mcf")
     first = run_cases(specs, jobs=1, fuse=True)
     assert TELEMETRY.sim_invocations == 1
     assert TELEMETRY.uops_simulated == first[0].committed_uops
@@ -335,35 +376,34 @@ def test_fused_members_published_under_own_keys():
         assert a.to_dict() == b.to_dict()
 
 
-def _comparison_batch() -> list[CaseSpec]:
-    """Multi-stage, topdown and no-accounting stacks of three workloads:
-    one timing per workload."""
+def _comparison_batch(twins) -> list[CaseSpec]:
+    """Three workloads, each under its own name and two others: one
+    simulation per workload."""
     return [
-        CaseSpec(workload=workload, preset="tiny", instructions=N, **extra)
-        for workload in ("mcf", "chase", "exchange2")
-        for extra in ({}, {"topdown": True}, {"accounting": False})
+        spec for workload in ("mcf", "chase", "exchange2")
+        for spec in twins(workload)
     ]
 
 
-def _fig2_batch() -> list[CaseSpec]:
-    """Fig. 2's shape: baseline and idealized timings, each wanted with
-    the multi-stage and the topdown stacks."""
+def _fig2_batch(twins) -> list[CaseSpec]:
+    """Fig. 2's shape: baseline and idealized machines, each wanted for
+    every name of the trace."""
     return [
-        CaseSpec(workload=workload, preset="tiny", instructions=N,
-                 idealization=ideal, **extra)
-        for workload in ("mcf", "exchange2")
+        spec for workload in ("mcf", "exchange2")
         for ideal in (None, PERFECT_DCACHE, PERFECT_BPRED)
-        for extra in ({}, {"topdown": True})
+        for spec in twins(workload, idealization=ideal)
     ]
 
 
 @pytest.mark.parametrize(
-    "specs, runs",
-    [(_variant_specs(), 1), (_comparison_batch(), 3), (_fig2_batch(), 6)],
+    "batch, runs",
+    [(lambda twins: twins("mcf"), 1), (_comparison_batch, 3),
+     (_fig2_batch, 6)],
     ids=["variants", "comparison", "fig2-matrix"],
 )
-def test_summary_line_reports_fusion(specs, runs):
-    """One pipeline run per distinct timing, reported as fused groups."""
+def test_summary_line_reports_fusion(twins, batch, runs):
+    """One simulation per distinct trace, reported as fused groups."""
+    specs = batch(twins)
     mark = parallel.telemetry_mark()
     run_cases(specs, jobs=1, use_cache=False, fuse=True)
     saved = len(specs) - runs
@@ -400,12 +440,6 @@ def _fig4_specs() -> list[CaseSpec]:
         CaseSpec(workload=name, preset="knl", instructions=FIG4_N)
         for name in names
     ]
-
-
-def _stamped_names(result) -> set[str]:
-    report = result.report
-    stacks = (report.dispatch, report.issue, report.commit, report.flops)
-    return {result.name, report.name, *(stack.name for stack in stacks)}
 
 
 def test_content_shared_batch_matches_unfused():
@@ -488,11 +522,8 @@ def test_one_micro_op_field_splits_the_run(monkeypatch, field):
         "twin-copy": Program("twin-copy", list(base.instructions)),
         "twin-mutant": _mutated(base, "twin-mutant", at, **{field: value}),
     }
-    for name, program in variants.items():
-        monkeypatch.setitem(
-            WORKLOADS, name,
-            WorkloadSpec(name, name, "fusion twin", lambda n, s, p=program: p),
-        )
+    for program in variants.values():
+        _register(monkeypatch, program)
     specs = [
         CaseSpec(workload=name, preset="knl", instructions=FIG4_N)
         for name in variants
@@ -510,15 +541,23 @@ def test_one_micro_op_field_splits_the_run(monkeypatch, field):
 # ---------------------------------------------------------------------------
 
 
-def test_fused_group_rejects_malformed_membership():
+def test_fused_group_rejects_malformed_membership(twins):
     specs = _variant_specs()
     with pytest.raises(ValueError, match="at least one"):
         Job(())
-    other = CaseSpec(workload="chase", preset="tiny", instructions=N)
-    with pytest.raises(ValueError, match="timing key"):
-        Job((specs[0], other))
+    idealized = dataclasses.replace(specs[0], idealization=PERFECT_DCACHE)
+    with pytest.raises(ValueError, match="name-free case key"):
+        Job((specs[0], idealized), names=("mcf", "mcf"))
+    # Two accounting widths are two simulations, never one shared run.
+    with pytest.raises(ValueError, match="name-free case key"):
+        Job((specs[0], specs[3]), names=("mcf", "mcf"))
+    shared = twins("mcf")
+    with pytest.raises(ValueError, match="one name per member"):
+        Job(tuple(shared))
+    with pytest.raises(ValueError, match="one name per member"):
+        Job((specs[0],), names=("mcf", "mcf"))
     socket = CaseSpec(workload="mcf", preset="tiny", instructions=N, cores=2)
     with pytest.raises(ValueError, match="cannot be fused"):
-        Job((socket, socket))
+        Job((socket, socket), names=("mcf", "mcf"))
     assert Job((specs[0],)).key() == specs[0].key()
     assert Job((specs[0],)).label() == specs[0].label()

@@ -260,7 +260,7 @@ def test_signature_batching_gated_to_exact_event_mode():
         trace, broadwell(), reference=True
     )._batch is False
     assert CoreSimulator(
-        trace, broadwell(), collectors=(CollectorSpec(accounting=False),)
+        trace, broadwell(), collector=CollectorSpec(accounting=False)
     )._batch is False
 
 

@@ -370,7 +370,7 @@ def test_one_core_socket_spec_is_the_historical_case():
     assert spec_multi.key() == spec_single.key()
     assert spec_multi.member_key(0) == spec_single.key()
     (per_core,) = run_multicore_cases([spec_multi], jobs=1)
-    direct = runner.run_spec(spec_single)
+    direct = runner.execute_spec(spec_single)
     assert len(per_core) == 1
     assert _comparable(per_core[0]) == _comparable(direct)
 
@@ -378,9 +378,9 @@ def test_one_core_socket_spec_is_the_historical_case():
 def test_multicore_keys_leave_single_core_fingerprints_untouched():
     base = CaseSpec(workload="mcf", preset="tiny", instructions=N)
     multi = CaseSpec(workload="mcf", preset="tiny", instructions=N, cores=4)
-    assert "cores" not in base.timing_fingerprint()
-    assert multi.timing_fingerprint()["cores"] == 4
-    assert multi.timing_fingerprint()["multicore_schema"] == 1
+    assert "cores" not in base.fingerprint()
+    assert multi.fingerprint()["cores"] == 4
+    assert multi.fingerprint()["multicore_schema"] == 1
     assert multi.member_key(0) != multi.member_key(1)
     assert multi.label().endswith("x4")
     with pytest.raises(ValueError):
@@ -540,7 +540,7 @@ def test_simulate_socket_homogeneous_thread_order_is_pinned():
         jobs=1, homogeneous=True,
     )
     for thread in range(3):
-        direct = runner.run_spec(
+        direct = runner.execute_spec(
             CaseSpec(
                 workload="leela", config=config, instructions=N,
                 seed=5 + thread, sim_seed=5 + 1000 + thread,

@@ -167,8 +167,14 @@ def test_cache_and_checkpoint_keys_are_pinned():
     assert socket.member_key(1) == (
         "5bd79d47533ff42e6ceef1e7885365fb7f45c86f371c2191dd41e4952a27998c"
     )
-    assert Job((mcf, topdown)).key() == (
-        "3efb6bedb7fe300e49fb72c0e0d3421df8d58181321236e3d3bbfc9f61f8a68e"
+    # A content-shared job (two Fig. 4 kernels of one trace) checkpoints
+    # under a key derived from its sorted member keys.
+    kernels = tuple(
+        CaseSpec(workload=name, preset="knl")
+        for name in ("gemm-train-1760-knl", "gemm-train-2048-knl")
+    )
+    assert Job(kernels, names=("sgemm", "sgemm")).key() == (
+        "f134490d2232b1f28f8f790ff7e022ad45091824f02bc3f32bbcde0ff5ef2054"
     )
     assert Job((mcf,)).key() == mcf.key()
     assert Job((socket,)).key() == socket.key()

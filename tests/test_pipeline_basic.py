@@ -3,11 +3,7 @@
 import pytest
 
 from repro.core.components import Component
-from repro.core.multistage import (
-    CollectorSpec,
-    FanoutCollector,
-    MultiStageCollector,
-)
+from repro.core.multistage import CollectorSpec, MultiStageCollector
 from repro.isa import decoder as asm
 from repro.pipeline.core import CoreSimulator, simulate
 from repro.pipeline.multicore import MulticoreSimulator
@@ -81,9 +77,7 @@ def test_determinism(tiny):
 def test_accounting_off_gives_same_timing(tiny):
     prog = load_loop(500, lines=64, stride_lines=3)
     with_acct = simulate(prog, tiny)
-    without = simulate(
-        prog, tiny, collectors=(CollectorSpec(accounting=False),)
-    )
+    without = simulate(prog, tiny, collector=CollectorSpec(accounting=False))
     assert with_acct.cycles == without.cycles
     assert without.report is None
 
@@ -157,26 +151,23 @@ def _timing_and_stacks(result) -> dict:
     return payload
 
 
-@pytest.mark.parametrize("specs,attached", [
-    ((CollectorSpec(),), MultiStageCollector),
-    ((CollectorSpec(), CollectorSpec(topdown=True)), FanoutCollector),
-    ((CollectorSpec(accounting=False),), type(None)),
+@pytest.mark.parametrize("spec,attached", [
+    (CollectorSpec(), MultiStageCollector),
+    (CollectorSpec(topdown=True), MultiStageCollector),
+    (CollectorSpec(accounting=False), type(None)),
 ])
-def test_accountants_attach_at_the_warmup_boundary(knl, specs, attached):
+def test_accountants_attach_at_the_warmup_boundary(knl, spec, attached):
     """Warmup cycles are never measured, so no accountant observes them:
-    single, fused and accounting-off runs all attach at the boundary."""
+    multi-stage, top-down and accounting-off runs all attach at the
+    boundary."""
     trace = make_trace("exchange2", 2_000, 1)
-    sim = CoreSimulator(trace, knl, warmup_instructions=600,
-                        collectors=specs)
-    assert sim.collector is None
-    assert sim.collectors == [None] * len(specs)
+    sim = CoreSimulator(trace, knl, warmup_instructions=600, collector=spec)
     while not sim._warmed:
         assert sim.collector is None
         sim.step_cycle()
     assert type(sim.collector) is attached
-    assert [c is None for c in sim.collectors] == [
-        not s.accounting for s in specs
-    ]
+    if spec.topdown:
+        assert sim.collector.topdown is not None
 
 
 def test_every_socket_core_attaches_at_the_boundary(knl):

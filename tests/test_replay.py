@@ -319,7 +319,7 @@ def test_non_batching_accounting_never_arms_replay(mode):
     sim.run()
     assert sim.replay_windows == 0
     blind = CoreSimulator(trace, broadwell(), mode=mode,
-                          collectors=(CollectorSpec(accounting=False),))
+                          collector=CollectorSpec(accounting=False))
     assert blind._replay is not None
 
 

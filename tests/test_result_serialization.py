@@ -39,7 +39,7 @@ def result(tiny_module_config):
         tiny_module_config,
         warmup_instructions=int(len(trace) * 0.3),
         seed=778,
-        collectors=(CollectorSpec(topdown=True),),
+        collector=CollectorSpec(topdown=True),
     )
 
 

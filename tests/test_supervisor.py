@@ -349,15 +349,17 @@ def test_corrupt_schema_payload_is_rejected():
 
 
 def _shape_specs(shape: str) -> list[CaseSpec]:
-    """The cases of a single-case, fused-pair or 2-core-socket job."""
+    """The cases of a single-case, fused-pair or 2-core-socket job; the
+    fused pair is two Fig. 4 kernels of one trace."""
     if shape == "socket":
         return [CaseSpec(workload="exchange2", preset="tiny",
                          instructions=N, cores=2)]
-    specs = [_spec()]
     if shape == "fused":
-        specs.append(CaseSpec(workload="mcf", preset="tiny",
-                              instructions=N, topdown=True))
-    return specs
+        return [
+            CaseSpec(workload=name, preset="tiny", instructions=N)
+            for name in ("gemm-train-1760-knl", "gemm-train-2048-knl")
+        ]
+    return [_spec()]
 
 
 SHAPES = ("case", "fused", "socket")
@@ -365,7 +367,11 @@ SHAPES = ("case", "fused", "socket")
 
 @pytest.mark.parametrize("shape", SHAPES)
 def test_validate_payload_checks_result_count(shape):
-    job = Job(tuple(_shape_specs(shape)))
+    specs = _shape_specs(shape)
+    if shape == "fused":
+        (job,) = parallel._group_jobs({s.key(): s for s in specs}, True)
+    else:
+        job = Job(tuple(specs))
     results, _ = runner.execute_spec_checkpointed(job, None)
     assert len(results) == {"case": 1, "fused": 2, "socket": 2}[shape]
     members = [result.to_dict() for result in results]
