@@ -44,7 +44,7 @@ from repro.core.components import (
 from repro.core.multistage import ALL_STAGES, Stage
 from repro.core.topdown import TopLevel
 from repro.core.wrongpath import WrongPathMode
-from repro.experiments import error, flops_study, idealization, runner
+from repro.experiments import error, flops_study, idealization
 from repro.experiments.cache import CaseSpec
 from repro.experiments.multicore import simulate_socket
 from repro.experiments.parallel import run_cases
@@ -126,8 +126,14 @@ def _render_stages(result, emit) -> None:
         emit()
 
 
-def _fig1_facts(result) -> dict[str, Any]:
-    report = result.report
+def _render_fig1(results, emit) -> None:
+    """mcf@bdw's three stacks, or none when its case failed."""
+    for result in results.values():
+        _render_stages(result, emit)
+
+
+def _fig1_facts(results) -> dict[str, Any]:
+    report = results["mcf"].report
     return {
         f"{side}_{stage}": sum(
             getattr(report, stage).get(c) for c in components
@@ -693,11 +699,8 @@ ARTIFACTS: dict[str, Artifact] = {a.name: a for a in (
         ("knl_both > knl_sum", "bdw_both < bdw_sum"),
     ),
     Artifact(
-        "fig1", lambda batch: runner.run_case(
-            "mcf", "bdw", instructions=batch["instructions"],
-            seed=batch["seed"],
-        ),
-        _render_stages, _fig1_facts,
+        "fig1", lambda batch: _resolve(batch, {"mcf": _case("mcf", batch)}),
+        _render_fig1, _fig1_facts,
         ("frontend cycles: dispatch {fe_dispatch:.0f} >= commit "
          "{fe_commit:.0f}; backend cycles: commit {be_commit:.0f} >= "
          "dispatch {be_dispatch:.0f}",),

@@ -100,7 +100,10 @@ __all__ = [
 #: and scan switches; the FU pool drops its unpipelined-class set.
 #: 10: one collector per simulator — the collector list, its spec tuple,
 #: the fused results and the uniform-width flag are gone.
-CHECKPOINT_SCHEMA = 10
+#: 11: retained observations are write-once — the simulator drops its
+#: private buffer pair and collector epoch, a retained buffer holds only
+#: its observation, and the replay engine its spare-buffer list.
+CHECKPOINT_SCHEMA = 11
 
 #: First line of every checkpoint file.
 MAGIC = b"REPRO-CKPT\n"

@@ -57,37 +57,39 @@ class _UopSnapshot:
         "block_id",
     )
 
+    def __init__(self, uop: InflightUop) -> None:
+        self.is_load = uop.is_load
+        self.dcache_miss = uop.dcache_miss
+        self.issued = uop.issued
+        self.done = uop.done
+        self.multi_cycle = uop.multi_cycle
+        self.block_id = uop.block_id
+
 
 class _ObsBuffer:
-    """A retainable observation plus its three blamed-uop snapshots.
+    """A retained observation, written once and never changed.
 
     ``delta`` memoizes the collector's per-cycle accounting program for
     this observation (see ``MultiStageCollector.repeat_program``):
     ``None`` means unbuilt, ``False`` means the observation (or the
     attached collector) is not k-scalable and the generic
-    ``observe_repeat`` chain must run.  ``delta_epoch`` ties the memo to
-    one collector generation — ``_build_collector`` bumps the epoch, so
-    programs never outlive the stacks they point into.  Both slots are
-    transient: pickling (checkpoints) drops them.
+    ``observe_repeat`` chain must run.  A simulator builds its collector
+    once, so a memo never outlives the stacks it points into.  The memo
+    is transient: pickling (checkpoints) drops it.
     """
 
-    __slots__ = ("obs", "head", "producer", "vfp", "delta", "delta_epoch")
+    __slots__ = ("obs", "delta")
 
-    def __init__(self) -> None:
-        self.obs = CycleObservation()
-        self.head = _UopSnapshot()
-        self.producer = _UopSnapshot()
-        self.vfp = _UopSnapshot()
+    def __init__(self, obs: CycleObservation) -> None:
+        self.obs = obs
         self.delta = None
-        self.delta_epoch = 0
 
     def __getstate__(self):
-        return (self.obs, self.head, self.producer, self.vfp)
+        return self.obs
 
-    def __setstate__(self, state):
-        self.obs, self.head, self.producer, self.vfp = state
+    def __setstate__(self, obs):
+        self.obs = obs
         self.delta = None
-        self.delta_epoch = 0
 
 
 #: Batch signature for a descheduled (Unsched) cycle.
@@ -98,11 +100,9 @@ _UNSCHED_SIG = ("unsched",)
 #: the producer scan are deferred until something actually reads it.
 _PENDING = object()
 
-#: Bound on the signature -> retained-observation cache: above this many
-#: distinct signatures the overflow path falls back to recycling a
-#: private buffer pair (the pre-cache behaviour).  Real traces stay far
-#: below it — the cache exists because steady-state loops cycle through a
-#: handful of signatures, re-filling ~30 observation fields each time.
+#: Bound on the signature -> retained-observation cache: a full cache is
+#: cleared and refills from the next signature on.  Real traces stay far
+#: below it — steady-state loops cycle through a handful of signatures.
 _SIG_CACHE_CAP = 8192
 
 class CoreSimulator:
@@ -122,6 +122,8 @@ class CoreSimulator:
     ) -> None:
         if config.memory is None:
             raise ValueError("core configuration needs a memory hierarchy")
+        if warmup_instructions < 0:
+            raise ValueError("warmup_instructions must be >= 0")
         self.program = program
         #: Checkpoint-only reference table, built on the first snapshot
         #: (see :meth:`snapshot`).
@@ -174,7 +176,6 @@ class CoreSimulator:
         # otherwise at the warmup boundary (``_end_warmup``) — warmup
         # cycles are never measured, so nothing observes them.
         self.collector: MultiStageCollector | None = None
-        self._acc_epoch = 0
         if not 0 < warmup_instructions <= len(program):
             self._build_collector()
         self.fu = FunctionalUnitPool(config)
@@ -274,10 +275,7 @@ class CoreSimulator:
         # the signature widens (``_sig_topdown``): n_dispatch_wrong joins
         # the tuple and the producer pruning keeps only the clauses every
         # reader agrees on (observe_repeat is k-observe-exact for the
-        # top-down accountant too, so batching stays bitwise).  Retained
-        # observations use _UopSnapshot copies so later pipeline activity
-        # (or pool recycling) cannot mutate a batched cycle's blamed
-        # micro-ops.
+        # top-down accountant too, so batching stays bitwise).
         self._batch = (
             self._accounting
             and not reference
@@ -286,28 +284,30 @@ class CoreSimulator:
         self._sig_topdown = self._batch and self._topdown
         self._bat_sig: object = None
         self._bat_k = 0
-        self._bat_cur = _ObsBuffer()
-        self._bat_spare = _ObsBuffer()
         # Retained-observation cache: the observation fields accountants
         # can read are fully determined by the batch signature (that is
-        # the batching invariant), so a signature seen before can reuse
-        # its fully-populated buffer instead of re-filling ~30 fields.
-        # Steady-state loops cycle through a handful of signatures, so
-        # this turns most _retain calls into one dict hit.  Buffers in
-        # the cache are written once and never mutated; the private pair
-        # is only recycled by the (pathological) overflow path.
+        # the batching invariant), so a signature seen before reuses its
+        # buffer instead of re-filling ~30 fields.  Steady-state loops
+        # cycle through a handful of signatures, so this turns most
+        # _retain calls into one dict hit.  Every buffer is written once
+        # (by _retain, or the Unsched one here), so the pending batch and
+        # the replay engine's recorded runs hold them by reference.
         self._sig_cache: dict[tuple, _ObsBuffer] = {}
-        self._bat_private = (self._bat_cur, self._bat_spare)
-        self._unsched_buf = _ObsBuffer()
-        self._unsched_buf.obs.reset()
-        self._unsched_buf.obs.unscheduled = True
+        self._unsched_buf = _ObsBuffer(CycleObservation(unscheduled=True))
+        self._bat_cur = self._unsched_buf
         self._vec_units = config.vector_units
         # Lazy producer resolution: when batching (or not accounting at
         # all), the fused select stores _PENDING for the two producer
         # fields and they are resolved on first read.  Sound because the
         # inputs of the deferred walks only change through events that
-        # set ``_rs_dirty`` and therefore force a new select first.
-        self._lazy_prod = self._batch or not self._accounting
+        # set ``_rs_dirty`` and therefore force a new select first — with
+        # one exception: the same cycle's dispatch appends to _nonready
+        # after the select, and the top-down accountant reads the
+        # producer even under a structural stall, so it resolves eagerly
+        # (see :meth:`_resolve_issue_obs`).
+        self._lazy_prod = (
+            (self._batch and not self._topdown) or not self._accounting
+        )
         # Periodic steady-state replay: record one loop iteration's worth
         # of accounting once the machine provably reaches a fixed point
         # (modulo a uniform shift), then skip whole periods at a time.
@@ -563,8 +563,8 @@ class CoreSimulator:
             self._end_warmup()
 
     def _build_collector(self) -> None:
-        """(Re)build the collector where measurement starts: at
-        construction or at the warmup boundary."""
+        """Build the collector where measurement starts: at construction
+        or at the warmup boundary, never both."""
         if self._accounting:
             config = self.config
             self.collector = MultiStageCollector(
@@ -574,16 +574,9 @@ class CoreSimulator:
                 vector_lanes=config.vector_lanes,
                 topdown=self._topdown,
             )
-        # Invalidate every memoized accounting program: they hold direct
-        # references into the previous collector's stacks.
-        self._acc_epoch += 1
 
     def _end_warmup(self) -> None:
         """Start measurement with warm caches/TLBs/predictor state."""
-        # Nothing observes warmup, so the batch is empty — unless a
-        # checkpoint from a build that accounted warmup was restored;
-        # its pending batch belongs to the discarded warmup collector.
-        self._flush_batch()
         self._warmed = True
         self._measure_cycle0 = self.cycle
         self._measure_uops0 = self.committed_uops
@@ -616,10 +609,8 @@ class CoreSimulator:
         """``buf``'s memoized repeat program, built on first use (False
         when the generic ``observe_repeat`` chain must run)."""
         prog = buf.delta
-        if prog is None or buf.delta_epoch != self._acc_epoch:
-            prog = self.collector.repeat_program(buf.obs)
-            buf.delta = prog
-            buf.delta_epoch = self._acc_epoch
+        if prog is None:
+            prog = buf.delta = self.collector.repeat_program(buf.obs)
         return prog
 
     def _apply_batch(self, buf: _ObsBuffer, k: int) -> None:
@@ -627,7 +618,7 @@ class CoreSimulator:
         :meth:`_flush_batch`); the replay engine feeds skipped periods
         through here too."""
         prog = buf.delta
-        if prog is None or buf.delta_epoch != self._acc_epoch:
+        if prog is None:
             prog = self._batch_program(buf)
         if prog is False:
             self.collector.observe_repeat(buf.obs, k)
@@ -675,88 +666,51 @@ class CoreSimulator:
     ) -> None:
         """Flush the previous batch and start a new one for ``sig``.
 
-        The blamed micro-ops are copied into the buffer's snapshots: the
-        observation is not consumed until the batch flushes, by which time
-        the live records may have issued, completed, or been recycled.
-
         A signature seen before reuses its cached buffer outright: every
         accountant-readable observation field is a function of the
         signature (the batching invariant — non-signature fields are
         provably unread for that signature), so the first population is
-        valid for every recurrence.
+        valid for every recurrence.  A new signature gets a new buffer,
+        with the blamed micro-ops copied into snapshots: the observation
+        is not consumed until the batch flushes, by which time the live
+        records may have issued, completed, or been recycled.
         """
         self._flush_batch()
-        cached = self._sig_cache.get(sig)
-        if cached is not None:
-            self._bat_cur = cached
-            self._bat_sig = sig
-            self._bat_k = k
-            return
-        if len(self._sig_cache) < _SIG_CACHE_CAP:
-            buf = _ObsBuffer()
-            self._sig_cache[sig] = buf
-        else:
-            # Overflow: recycle the private pair (never a cached buffer,
-            # and never the one the pending batch still points at).
-            buf = self._bat_private[0]
-            if buf is self._bat_cur:
-                buf = self._bat_private[1]
-            buf.delta = None  # contents change: drop the memoized program
+        cache = self._sig_cache
+        buf = cache.get(sig)
+        if buf is None:
+            if len(cache) >= _SIG_CACHE_CAP:
+                cache.clear()
+            buf = cache[sig] = _ObsBuffer(CycleObservation(
+                wrong_path_active=wp_active,
+                fe_reason=fe_reason,
+                n_dispatch=n_dispatch,
+                n_dispatch_wrong=n_dispatch_wrong,
+                uop_queue_empty=queue_empty,
+                window_full=window_full,
+                n_issue=n_issue,
+                n_issue_wrong=n_issue_wrong,
+                rs_empty=rs_empty,
+                structural_stall=structural,
+                first_nonready_producer=(
+                    None if producer is None else _UopSnapshot(producer)
+                ),
+                n_commit=n_commit,
+                rob_empty=rob_empty,
+                rob_head=None if head is None else _UopSnapshot(head),
+                flops_issued=flops_issued,
+                n_vfp_issued=n_vfp,
+                non_fma_loss_lanes=non_fma_loss,
+                masked_lanes=masked,
+                vfp_in_rs=vfp_in_rs,
+                vu_used_by_non_vfp=vu_non_vfp,
+                oldest_vfp_producer=(
+                    None if vfp_producer is None
+                    else _UopSnapshot(vfp_producer)
+                ),
+                vfp_structural=vfp_structural,
+            ))
         self._bat_cur = buf
-        obs = buf.obs
-        obs.unscheduled = False
-        obs.wrong_path_active = wp_active
-        obs.fe_reason = fe_reason
-        obs.n_dispatch = n_dispatch
-        obs.n_dispatch_wrong = n_dispatch_wrong
-        obs.uop_queue_empty = queue_empty
-        obs.window_full = window_full
-        obs.n_issue = n_issue
-        obs.n_issue_wrong = n_issue_wrong
-        obs.rs_empty = rs_empty
-        obs.structural_stall = structural
-        obs.n_commit = n_commit
-        obs.rob_empty = rob_empty
-        obs.flops_issued = flops_issued
-        obs.n_vfp_issued = n_vfp
-        obs.non_fma_loss_lanes = non_fma_loss
-        obs.masked_lanes = masked
-        obs.vfp_in_rs = vfp_in_rs
-        obs.vu_used_by_non_vfp = vu_non_vfp
-        obs.vfp_structural = vfp_structural
-        if head is None:
-            obs.rob_head = None
-        else:
-            snap = buf.head
-            snap.is_load = head.is_load
-            snap.dcache_miss = head.dcache_miss
-            snap.issued = head.issued
-            snap.done = head.done
-            snap.multi_cycle = head.multi_cycle
-            snap.block_id = head.block_id
-            obs.rob_head = snap
-        if producer is None:
-            obs.first_nonready_producer = None
-        else:
-            snap = buf.producer
-            snap.is_load = producer.is_load
-            snap.dcache_miss = producer.dcache_miss
-            snap.issued = producer.issued
-            snap.done = producer.done
-            snap.multi_cycle = producer.multi_cycle
-            snap.block_id = producer.block_id
-            obs.first_nonready_producer = snap
-        if vfp_producer is None:
-            obs.oldest_vfp_producer = None
-        else:
-            snap = buf.vfp
-            snap.is_load = vfp_producer.is_load
-            snap.dcache_miss = vfp_producer.dcache_miss
-            snap.issued = vfp_producer.issued
-            snap.done = vfp_producer.done
-            snap.multi_cycle = vfp_producer.multi_cycle
-            snap.block_id = vfp_producer.block_id
-            obs.oldest_vfp_producer = snap
         self._bat_sig = sig
         self._bat_k = k
 
@@ -1386,7 +1340,7 @@ class CoreSimulator:
                         head.done, head.is_load, head.dcache_miss,
                         head.issued, head.multi_cycle,
                     )
-                if rs_empty or structural:
+                if rs_empty or (structural and not self._sig_topdown):
                     prod_sig: object = False
                     first_producer = None
                 else:
@@ -1417,6 +1371,7 @@ class CoreSimulator:
                     0, 0, 0, 0.0, 0, 0.0, 0.0, queue_empty, window_full,
                     rob_empty, rs_empty, structural, vfp_in_rs, False,
                     wp_active, fe_reason, head_sig, prod_sig, vfp_sig,
+                    0,  # n_dispatch_wrong: the shape _step_event builds
                 )
                 if sig == self._bat_sig:
                     self._bat_k += k
@@ -1741,9 +1696,16 @@ class CoreSimulator:
         """Resolve deferred producer fields in ``_issue_obs_cache``.
 
         Between the select that deferred them and this call, no event
-        that could change the answer has occurred (any such event sets
+        that could change a read answer has occurred (any such event sets
         ``_rs_dirty`` and forces a fresh select), so the resolution is
-        identical to eager computation at select time.
+        identical to eager computation at select time.  The one event in
+        between is the same cycle's dispatch: when the select saw no
+        non-ready micro-op, this walk can find one dispatched after it
+        and return its producer where the select would return None.  The
+        multi-stage accountants never read the producer then (the RS was
+        empty or the stall structural), but the top-down accountant does
+        under a structural stall, so a simulator with top-down attached
+        resolves at select time instead (``_lazy_prod``).
         """
         cache = self._issue_obs_cache
         if cache[0] is _PENDING:

@@ -139,52 +139,6 @@ def _scan_period(instrs) -> tuple[int, int] | None:
     return None
 
 
-def _copy_obs(src, dst) -> None:
-    """Copy one retained observation buffer into another.
-
-    The blamed-uop snapshot objects are per-buffer; pointer fields in the
-    copied observation are re-aimed at the destination's own snapshots so
-    the copy is self-contained.
-    """
-    s = src.obs
-    d = dst.obs
-    d.unscheduled = s.unscheduled
-    d.wrong_path_active = s.wrong_path_active
-    d.fe_reason = s.fe_reason
-    d.n_dispatch = s.n_dispatch
-    d.n_dispatch_wrong = s.n_dispatch_wrong
-    d.uop_queue_empty = s.uop_queue_empty
-    d.window_full = s.window_full
-    d.n_issue = s.n_issue
-    d.n_issue_wrong = s.n_issue_wrong
-    d.rs_empty = s.rs_empty
-    d.structural_stall = s.structural_stall
-    d.n_commit = s.n_commit
-    d.rob_empty = s.rob_empty
-    d.flops_issued = s.flops_issued
-    d.n_vfp_issued = s.n_vfp_issued
-    d.non_fma_loss_lanes = s.non_fma_loss_lanes
-    d.masked_lanes = s.masked_lanes
-    d.vfp_in_rs = s.vfp_in_rs
-    d.vu_used_by_non_vfp = s.vu_used_by_non_vfp
-    d.vfp_structural = s.vfp_structural
-    for src_snap, dst_snap, field in (
-        (src.head, dst.head, "rob_head"),
-        (src.producer, dst.producer, "first_nonready_producer"),
-        (src.vfp, dst.vfp, "oldest_vfp_producer"),
-    ):
-        if getattr(s, field) is None:
-            setattr(d, field, None)
-        else:
-            dst_snap.is_load = src_snap.is_load
-            dst_snap.dcache_miss = src_snap.dcache_miss
-            dst_snap.issued = src_snap.issued
-            dst_snap.done = src_snap.done
-            dst_snap.multi_cycle = src_snap.multi_cycle
-            dst_snap.block_id = src_snap.block_id
-            setattr(d, field, dst_snap)
-
-
 class ReplayEngine:
     """Record-and-replay driver owned by one :class:`CoreSimulator`.
 
@@ -198,7 +152,7 @@ class ReplayEngine:
         "_recording", "_disabled", "_next_attempt", "_backoff",
         "_t0", "_idx0", "_seq0", "_block0",
         "_fp0", "_counts0", "_floats0", "_checks",
-        "_runs", "_spares", "_sites",
+        "_runs", "_sites",
     )
 
     def __init__(self, sim, region_start: int, period: int) -> None:
@@ -217,9 +171,9 @@ class ReplayEngine:
         self._counts0: list | None = None
         self._floats0: tuple | None = None
         self._checks = 0
-        #: Recorded observation runs: [signature, count, buffer] each.
+        #: Recorded observation runs: [signature, count, buffer] each,
+        #: the buffer being the simulator's own (write-once) one.
         self._runs: list[list] = []
-        self._spares: list = []
         hierarchy = sim.hierarchy
         frontend = sim.frontend
         #: Every integer counter the skipped cycles would have advanced;
@@ -303,7 +257,7 @@ class ReplayEngine:
         """
         self._recording = False
         self._sim._replay_rec = False
-        self._recycle_runs()
+        self._runs.clear()
         self._disabled = False
         self._next_attempt = 0
         self._backoff = _BACKOFF_INITIAL
@@ -315,14 +269,15 @@ class ReplayEngine:
         count is folded into the current run.  The first recorded cycle
         may merge into a *pre-window* pending batch — that is safe
         (signature equality implies accounting equivalence, the batching
-        invariant) and the run then starts with a copy of that buffer.
+        invariant) and the run then starts with that batch's buffer.
+        Retained buffers are never rewritten, so the run keeps a
+        reference.
         """
         runs = self._runs
         if merged and runs:
             runs[-1][1] += k
             return
-        buf = self._copy_buffer(self._sim._bat_cur)
-        runs.append([sig, k, buf])
+        runs.append([sig, k, self._sim._bat_cur])
 
     # -- recording lifecycle -----------------------------------------------------
 
@@ -348,7 +303,7 @@ class ReplayEngine:
         self._seq0 = frontend.seq
         self._block0 = frontend.block
         self._checks = 0
-        self._recycle_runs()
+        self._runs.clear()
         self._fp0 = self._fingerprint(cycle)
         self._counts0 = [getattr(o, a) for o, a in self._sites]
         self._floats0 = self._float_counters()
@@ -356,7 +311,7 @@ class ReplayEngine:
     def _abort(self, cycle: int) -> None:
         self._recording = False
         self._sim._replay_rec = False
-        self._recycle_runs()
+        self._runs.clear()
         self._next_attempt = cycle + self._backoff
         if self._backoff < _BACKOFF_MAX:
             self._backoff *= 2
@@ -390,7 +345,7 @@ class ReplayEngine:
         # the trace too short and disable itself).
         self._recording = False
         sim._replay_rec = False
-        self._recycle_runs()
+        self._runs.clear()
         self._backoff = _BACKOFF_INITIAL
         self._next_attempt = 0
         return skipped
@@ -492,11 +447,11 @@ class ReplayEngine:
         (state periodicity makes behaviour periodic, and signatures are
         shift-invariant), so it equals the recorded stream repeated ``k``
         times, seeded with — and leaving behind — the simulator's pending
-        batch.  Each flush goes through the simulator's own batch
-        delivery, so recorded buffers memoize their repeat programs just
-        like the simulator's retained ones.  When :meth:`_fold` proves
-        the order of those flushes immaterial, each signature is flushed
-        once with its total count instead.
+        batch.  The recorded buffers are the simulator's own retained
+        ones and each flush goes through its batch delivery, so a repeat
+        program is memoized once for both.  When :meth:`_fold` proves the
+        order of those flushes immaterial, each signature is flushed once
+        with its total count instead.
         """
         sim = self._sim
         if sim.collector is None or not self._runs:
@@ -519,19 +474,7 @@ class ReplayEngine:
                         sig_p = run[0]
                         k_p = run[1]
                         buf_p = run[2]
-        if buf_p is not sim._bat_cur:
-            # Never hand an engine-owned buffer to the simulator's
-            # spare/current rotation; copy the trailing run instead.
-            # The copy must land in a simulator-private buffer: the
-            # current one may be an immutable signature-cache entry (or
-            # the dedicated Unsched buffer), which other signatures'
-            # batches will reuse verbatim.
-            dst = sim._bat_private[0]
-            if dst is sim._bat_cur:
-                dst = sim._bat_private[1]
-            _copy_obs(buf_p, dst)
-            dst.delta = None
-            sim._bat_cur = dst
+        sim._bat_cur = buf_p
         sim._bat_sig = sig_p
         sim._bat_k = k_p
 
@@ -577,23 +520,6 @@ class ReplayEngine:
         for buf, n in flushes:
             sim._apply_batch(buf, n)
         return last, tail, buf_t
-
-    # -- buffers -----------------------------------------------------------------
-
-    def _copy_buffer(self, src):
-        buf = self._spares.pop() if self._spares else src.__class__()
-        _copy_obs(src, buf)
-        # Equal contents compile to the same repeat program.
-        buf.delta = src.delta
-        buf.delta_epoch = src.delta_epoch
-        return buf
-
-    def _recycle_runs(self) -> None:
-        spares = self._spares
-        for run in self._runs:
-            if len(spares) < 64:
-                spares.append(run[2])
-        self._runs.clear()
 
     # -- state fingerprint -------------------------------------------------------
 

@@ -266,6 +266,31 @@ def test_fig1_runs_under_supervision(capsys, monkeypatch):
     clear_cache()
 
 
+def test_keep_going_failed_fig1_reads_no_data(capsys, monkeypatch,
+                                              tmp_path):
+    """Under --keep-going a Fig. 1 case that never recovers leaves an
+    empty page whose claims read ``no data``, and the later artifacts
+    still run."""
+    monkeypatch.setenv(supervisor.ENV_FAULT_PLAN,
+                       '{"mcf@bdw": {"kind": "crash", "times": 99}}')
+    from repro.experiments.runner import clear_cache
+
+    clear_cache()
+    supervisor.clear_failures()
+    code = main(["paper", "--only", "fig1", "fig3e", "--instructions",
+                 "1500", "--jobs", "1", "--keep-going"])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    fig1_claims = [line for line in lines if line.startswith("fig1 ")]
+    assert len(fig1_claims) == 2
+    assert all("no data" in line for line in fig1_claims)
+    pages = tmp_path / "results" / "paper"
+    assert (pages / "fig1.txt").read_text() == "\n"
+    assert (pages / "fig3e.txt").stat().st_size > 0
+    supervisor.clear_failures()
+    clear_cache()
+
+
 def test_cold_width_ablation_runs_each_width_alone(capsys, tmp_path):
     """Each accounting width is its own simulation: a cold
     ``ablation-width`` simulates two cases, fuses nothing and writes the

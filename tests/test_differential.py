@@ -17,8 +17,10 @@ grid is {exchange2, spin, mcf, bwaves} x {bdw, knl} x every wrong-path
 mode x warmup {0, 200}, plus the DRAM-latency pointer chase and the
 microcoded povray at warmup 0, cactus, lbm and deepsjeng on the
 small-cache ``tiny`` core (the cells that evict and re-touch lines), mcf
-and bwaves at warmup 100 and 350, and mcf@bdw variants for the simulator
-seed, the top-down collector and an accounting-width override.  Beyond that grid, every other distinct
+and bwaves at warmup 100 and 350, mcf@bdw variants for the simulator
+seed, the top-down collector and an accounting-width override, and the
+top-down collector on leela, lbm and a GEMM kernel, whose structural
+stalls it blames on a producer.  Beyond that grid, every other distinct
 2,000-instruction trace appears: imagick, leela, nab and xz on the tiny
 core in every mode and on BDW, KNL and SKX; each grid trace once on SKX;
 and one DeepBench convolution or GEMM kernel per distinct trace on KNL,
@@ -96,6 +98,16 @@ def _cells():
                               None))
     for variant in VARIANTS:
         cells.append(("mcf", "bdw", WrongPathMode.EXACT, 0, variant))
+    # Top-down reads the producer under a structural stall, where the
+    # multi-stage accountants do not; these traces reach that state.
+    for workload, cfg, warmups in (
+        ("leela", "knl", (0, 200)), ("leela", "tiny", (0, 200)),
+        ("lbm", "bdw", (0,)), ("lbm", "skx", (0,)),
+        ("gemm-train-1760-skx", "tiny", (0, 200)),
+    ):
+        for warmup in warmups:
+            cells.append((workload, cfg, WrongPathMode.EXACT, warmup,
+                          "topdown"))
     # The rest of the SPEC-like set, and every grid trace once on SKX.
     for workload in ("imagick", "leela", "nab", "xz"):
         for mode in WrongPathMode:

@@ -24,11 +24,13 @@ from repro.core.components import Component
 from repro.core.dispatch import DispatchAccountant
 from repro.core.flops import FlopsAccountant
 from repro.core.issue import IssueAccountant
-from repro.core.multistage import MultiStageCollector
+from repro.core.multistage import CollectorSpec, MultiStageCollector
 from repro.core.observation import CycleObservation
 from repro.core.topdown import TopDownAccountant
 from repro.core.wrongpath import WrongPathMode
+from repro.isa import decoder as asm
 from repro.pipeline.core import CoreSimulator
+from repro.workloads.base import DATA_BASE, TraceBuilder
 from repro.workloads.registry import make_trace
 
 N = 2_000
@@ -40,6 +42,32 @@ def test_memory_bound_trace_skips_most_cycles():
     # The DRAM-latency pointer chase is the engine's best case: the
     # overwhelming majority of cycles sit inside quiescent windows.
     assert sim.ff_cycles_skipped > 0.9 * result.cycles
+
+
+def test_windows_keep_the_producer_top_down_reads_under_a_structural_stall():
+    """A load parked behind a store that waits on a missing load makes
+    every cycle of the miss a structural stall with a non-ready micro-op
+    in the RS.  Top-down blames that micro-op's producer (Memory Bound)
+    in each of those cycles, skipped or stepped."""
+    b = TraceBuilder("parked", seed=1)
+    base = b.pc
+    for i in range(300):
+        b.at(base + (i % 4) * 16)
+        b.emit(asm.load(b.pc, dst=2, addr=DATA_BASE + (64 + i) * 4096))
+        b.emit(asm.store(b.pc, src=2, addr=DATA_BASE + 64 * (i % 8)))
+        b.emit(asm.load(b.pc, dst=3, addr=DATA_BASE + 64 * (i % 8)))
+        b.emit(asm.alu(b.pc, dst=4, srcs=(2,)))
+    trace = b.program()
+    spec = CollectorSpec(topdown=True)
+    sim = CoreSimulator(trace, broadwell(), collector=spec)
+    result = sim.run()
+    expected = CoreSimulator(
+        trace, broadwell(), collector=spec, reference=True
+    ).run()
+    assert sim.ff_cycles_skipped > 0.5 * result.cycles
+    assert result.report.topdown.to_dict() == (
+        expected.report.topdown.to_dict()
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from repro.isa.uops import MicroOp, UopClass
 from repro.memory.cache import Cache
 from repro.memory.legacy import LegacyCache, LegacyTlb
 from repro.memory.tlb import Tlb
+from repro.pipeline import core as core_module
 from repro.pipeline.core import CoreSimulator
 from repro.pipeline.inflight import (
     _IS_VU_NONVFP,
@@ -288,3 +289,98 @@ def test_commit_observe_repeat_stall_matches_loop():
     for _ in range(9):
         loop.observe(obs)
     assert bulk.stack.to_dict() == loop.stack.to_dict()
+
+
+# ---------------------------------------------------------------------------
+# Write-once retained observations
+# ---------------------------------------------------------------------------
+
+#: Host-side telemetry: the skip-engine counters legitimately differ.
+_TELEMETRY = ("wall_seconds", "ff_windows", "ff_cycles_skipped",
+              "replay_windows", "replay_cycles_skipped")
+
+
+def _comparable(result) -> dict:
+    payload = result.to_dict()
+    for key in _TELEMETRY:
+        payload.pop(key)
+    return payload
+
+
+def _spy_retains(monkeypatch) -> list[tuple[int, int]]:
+    """Record ``(len(sig), len(cache) after)`` for every ``_retain``."""
+    seen: list[tuple[int, int]] = []
+    retain = CoreSimulator._retain
+
+    def spy(self, sig, *args):
+        retain(self, sig, *args)
+        seen.append((len(sig), len(self._sig_cache)))
+
+    monkeypatch.setattr(CoreSimulator, "_retain", spy)
+    return seen
+
+
+def _clears(seen: list[tuple[int, int]]) -> int:
+    """How often the signature cache shrank, i.e. was cleared."""
+    return sum(b[1] < a[1] for a, b in zip(seen, seen[1:]))
+
+
+@pytest.mark.parametrize("workload,preset,kwargs", [
+    pytest.param("spin", "knl", {}, id="spin-knl-replay"),
+    pytest.param("mcf", "bdw", {}, id="mcf-bdw-fast-forward"),
+    pytest.param("leela", "tiny", {"collector": CollectorSpec(topdown=True)},
+                 id="leela-tiny-topdown"),
+])
+def test_small_signature_cache_equals_reference(workload, preset, kwargs,
+                                                monkeypatch):
+    """A full signature cache is cleared and refills: with room for four
+    signatures the production run clears it, and its buffers
+    (still held by the pending batch and the replay engine's recorded
+    runs) stay valid, so it matches the per-cycle reference bit for bit."""
+    monkeypatch.setattr(core_module, "_SIG_CACHE_CAP", 4)
+    seen = _spy_retains(monkeypatch)
+    trace = _trace(workload)
+    config = PRESETS[preset]
+    fast = CoreSimulator(trace, config(), **kwargs)
+    result = fast.run()
+    expected = CoreSimulator(trace, config(), reference=True, **kwargs).run()
+    assert _comparable(result) == _comparable(expected)
+    assert _clears(seen) > 0
+    assert result.ff_cycles_skipped > 0
+    if workload == "spin":
+        assert result.replay_windows > 0
+
+
+def test_small_signature_cache_resume_equals_reference(monkeypatch):
+    """A checkpoint drops the signature cache; a run resumed from one,
+    with clears of the small cache on both sides of the snapshot, still
+    matches the reference."""
+    monkeypatch.setattr(core_module, "_SIG_CACHE_CAP", 4)
+    seen = _spy_retains(monkeypatch)
+    trace = _trace("mcf")
+    expected = CoreSimulator(trace, broadwell(), reference=True).run()
+    sim = CoreSimulator(trace, broadwell())
+    while sim.committed_instrs < len(trace) // 2:
+        sim._step_event()
+    before = _clears(seen)
+    assert before > 0
+    resumed = CoreSimulator.from_snapshot(sim.snapshot(), trace)
+    assert resumed._sig_cache == {}
+    assert _comparable(resumed.run()) == _comparable(expected)
+    assert _clears(seen) > before
+
+
+def test_every_retained_signature_has_one_shape(monkeypatch):
+    """Fast-forwarded and stepped cycles build signatures of one length,
+    so an equal window of either kind merges into the same batch."""
+    seen = _spy_retains(monkeypatch)
+    result = CoreSimulator(_trace("mcf"), broadwell()).run()
+    assert result.ff_windows > 0
+    assert {length for length, _ in seen} == {20}
+
+
+def test_negative_warmup_is_rejected():
+    """The collector is built once, where measurement starts; a negative
+    warmup would start it twice."""
+    with pytest.raises(ValueError, match="warmup_instructions"):
+        CoreSimulator(_trace("mcf"), broadwell(), warmup_instructions=-1)
